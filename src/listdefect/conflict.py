@@ -23,8 +23,9 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+import tempfile
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, GreedyExhausted, InvalidInstance
 
@@ -203,9 +204,19 @@ class TypeTable:
     params: ConflictParams
     types: tuple[NodeType, ...]
     families: tuple[tuple[tuple[int, ...], ...], ...]
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[NodeType, int] = {}
+        for i, t in enumerate(self.types):
+            index.setdefault(t, i)
+        object.__setattr__(self, "_index", index)
 
     def family_of(self, t: NodeType) -> tuple[tuple[int, ...], ...]:
-        return self.families[self.types.index(t)]
+        i = self._index.get(t)
+        if i is None:
+            raise ValueError(f"{t} is not in the type table")
+        return self.families[i]
 
     def verify(self) -> bool:
         tau, tp, g = self.params.tau, self.params.tau_prime, self.params.g
@@ -237,11 +248,80 @@ class TypeTable:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _pair_conflict(c1: Sequence[int], c2: Sequence[int], tau: int, g: int) -> bool:
-    # assertion-free inner-loop version of tau_g_conflict
-    if g == 0:
-        return len(set(c1) & set(c2)) >= tau
-    return sum(mu_g(x, c2, g) for x in c1) >= tau
+def _member_hits(
+    mask: int, assigned_masks: list[tuple[int, ...]], tau: int, g: int
+) -> list[tuple[int, int]]:
+    """Which members of each assigned family one candidate set tau&g-conflicts with.
+
+    Returns (j, bitmask over the members of family j) for every family j
+    with at least one hit.  For sets without repeated colors,
+    sum_{x in c1} mu_g(x, c2) = sum_{d=-g..g} popcount(shift(c1, d) & c2),
+    so each conflict test is 2g+1 ANDs and popcounts.
+    """
+    shifted = [mask << d for d in range(g + 1)] + [mask >> d for d in range(1, g + 1)]
+    hits = []
+    for j, fam_masks in enumerate(assigned_masks):
+        r = 0
+        for b, m2 in enumerate(fam_masks):
+            if g == 0:
+                overlap = (mask & m2).bit_count()
+            else:
+                overlap = sum((s & m2).bit_count() for s in shifted)
+            if overlap >= tau:
+                r |= 1 << b
+        if r:
+            hits.append((j, r))
+    return hits
+
+
+def _first_free_family(
+    hits_of: Callable[[int], list[tuple[int, int]]],
+    fam_size: int,
+    n_members: int,
+    cap: int,
+    fwd_limit: list[float],
+    rev_limit: list[float],
+) -> Optional[list[int]]:
+    """Member indices of the colex-first family of rank < cap that stays
+    below every limit, largest index first; None when there is none.
+
+    ``hits_of(i)`` gives member i's (j, bitmask) hits.  A prefix dies, with
+    its whole subtree, once it hits family j with fwd_limit[j] members or
+    its union of hit bitmasks reaches rev_limit[j] bits.
+    """
+    count = [0] * len(fwd_limit)
+    union = [0] * len(rev_limit)
+    chosen: list[int] = []
+    comb = math.comb
+
+    def search(k: int, hi: int, base: int) -> bool:
+        # pick k more members below hi; the families under member `top`
+        # start at colex rank base + C(top, k)
+        for top in range(k - 1, hi):
+            start = base + comb(top, k)
+            if start >= cap:
+                return False
+            undo = []
+            alive = True
+            for j, mask in hits_of(top):
+                c, u = count[j], union[j]
+                undo.append((j, c, u))
+                count[j] = c + 1
+                union[j] = u | mask
+                if c + 1 >= fwd_limit[j] or (u | mask).bit_count() >= rev_limit[j]:
+                    alive = False
+                    break
+            if alive:
+                chosen.append(top)
+                if k == 1 or search(k - 1, top, start):
+                    return True
+                chosen.pop()
+            for j, c, u in undo:
+                count[j] = c
+                union[j] = u
+        return False
+
+    return chosen if search(fam_size, n_members, 0) else None
 
 
 def build_type_table(
@@ -255,86 +335,89 @@ def build_type_table(
 
     Types are processed in nondecreasing restricted-list size (ties by
     initial color, then list).  For each type the candidate families are
-    the k'-subsets of the k_i-subsets of its restricted list, enumerated
-    in colexicographic order, and the first family with no Psi_g conflict
+    the k'-subsets of the k_i-subsets of its restricted list, ranked in
+    colexicographic order, and the first family with no Psi_g conflict
     against any previously assigned type of comparable class is taken.
     The family size is capped at the number of available candidate sets,
     so degenerate scaled runs (e.g. k = |list|) still produce the single
     possible family.
 
-    To keep the scan affordable, the per-member conflicts against every
-    assigned family are precomputed once; a candidate family K then
-    conflicts with an earlier family F iff at least tau' members of K hit
-    F (forward direction) or the members of F hit by K number at least
-    tau' (reverse direction).
+    Candidate sets are color bitmasks.  Each candidate set's conflicts
+    with the members of every assigned family are computed once, as a
+    bitmask over that family's members.  A family K conflicts with an
+    earlier family F iff at least tau' members of K hit F (forward
+    direction, checked when F's class is at most K's) or K hits at least
+    tau' distinct members of F (reverse direction, checked when K's class
+    is at most F's).
+
+    The families are searched depth first in colex order: the largest
+    member index is fixed first, then the next largest, and so on.  Both
+    counts only grow as members are added, so a prefix that reaches tau'
+    against some F is pruned with its whole subtree without skipping the
+    first valid family.  The families under a prefix whose next member is
+    ``top`` with k members still to pick start at colex rank
+    base + C(top, k), so the search stops at rank ``candidate_cap``
+    exactly where a flat scan of the first ``candidate_cap`` families
+    would: the chosen family and the exception class are the same.
 
     Raises GreedyExhausted when no conflict-free family exists at the
-    configured parameters and CapExceeded when the enumeration would
-    examine more than ``candidate_cap`` candidate families for one type.
+    configured parameters and CapExceeded when a type has more than
+    ``candidate_cap`` candidate sets, or more than ``candidate_cap``
+    candidate families none of the first ``candidate_cap`` of which is
+    conflict-free.  Raises InvalidInstance for a restricted list that
+    repeats a color.
     """
     tau, tp, g = params.tau, params.tau_prime, params.g
     order = sorted(set(types), key=NodeType.sort_key)
+    for t in order:
+        if len(set(t.restricted_list)) != len(t.restricted_list):
+            raise InvalidInstance(f"restricted list of type {t} repeats a color")
+    base = min((min(t.restricted_list) for t in order if t.restricted_list), default=0)
     assigned: list[tuple[NodeType, tuple[tuple[int, ...], ...]]] = []
+    assigned_masks: list[tuple[int, ...]] = []
     for t in order:
         k_i = k_by_class[t.gamma_class]
-        if k_i < 1 or k_i > len(t.restricted_list):
+        lst = t.restricted_list
+        if k_i < 1 or k_i > len(lst):
             raise GreedyExhausted(f"type {t} cannot host candidate sets of size {k_i}")
-        n_members = math.comb(len(t.restricted_list), k_i)
+        n_members = math.comb(len(lst), k_i)
         if n_members > candidate_cap:
             raise CapExceeded(f"{n_members} candidate sets for one type")
-        members = [
-            tuple(t.restricted_list[i] for i in idx)
-            for idx in colex_combinations(len(t.restricted_list), k_i)
-        ]
         fam_size = min(k_prime, n_members)
         if fam_size < 1:
             raise GreedyExhausted(f"type {t} admits no family")
 
-        # member i vs assigned family j: does i hit any member of j (forward),
-        # and which members of j does i hit (reverse, as a bitmask)
-        fwd = [[False] * len(assigned) for _ in range(n_members)]
-        rev = [[0] * len(assigned) for _ in range(n_members)]
-        check_fwd = [prev.gamma_class <= t.gamma_class for prev, _ in assigned]
-        check_rev = [t.gamma_class <= prev.gamma_class for prev, _ in assigned]
-        for i, c in enumerate(members):
-            for j, (_, fam) in enumerate(assigned):
-                mask = 0
-                for b, c2 in enumerate(fam):
-                    if _pair_conflict(c, c2, tau, g):
-                        mask |= 1 << b
-                fwd[i][j] = mask != 0
-                rev[i][j] = mask
+        # candidate sets are made, with their hits, only as far as the
+        # search reaches; it asks for member indices in increasing order
+        bits = [1 << (c - base) for c in lst]
+        member_iter = colex_combinations(len(lst), k_i)
+        members: list[tuple[int, ...]] = []
+        masks: list[int] = []
+        hits: list[list[tuple[int, int]]] = []
 
-        chosen: Optional[tuple[int, ...]] = None
-        work = 0
-        for idx in colex_combinations(n_members, fam_size):
-            work += 1
-            if work > candidate_cap:
+        def hits_of(i: int) -> list[tuple[int, int]]:
+            while len(hits) <= i:
+                idx = next(member_iter)
+                mask = sum(bits[x] for x in idx)
+                members.append(idx)
+                masks.append(mask)
+                hits.append(_member_hits(mask, assigned_masks, tau, g))
+            return hits[i]
+
+        fwd_limit = [tp if prev.gamma_class <= t.gamma_class else math.inf for prev, _ in assigned]
+        rev_limit = [tp if t.gamma_class <= prev.gamma_class else math.inf for prev, _ in assigned]
+        chosen = _first_free_family(hits_of, fam_size, n_members, candidate_cap, fwd_limit, rev_limit)
+        if chosen is None:
+            if math.comb(n_members, fam_size) > candidate_cap:
                 raise CapExceeded(
                     f"type-table enumeration exceeded {candidate_cap} candidates for one type"
                 )
-            ok = True
-            for j in range(len(assigned)):
-                if check_fwd[j]:
-                    hits = sum(1 for i in idx if fwd[i][j])
-                    if hits >= tp:
-                        ok = False
-                        break
-                if check_rev[j]:
-                    union = 0
-                    for i in idx:
-                        union |= rev[i][j]
-                    if bin(union).count("1") >= tp:
-                        ok = False
-                        break
-            if ok:
-                chosen = idx
-                break
-        if chosen is None:
             raise GreedyExhausted(
                 f"no conflict-free family for type {t} at tau={tau}, tau'={tp}"
             )
-        assigned.append((t, tuple(members[i] for i in chosen)))
+        chosen.reverse()
+        assigned.append((t, tuple(tuple(lst[x] for x in members[i]) for i in chosen)))
+        assigned_masks.append(tuple(masks[i] for i in chosen))
     return TypeTable(
         params=params,
         types=tuple(t for t, _ in assigned),
@@ -375,22 +458,31 @@ def build_or_load_type_table(
     """Like build_type_table, with a binary cache keyed by the inputs.
 
     The cache directory comes from the argument or the LISTDEFECT_CACHE
-    environment variable; without either, no caching happens.
+    environment variable; without either, no caching happens.  A cache
+    file that cannot be read or decoded counts as a miss and is rebuilt.
+    Each writer goes through its own temporary file and renames it into
+    place, so concurrent writers of one key never interleave.
     """
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
         path = os.path.join(cache_dir, table_cache_key(params, types, k_by_class, k_prime) + ".tt")
-        if os.path.exists(path):
+        try:
             with open(path, "rb") as fh:
                 return _table_from_bytes(fh.read())
+        except (OSError, ValueError, KeyError, IndexError, TypeError, InvalidInstance):
+            pass  # missing, unreadable or corrupt: build and (over)write
     table = build_type_table(params, types, k_by_class, k_prime, candidate_cap)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(table.to_bytes())
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tt.tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(table.to_bytes())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return table
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -209,6 +210,10 @@ class LdcInstance:
             raise InvalidInstance("color space has duplicates")
         if any(c < 0 for c in self.color_space):
             raise InvalidInstance("colors must be nonnegative integers")
+        if len(self.defects) != len(self.lists):
+            raise InvalidInstance(
+                f"{len(self.defects)} defect maps for {len(self.lists)} lists"
+            )
         for v, lst in enumerate(self.lists):
             if len(set(lst)) != len(lst):
                 raise InvalidInstance(f"list of node {v} has duplicates")
@@ -382,10 +387,16 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
         init_colors=doc["init_colors"],
         m=doc["m"],
     )
+    defects = [{int(c): d for c, d in dv.items()} for dv in doc["defects"]]
+    # bool is an int subclass: without the type test, JSON true would pass as g=1
+    if type(doc["g"]) is not int:
+        raise InvalidInstance(f"g must be an integer, not {doc['g']!r}")
+    if not set(map(type, chain.from_iterable(map(dict.values, defects)))) <= {int}:
+        raise InvalidInstance("defect values must be integers")
     inst = LdcInstance.build(
         doc["color_space"],
         doc["lists"],
-        [{int(c): d for c, d in dv.items()} for dv in doc["defects"]],
+        defects,
         flavor=doc["flavor"],
         g=doc["g"],
     )

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from listdefect import (
     CapExceeded,
     ConflictParams,
     GreedyExhausted,
+    InvalidInstance,
     NodeType,
     bound_d1_d2,
     build_or_load_type_table,
@@ -18,7 +20,13 @@ from listdefect import (
     residue_restrict,
     tau_g_conflict,
 )
-from listdefect.conflict import colex_combinations, tau_of, tau_prime_of
+from listdefect.conflict import (
+    TypeTable,
+    colex_combinations,
+    table_cache_key,
+    tau_of,
+    tau_prime_of,
+)
 
 
 def test_mu_examples():
@@ -201,3 +209,154 @@ def test_table_cache_env_var(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir())
     t2 = build_or_load_type_table(params, types, {1: 2}, 2)
     assert t2.to_bytes() == t1.to_bytes()
+
+
+def test_family_of_lookup():
+    params = _table_params()
+    t1 = NodeType(0, (0, 2, 4, 6), 1)
+    t2 = NodeType(1, (1, 3, 5, 7), 1)
+    table = build_type_table(params, [t2, t1], {1: 2}, 2)
+    for t, fam in zip(table.types, table.families):
+        assert table.family_of(NodeType(t.init_color, tuple(t.restricted_list), t.gamma_class)) == fam
+    with pytest.raises(ValueError):
+        table.family_of(NodeType(2, (0, 2, 4, 6), 1))
+    again = TypeTable(params, table.types, table.families)
+    assert again == table and hash(again) == hash(table)
+    with pytest.raises(AttributeError):
+        table.types = ()
+
+
+# -- the pruned search against the flat colex scan ------------------------------
+
+
+def _flat_scan_table(params, types, k_by_class, k_prime, candidate_cap=200_000):
+    """Reference: scan every candidate family in colex order and test it
+    against every assigned family with psi_g_member.  Returns the table and
+    the colex rank of each chosen family."""
+    tau, tp, g = params.tau, params.tau_prime, params.g
+    assigned, ranks = [], []
+    for t in sorted(set(types), key=NodeType.sort_key):
+        k_i = k_by_class[t.gamma_class]
+        if k_i < 1 or k_i > len(t.restricted_list):
+            raise GreedyExhausted("no candidate sets")
+        members = [
+            tuple(t.restricted_list[i] for i in idx)
+            for idx in colex_combinations(len(t.restricted_list), k_i)
+        ]
+        if len(members) > candidate_cap:
+            raise CapExceeded("too many candidate sets")
+        fam_size = min(k_prime, len(members))
+        if fam_size < 1:
+            raise GreedyExhausted("no family")
+        for rank, idx in enumerate(colex_combinations(len(members), fam_size)):
+            if rank >= candidate_cap:
+                raise CapExceeded("too many candidate families")
+            fam = tuple(members[i] for i in idx)
+            if not any(
+                (prev.gamma_class <= t.gamma_class and psi_g_member(fam, pf, tp, tau, g))
+                or (t.gamma_class <= prev.gamma_class and psi_g_member(pf, fam, tp, tau, g))
+                for prev, pf in assigned
+            ):
+                break
+        else:
+            raise GreedyExhausted("no conflict-free family")
+        assigned.append((t, fam))
+        ranks.append(rank)
+    table = TypeTable(params, tuple(t for t, _ in assigned), tuple(f for _, f in assigned))
+    return table, ranks
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except (CapExceeded, GreedyExhausted) as exc:
+        return type(exc)
+
+
+@st.composite
+def _table_inputs(draw):
+    g = draw(st.integers(0, 2))
+    tau = draw(st.integers(1, 3))
+    tp = draw(st.integers(1, 3 if tau > 1 else 2))
+    classes = draw(st.sampled_from([(1,), (1, 2)]))
+    k_by_class = {c: draw(st.integers(1, 3)) for c in classes}
+    k_prime = draw(st.integers(1, 4))
+    types = draw(
+        st.lists(
+            st.builds(
+                NodeType,
+                st.integers(0, 2),
+                st.lists(st.integers(0, 15), min_size=1, max_size=6, unique=True).map(
+                    lambda l: tuple(sorted(l))
+                ),
+                st.sampled_from(classes),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    cap = draw(st.one_of(st.integers(1, 60), st.just(10_000)))
+    params = ConflictParams(h=1, color_space_size=16, m=3, g=g, scale_override=(tau, tp))
+    return params, types, k_by_class, k_prime, cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_inputs())
+def test_pruned_search_matches_flat_scan(case):
+    params, types, k_by_class, k_prime, cap = case
+    got = _outcome(build_type_table, params, types, k_by_class, k_prime, candidate_cap=cap)
+    want = _outcome(_flat_scan_table, params, types, k_by_class, k_prime, candidate_cap=cap)
+    if isinstance(want, tuple):
+        assert isinstance(got, TypeTable)
+        assert got.to_bytes() == want[0].to_bytes()
+        assert got.verify()
+    else:
+        assert got is want
+
+
+def test_cap_boundary_is_the_colex_rank():
+    # with tau' = 1 no later family may share a candidate set with an
+    # earlier one, so the third type's first valid family sits at rank 14,
+    # beyond its 10 candidate sets
+    params = ConflictParams(h=1, color_space_size=10, m=4, g=0, scale_override=(2, 1))
+    types = [NodeType(c, (0, 1, 2, 3, 4), 1) for c in range(3)]
+    want, ranks = _flat_scan_table(params, types, {1: 2}, 2)
+    rank = max(ranks)
+    assert rank == 14 and rank > math.comb(5, 2)
+    with pytest.raises(CapExceeded):
+        build_type_table(params, types, {1: 2}, 2, candidate_cap=rank)
+    got = build_type_table(params, types, {1: 2}, 2, candidate_cap=rank + 1)
+    assert got.to_bytes() == want.to_bytes()
+
+
+def test_repeated_color_in_restricted_list_rejected():
+    with pytest.raises(InvalidInstance):
+        build_type_table(_table_params(g=1), [NodeType(0, (1, 1, 4), 1)], {1: 2}, 2)
+
+
+# -- type-table cache -------------------------------------------------------------
+
+
+def test_table_cache_corrupt_file_is_a_miss(tmp_path):
+    params = _table_params()
+    types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
+    want = build_type_table(params, types, {1: 2}, 2)
+    build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    for junk in (b"", b"\xff\xfe not json", b'{"params": {}}', b"[1, 2]"):
+        path.write_bytes(junk)
+        got = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+        assert got.to_bytes() == want.to_bytes()
+        assert path.read_bytes() == want.to_bytes()
+
+
+def test_table_cache_write_uses_a_private_temp_file(tmp_path):
+    # a leftover at the old shared temp path must not block the write, and
+    # the write leaves no temp file of its own behind
+    params = _table_params()
+    types = [NodeType(0, (0, 2, 4, 6), 1)]
+    path = tmp_path / (table_cache_key(params, types, {1: 2}, 2) + ".tt")
+    (tmp_path / (path.name + ".tmp")).mkdir()
+    table = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    assert path.read_bytes() == table.to_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".tmp"])

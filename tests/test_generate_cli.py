@@ -250,3 +250,34 @@ def test_cli_framework_stage_csv(tmp_path):
     stages = (out_dir / "stages.csv").read_text().splitlines()
     assert stages[0] == "stage,class,colored_count,max_uncolored_degree,rounds,max_bits"
     assert len(stages) > 1
+
+
+def _short_defects(doc):
+    doc["defects"] = doc["defects"][:-1]
+
+
+def _string_defect(doc):
+    color = next(iter(doc["defects"][0]))
+    doc["defects"][0][color] = "1"
+
+
+def _bool_g(doc):
+    # false, not true: seq rejects g = 1 on its own, but would run at g = 0
+    doc["g"] = False
+
+
+@pytest.mark.parametrize("corrupt", [_short_defects, _string_defect, _bool_g])
+def test_cli_run_rejects_malformed_instance(tmp_path, capsys, corrupt):
+    g = make_graph("ring", 6, 2, seed=0)
+    doc = json.loads(instance_to_json(g, make_instance(g, "degree-plus-one", seed=0, space_size=8)))
+    corrupt(doc)
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(doc))
+    rc = cli_main([
+        "run", "--algorithm", "seq", "--instance", str(inst_path),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: InvalidInstance" in err
+    assert "Traceback" not in err
