@@ -8,7 +8,7 @@ wire, at the cost of more rounds and stronger list-size requirements.
 
 import random
 
-from listdefect import BasicInner, ColoredGraph, LdcInstance, OldcConfig, preset_message, validate_ldc
+from listdefect import ColoredGraph, LdcInstance, OldcConfig, OldcInner, preset_message, validate_ldc
 
 rng = random.Random(1)
 n = 12
@@ -26,10 +26,7 @@ lists = [sorted(16 * b + rng.randrange(16) for b in range(16)) for _ in range(n)
 inst = LdcInstance.build(
     range(256), lists, [{x: 7 for x in l} for l in lists], flavor="oriented"
 )
-inner = BasicInner(
-    config=OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True),
-    kappa_value=4.0,
-)
+inner = OldcInner(OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True))
 
 print("|C| = 256, lists of 16, defects 7, outdegree <= 2")
 for r in (1, 2, 4):

@@ -55,19 +55,11 @@ from .linial import (
     linial_program,
     linial_schedule,
 )
-from .oldc_basic import (
-    OldcConfig,
-    gamma_class_of,
-    multi_defect_oldc,
-    single_defect_oldc,
-    single_defect_program,
-)
+from .oldc_basic import OldcConfig, gamma_class_of, multi_defect_oldc, single_defect_oldc
 from .oldc_main import ClassBudget, LambdaProfile, MainConfig, lambda_profile, main_oldc, two_phase_oldc
 from .oracle import PotentialState, exhaustive_solve, sequential_arbdefective, sequential_ldc
 from .reductions import (
-    BasicInner,
-    FrameworkConfig,
-    MainInner,
+    OldcInner,
     OracleInner,
     PipelineConfig,
     SpacePartition,

@@ -18,6 +18,7 @@ from typing import Optional
 from .errors import FailFast, ListDefectError
 from .generate import FAMILIES, LIST_MODELS, TARGETS, make_graph, make_instance
 from .graphs import (
+    FLAVORS,
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
@@ -31,8 +32,8 @@ from .oldc_basic import OldcConfig, multi_defect_oldc
 from .oldc_main import MainConfig, main_oldc
 from .oracle import exhaustive_solve, sequential_arbdefective, sequential_ldc
 from .reductions import (
-    BasicInner,
-    FrameworkConfig,
+    InnerSolver,
+    OldcInner,
     OracleInner,
     PipelineConfig,
     StageRow,
@@ -43,17 +44,39 @@ from .reductions import (
 )
 from .runtime import RoundTrace
 
-ALGORITHMS = (
-    "seq",
-    "seq-arb",
-    "oracle",
-    "linial",
-    "oldc-basic",
-    "oldc-main",
-    "space-reduced",
-    "framework",
-    "congest-pipeline",
-)
+# Flags of `run`, which a sweep matrix takes as keys with the same
+# defaults: name -> (type, default, choices).  The overrides are
+# 'tau,tau_prime' pairs of the scaled conflict thresholds.
+RUN_OPTIONS = {
+    "alpha": (float, 1.0, None),
+    "tau_override": (str, None, None),
+    "taubar_override": (str, None, None),
+    "p": (int, None, None),
+    "r": (int, None, None),
+    "bits_budget": (int, None, None),
+    "max_rounds": (int, 10_000, None),
+    "inner": (str, "oracle", ("oracle", "basic")),
+}
+# flags of `generate` that a sweep matrix takes as keys, the same way
+INSTANCE_OPTIONS = {
+    "degree": (int, 4, None),
+    "space": (int, 32, None),
+    "k": (int, 4, None),
+    "flavor": (str, "defective", FLAVORS),
+    "g": (int, 0, None),
+    "target": (str, "eq1", TARGETS),
+}
+# list-valued sweep keys, crossed in this order: name -> (item type, default)
+SWEEP_AXES = {
+    "families": (str, ["ring"]),
+    "ns": (int, [8]),
+    "list_models": (str, ["degree-plus-one"]),
+    "algorithms": (str, ["seq"]),
+    "seeds": (int, [0]),
+}
+SWEEP_HEADER = "family,n,list_model,algorithm,seed,rounds,max_bits,valid,failure"
+
+Result = tuple[Optional[ColoringOutput], RoundTrace, list[StageRow]]
 
 
 def _parse_pair(text: Optional[str]) -> Optional[tuple[int, int]]:
@@ -65,86 +88,142 @@ def _parse_pair(text: Optional[str]) -> Optional[tuple[int, int]]:
     return parts[0], parts[1]
 
 
-def run_algorithm(
-    graph: ColoredGraph,
-    inst: LdcInstance,
-    algorithm: str,
-    args: argparse.Namespace,
-) -> tuple[ColoringOutput | None, RoundTrace, dict, list[StageRow]]:
-    """Dispatch one algorithm; returns (output or None, trace, report, rows)."""
-    report: dict = {"algorithm": algorithm}
-    rows: list[StageRow] = []
-    trace = RoundTrace()
-    scale = _parse_pair(args.tau_override)
-    scale_bar = _parse_pair(args.taubar_override)
-    basic_cfg = OldcConfig(
-        alpha=args.alpha,
-        scale_override=scale,
-        bits_per_message=args.bits_budget,
-        max_rounds=args.max_rounds,
-        record_messages=args.verbose,
+def _run_options(values: dict, verbose: bool) -> dict:
+    """The run options with the override pairs parsed."""
+    opts = {name: values[name] for name in RUN_OPTIONS}
+    opts["tau_override"] = _parse_pair(opts["tau_override"])
+    opts["taubar_override"] = _parse_pair(opts["taubar_override"])
+    opts["verbose"] = verbose
+    return opts
+
+
+# -- the algorithms: each records its extras in `report` ----------------------
+
+
+def _basic_config(opts: dict) -> OldcConfig:
+    return OldcConfig(
+        alpha=opts["alpha"],
+        scale_override=opts["tau_override"],
+        bits_per_message=opts["bits_budget"],
+        max_rounds=opts["max_rounds"],
+        record_messages=opts["verbose"],
     )
 
-    if algorithm == "seq":
-        out, stats = sequential_ldc(graph, inst)
-        report["recolorings"] = stats.recolorings
-        report["phi_initial"] = stats.phi_initial
-    elif algorithm == "seq-arb":
-        out, stats = sequential_arbdefective(graph, inst)
-        report["recolorings"] = stats.recolorings
-    elif algorithm == "oracle":
-        report["existence_condition"] = check_existence_condition(graph, inst) \
-            if inst.flavor in ("defective", "arbdefective") else None
-        out = exhaustive_solve(graph, inst)
-        report["verdict"] = "SAT" if out is not None else "UNSAT"
-    elif algorithm == "linial":
-        out, trace = linial_coloring(graph)
-        report["palette"] = linial_palette(graph)
-    elif algorithm == "oldc-basic":
-        out, trace = multi_defect_oldc(graph, inst, config=basic_cfg)
-    elif algorithm == "oldc-main":
-        cfg = MainConfig(
-            alpha=args.alpha,
-            tau_override=scale[0] if scale else None,
-            taubar_override=(scale_bar or scale)[0] if (scale_bar or scale) else None,
-            stage1_scale=scale_bar or scale,
-            stage2_scale=scale,
-            bits_per_message=args.bits_budget,
-            record_messages=args.verbose,
-        )
-        out, trace = main_oldc(graph, inst, cfg)
-    elif algorithm == "space-reduced":
-        inner = BasicInner(config=basic_cfg) if args.inner == "basic" else OracleInner()
-        p = args.p or message_preset_p(len(inst.color_space), args.r or 1)
-        if p >= len(inst.color_space):
-            out, trace = inner.solve(graph, inst)
-        else:
-            out, trace = space_reduced_oldc(graph, inst, p, inner)
-        report["p"] = p
-    elif algorithm == "framework":
-        inner = BasicInner(config=basic_cfg) if args.inner == "basic" else OracleInner()
-        out, trace, rows = degree_halving_framework(
-            graph, inst, FrameworkConfig(inner=inner)
-        )
-    elif algorithm == "congest-pipeline":
-        cfg = PipelineConfig(
-            r=args.r,
-            bits_budget=args.bits_budget,
-            inner_scale=scale,
-            alpha=args.alpha,
-        )
-        out, trace, rows = congest_pipeline(graph, inst, cfg)
-    else:
-        raise ListDefectError(f"unknown algorithm {algorithm!r}")
+
+def _inner(opts: dict) -> InnerSolver:
+    return OldcInner(_basic_config(opts)) if opts["inner"] == "basic" else OracleInner()
+
+
+def _seq(graph, inst, opts, report) -> Result:
+    out, stats = sequential_ldc(graph, inst)
+    report["recolorings"] = stats.recolorings
+    report["phi_initial"] = stats.phi_initial
+    return out, RoundTrace(), []
+
+
+def _seq_arb(graph, inst, opts, report) -> Result:
+    out, stats = sequential_arbdefective(graph, inst)
+    report["recolorings"] = stats.recolorings
+    return out, RoundTrace(), []
+
+
+def _oracle(graph, inst, opts, report) -> Result:
+    report["existence_condition"] = check_existence_condition(graph, inst) \
+        if inst.flavor in ("defective", "arbdefective") else None
+    out = exhaustive_solve(graph, inst)
+    report["verdict"] = "SAT" if out is not None else "UNSAT"
+    return out, RoundTrace(), []
+
+
+def _linial(graph, inst, opts, report) -> Result:
+    out, trace = linial_coloring(graph)
+    report["palette"] = linial_palette(graph)
+    return out, trace, []
+
+
+def _oldc_basic(graph, inst, opts, report) -> Result:
+    return *multi_defect_oldc(graph, inst, config=_basic_config(opts)), []
+
+
+def _oldc_main(graph, inst, opts, report) -> Result:
+    scale = opts["tau_override"]
+    scale_bar = opts["taubar_override"] or scale
+    cfg = MainConfig(
+        alpha=opts["alpha"],
+        tau_override=scale[0] if scale else None,
+        taubar_override=scale_bar[0] if scale_bar else None,
+        stage1_scale=scale_bar,
+        stage2_scale=scale,
+        bits_per_message=opts["bits_budget"],
+        record_messages=opts["verbose"],
+    )
+    return *main_oldc(graph, inst, cfg), []
+
+
+def _space_reduced(graph, inst, opts, report) -> Result:
+    inner = _inner(opts)
+    p = opts["p"] or message_preset_p(len(inst.color_space), opts["r"] or 1)
+    report["p"] = p
+    if p >= len(inst.color_space):
+        return *inner.solve(graph, inst), []
+    return *space_reduced_oldc(graph, inst, p, inner), []
+
+
+def _framework(graph, inst, opts, report) -> Result:
+    return degree_halving_framework(graph, inst, _inner(opts))
+
+
+def _congest_pipeline(graph, inst, opts, report) -> Result:
+    cfg = PipelineConfig(
+        r=opts["r"],
+        bits_budget=opts["bits_budget"],
+        inner_scale=opts["tau_override"],
+        alpha=opts["alpha"],
+    )
+    return congest_pipeline(graph, inst, cfg)
+
+
+ALGORITHM_TABLE = {
+    "seq": _seq,
+    "seq-arb": _seq_arb,
+    "oracle": _oracle,
+    "linial": _linial,
+    "oldc-basic": _oldc_basic,
+    "oldc-main": _oldc_main,
+    "space-reduced": _space_reduced,
+    "framework": _framework,
+    "congest-pipeline": _congest_pipeline,
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
+
+
+def run_algorithm(
+    graph: ColoredGraph, inst: LdcInstance, algorithm: str, opts: dict
+) -> tuple[ColoringOutput | None, RoundTrace, dict, list[StageRow]]:
+    """Run one algorithm and check its output.
+
+    Returns (output or None, trace, report, stage rows).  Unless the
+    output is None (an UNSAT verdict), ``report["valid"]`` says whether
+    it passed the validator, or for linial whether it is proper.
+    """
+    report: dict = {"algorithm": algorithm}
+    out, trace, rows = ALGORITHM_TABLE[algorithm](graph, inst, opts, report)
+    if out is not None and algorithm == "linial":
+        report["valid"] = all(out.colors[u] != out.colors[v] for u, v in graph.edges())
+    elif out is not None:
+        validity = validate_ldc(graph, inst, out)
+        report["valid"] = validity.valid
+        report["conflicts"] = list(validity.conflicts)
     return out, trace, report, rows
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     with open(args.instance) as fh:
         graph, inst = instance_from_json(fh.read())
+    opts = _run_options(vars(args), args.verbose)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
-        out, trace, report, rows = run_algorithm(graph, inst, args.algorithm, args)
+        out, trace, report, rows = run_algorithm(graph, inst, args.algorithm, opts)
     except FailFast as exc:
         report = {
             "algorithm": args.algorithm,
@@ -157,19 +236,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"fail-fast: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    if out is not None and args.algorithm != "linial":
-        validity = validate_ldc(graph, inst, out)
-        report["valid"] = validity.valid
-        report["conflicts"] = list(validity.conflicts)
-        if not validity.valid:
-            # defensive: no algorithm path should reach here
-            print("invalid output produced", file=sys.stderr)
-            return 1
-    elif args.algorithm == "linial" and out is not None:
-        proper = all(out.colors[u] != out.colors[v] for u, v in graph.edges())
-        report["valid"] = proper
-        if not proper:
-            return 1
+    if out is not None and not report["valid"]:
+        # an invalid coloring is never written
+        print("invalid output produced", file=sys.stderr)
+        return 1
 
     with open(os.path.join(args.out_dir, "coloring.json"), "w") as fh:
         json.dump(
@@ -223,55 +293,67 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(key: str, value, kind: type, choices, nullable: bool):
+    """A sweep value of the JSON type (an int may stand for a float, a bool
+    never for a number) and among the choices, if there are any."""
+    if value is None and nullable:
+        return value
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    ok = ok or (kind is float and type(value) is int)
+    if not ok or (choices is not None and value not in choices):
+        want = f"one of {', '.join(choices)}" if choices else f"a JSON {kind.__name__}"
+        raise ValueError(f"sweep key {key!r}: {value!r} is not {want}")
+    return value
+
+
+def _read_matrix(matrix) -> tuple[list[list], dict]:
+    """The sweep axes and options of a matrix, defaults filled in."""
+    if not isinstance(matrix, dict):
+        raise ValueError("a sweep matrix is a JSON object")
+    options = {**INSTANCE_OPTIONS, **RUN_OPTIONS}
+    unknown = sorted(set(matrix) - set(options) - set(SWEEP_AXES))
+    if unknown:
+        raise ValueError(f"unknown sweep keys: {', '.join(unknown)}")
+    axes = []
+    for key, (kind, default) in SWEEP_AXES.items():
+        values = matrix.get(key, default)
+        if not isinstance(values, list):
+            raise ValueError(f"sweep key {key!r} takes a list, not {values!r}")
+        choices = ALGORITHMS if key == "algorithms" else None
+        axes.append([_checked(key, v, kind, choices, False) for v in values])
+    values = {
+        key: _checked(key, matrix.get(key, default), kind, choices, default is None)
+        for key, (kind, default, choices) in options.items()
+    }
+    return axes, values
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
-        matrix = json.load(fh)
-    rows = ["family,n,list_model,algorithm,seed,rounds,max_bits,valid,failure"]
-    combos = itertools.product(
-        matrix.get("families", ["ring"]),
-        matrix.get("ns", [8]),
-        matrix.get("list_models", ["degree-plus-one"]),
-        matrix.get("algorithms", ["seq"]),
-        matrix.get("seeds", [0]),
-    )
-    base = argparse.Namespace(
-        alpha=matrix.get("alpha", 1.0),
-        tau_override=matrix.get("tau_override"),
-        taubar_override=matrix.get("taubar_override"),
-        bits_budget=matrix.get("bits_budget"),
-        max_rounds=matrix.get("max_rounds", 10_000),
-        verbose=False,
-        inner=matrix.get("inner", "oracle"),
-        p=matrix.get("p"),
-        r=matrix.get("r"),
-    )
-    for family, n, list_model, algorithm, seed in combos:
+        axes, values = _read_matrix(json.load(fh))
+    opts = _run_options(values, verbose=False)
+    rows = [SWEEP_HEADER]
+    for family, n, list_model, algorithm, seed in itertools.product(*axes):
+        cell = f"{family},{n},{list_model},{algorithm},{seed}"
         try:
-            graph = make_graph(family, n, matrix.get("degree", 4), seed)
+            graph = make_graph(family, n, values["degree"], seed)
             inst = make_instance(
                 graph,
                 list_model,
                 seed,
-                space_size=matrix.get("space", 32),
-                k=matrix.get("k", 4),
-                flavor=matrix.get("flavor", "defective"),
-                g=matrix.get("g", 0),
-                target=matrix.get("target", "eq1"),
+                space_size=values["space"],
+                k=values["k"],
+                flavor=values["flavor"],
+                g=values["g"],
+                target=values["target"],
             )
-            out, trace, report, _ = run_algorithm(graph, inst, algorithm, base)
-            valid = report.get("valid", True) if out is not None else True
-            rows.append(
-                f"{family},{n},{list_model},{algorithm},{seed},"
-                f"{trace.rounds_elapsed},{trace.max_bits()},{valid},"
-            )
+            out, trace, report, _ = run_algorithm(graph, inst, algorithm, opts)
+            valid = out is None or report["valid"]
+            rows.append(f"{cell},{trace.rounds_elapsed},{trace.max_bits()},{valid},")
         except FailFast as exc:
-            rows.append(
-                f"{family},{n},{list_model},{algorithm},{seed},,,False,{type(exc).__name__}"
-            )
+            rows.append(f"{cell},,,False,{type(exc).__name__}")
         except ListDefectError as exc:
-            rows.append(
-                f"{family},{n},{list_model},{algorithm},{seed},,,False,error:{type(exc).__name__}"
-            )
+            rows.append(f"{cell},,,False,error:{type(exc).__name__}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -281,24 +363,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    args.algorithm = "oracle"
-    return cmd_run(args)
+def _add_options(sp: argparse.ArgumentParser, options: dict) -> None:
+    for name, (kind, default, choices) in options.items():
+        sp.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=kind, default=default, choices=choices
+        )
 
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--tau-override", dest="tau_override", default=None,
-                    help="scaled 'tau,tau_prime' pair")
-    sp.add_argument("--taubar-override", dest="taubar_override", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--bits-budget", dest="bits_budget", type=int, default=None)
-    sp.add_argument("--max-rounds", dest="max_rounds", type=int, default=10_000)
+    _add_options(sp, RUN_OPTIONS)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", dest="out_dir", default="out")
-    sp.add_argument("--inner", choices=["oracle", "basic"], default="oracle")
     sp.add_argument("--verbose", action="store_true")
 
 
@@ -312,15 +388,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     sp = sub.add_parser("generate", help="emit a JSON instance")
     sp.add_argument("--family", choices=FAMILIES, default="random-gnp")
     sp.add_argument("--n", type=int, default=16)
-    sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--list-model", dest="list_model", choices=LIST_MODELS,
                     default="degree-plus-one")
-    sp.add_argument("--space", type=int, default=32)
-    sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--flavor", choices=["defective", "oriented", "arbdefective"],
-                    default="defective")
-    sp.add_argument("--g", type=int, default=0)
-    sp.add_argument("--target", choices=TARGETS, default="eq1")
+    _add_options(sp, INSTANCE_OPTIONS)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--undirected", action="store_true")
@@ -334,7 +404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     sp = sub.add_parser("oracle", help="exhaustive solve (shorthand)")
     _add_run_flags(sp)
-    sp.set_defaults(func=cmd_oracle)
+    sp.set_defaults(func=cmd_run, algorithm="oracle")
 
     sp = sub.add_parser("sweep", help="run a config matrix, one CSV row per cell")
     sp.add_argument("--config", required=True)

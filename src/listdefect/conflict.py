@@ -291,37 +291,49 @@ def _first_free_family(
     """
     count = [0] * len(fwd_limit)
     union = [0] * len(rev_limit)
-    chosen: list[int] = []
     comb = math.comb
-
-    def search(k: int, hi: int, base: int) -> bool:
-        # pick k more members below hi; the families under member `top`
-        # start at colex rank base + C(top, k)
-        for top in range(k - 1, hi):
+    chosen: list[int] = []
+    # per chosen member: the colex rank base of its level and its undo log
+    frames: list[tuple[int, list[tuple[int, int, int]]]] = []
+    # pick k more members from [lo, hi); the families under member `top`
+    # start at colex rank base + C(top, k)
+    k, lo, hi, base = fam_size, fam_size - 1, n_members, 0
+    while True:
+        found = False
+        for top in range(lo, hi):
             start = base + comb(top, k)
             if start >= cap:
-                return False
+                break
             undo = []
-            alive = True
             for j, mask in hits_of(top):
                 c, u = count[j], union[j]
                 undo.append((j, c, u))
                 count[j] = c + 1
                 union[j] = u | mask
                 if c + 1 >= fwd_limit[j] or (u | mask).bit_count() >= rev_limit[j]:
-                    alive = False
                     break
-            if alive:
-                chosen.append(top)
-                if k == 1 or search(k - 1, top, start):
-                    return True
-                chosen.pop()
+            else:
+                found = True
+                break
             for j, c, u in undo:
                 count[j] = c
                 union[j] = u
-        return False
-
-    return chosen if search(fam_size, n_members, 0) else None
+        if found:
+            chosen.append(top)
+            if k == 1:
+                return chosen
+            frames.append((base, undo))
+            k, lo, hi, base = k - 1, k - 2, top, start
+            continue
+        # nothing fits at this level: drop the last member, try its successors
+        if not chosen:
+            return None
+        top = chosen.pop()
+        base, undo = frames.pop()
+        for j, c, u in undo:
+            count[j] = c
+            union[j] = u
+        k, lo, hi = k + 1, top + 1, chosen[-1] if chosen else n_members
 
 
 def build_type_table(

@@ -378,8 +378,28 @@ def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _check_rows(doc: dict, key: str, item: type, width: Optional[int] = None) -> None:
+    """doc[key] must be a list of ``item`` values; lists (of ``width``
+    entries, if given) must hold integers only."""
+    rows = doc[key]
+    ok = type(rows) is list and set(map(type, rows)) <= {item}
+    if ok and item is list:
+        ok = set(map(type, chain.from_iterable(rows))) <= {int}
+        ok = ok and (width is None or set(map(len, rows)) <= {width})
+    if not ok:
+        shape = "JSON objects" if item is dict else f"lists of {width or 'any number of'} ints"
+        raise InvalidInstance(f"{key} must be a list of {shape}")
+
+
 def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise InvalidInstance("an instance is a JSON object")
+    _check_rows(doc, "edges", list, 2)
+    if "orientation" in doc:
+        _check_rows(doc, "orientation", list, 2)
+    _check_rows(doc, "lists", list)
+    _check_rows(doc, "defects", dict)
     graph = ColoredGraph.build(
         doc["n"],
         [tuple(e) for e in doc["edges"]],

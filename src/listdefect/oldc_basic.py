@@ -70,9 +70,6 @@ class OldcConfig:
 
     alpha: float = 6.0
     scale_override: Optional[tuple[int, int]] = None
-    h_override: Optional[int] = None
-    candidate_cap: int = 200_000
-    cache_dir: Optional[str] = None
     max_rounds: int = 10_000
     bits_per_message: Optional[int] = None
     record_messages: bool = False
@@ -84,6 +81,15 @@ def gamma_class_of(beta_v: int, d_v: int) -> int:
     while (1 << i) * (d_v + 1) < 2 * beta_v:
         i += 1
     return i
+
+
+def _first_cover(graph: ColoredGraph, inst: LdcInstance, v: int) -> Optional[int]:
+    """The first color whose defect covers v's outdegree, or None; a node
+    with such a color takes it and skips the machinery."""
+    if not inst.lists[v]:
+        raise ListTooSmall(f"node {v} has an empty color list")
+    outdeg = graph.outdegree(v)
+    return next((x for x in inst.lists[v] if inst.defects[v][x] >= outdeg), None)
 
 
 def _pow2_floor(x: int) -> int:
@@ -234,26 +240,7 @@ class _SingleDefectProgram:
         return state, {}, None
 
 
-def single_defect_program(
-    graph: ColoredGraph,
-    color_space: Sequence[int],
-    lists: Sequence[Sequence[int]],
-    defects: Sequence[int],
-    g: int,
-    config: Optional[OldcConfig] = None,
-) -> _SingleDefectProgram:
-    """The single-defect pipeline as a NodeProgram value.
-
-    Precomputes the type table and per-node statics; the returned program
-    is a pure state machine suitable for the round engine.
-    """
-    program, _ = _prepare_single_defect(
-        graph, color_space, lists, defects, g, config or OldcConfig()
-    )
-    return program
-
-
-def _prepare_single_defect(
+def _run_single_defect(
     graph: ColoredGraph,
     color_space: Sequence[int],
     lists: Sequence[Sequence[int]],
@@ -262,7 +249,7 @@ def _prepare_single_defect(
     config: OldcConfig,
     h_arg: Optional[int] = None,
     predecided: Optional[dict[int, int]] = None,
-) -> tuple["_SingleDefectProgram", LdcInstance]:
+) -> tuple[ColoringOutput, RoundTrace]:
     if graph.out_neighbors is None:
         raise MissingOrientation("oriented coloring needs an orientation")
     n = graph.n
@@ -288,9 +275,8 @@ def _prepare_single_defect(
         statics[v].gamma = gamma_class_of(beta_v, defects[v])
         classed.append(v)
 
-    # h may be given (or overridden) but must cover every realized class
-    h = h_arg or config.h_override or 1
-    h = max(h, max((statics[v].gamma for v in classed), default=1))
+    # h may be given but must cover every realized class
+    h = max(h_arg or 1, max((statics[v].gamma for v in classed), default=1))
     params = ConflictParams(
         h=h,
         color_space_size=space_size,
@@ -320,10 +306,7 @@ def _prepare_single_defect(
 
     k_by_class = {i: (1 << i) * tau for i in range(1, h + 1)}
     k_prime = (1 << h) * tau_prime
-    table = build_or_load_type_table(
-        params, types, k_by_class, k_prime,
-        candidate_cap=config.candidate_cap, cache_dir=config.cache_dir,
-    )
+    table = build_or_load_type_table(params, types, k_by_class, k_prime)
     family_by_node: dict[int, tuple[tuple[int, ...], ...]] = {}
     for v, t in zip(classed, types):
         fam = table.family_of(t)
@@ -351,22 +334,6 @@ def _prepare_single_defect(
         ],
         flavor=FLAVOR_ORIENTED,
         g=g,
-    )
-    return program, inst
-
-
-def _run_single_defect(
-    graph: ColoredGraph,
-    color_space: Sequence[int],
-    lists: Sequence[Sequence[int]],
-    defects: Sequence[int],
-    g: int,
-    config: OldcConfig,
-    h_arg: Optional[int] = None,
-    predecided: Optional[dict[int, int]] = None,
-) -> tuple[ColoringOutput, RoundTrace]:
-    program, inst = _prepare_single_defect(
-        graph, color_space, lists, defects, g, config, h_arg, predecided
     )
     trace = run(
         graph,
@@ -426,14 +393,11 @@ def multi_defect_oldc(
     max_class = 1
     machinery: list[int] = []
     for v in range(n):
-        if not inst.lists[v]:
-            raise ListTooSmall(f"node {v} has an empty color list")
-        outdeg = graph.outdegree(v)
-        first_cover = next((x for x in inst.lists[v] if inst.defects[v][x] >= outdeg), None)
+        first_cover = _first_cover(graph, inst, v)
         if first_cover is not None:
             predecided[v] = first_cover
             continue
-        beta_hat = _pow2_ceil(max(1, outdeg))
+        beta_hat = _pow2_ceil(max(1, graph.outdegree(v)))
         buckets: dict[int, list[int]] = {}
         for x in inst.lists[v]:
             dhat1 = _pow2_floor(inst.defects[v][x] + 1)
@@ -455,7 +419,7 @@ def multi_defect_oldc(
         max_class = max(max_class, star)
         machinery.append(v)
 
-    h_used = max(h or config.h_override or 1, max_class)
+    h_used = max(h or 1, max_class)
     params = ConflictParams(
         h=h_used, color_space_size=len(inst.color_space), m=graph.m, g=g,
         scale_override=config.scale_override,

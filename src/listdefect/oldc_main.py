@@ -45,7 +45,7 @@ from .graphs import (
     LdcInstance,
     validate_ldc,
 )
-from .oldc_basic import OldcConfig, _pow2_ceil, _pow2_floor, multi_defect_oldc
+from .oldc_basic import OldcConfig, _first_cover, _pow2_ceil, _pow2_floor, multi_defect_oldc
 from .runtime import (
     ColorListField,
     IndexField,
@@ -267,8 +267,6 @@ def two_phase_oldc(
             list(class_types.values()),
             {i: (1 << i) * tau},
             (1 << i) * tau_prime,
-            candidate_cap=config.candidate_cap,
-            cache_dir=config.cache_dir,
         )
         cset_msgs = {}
         for v in members:
@@ -521,12 +519,8 @@ class MainConfig:
     alpha: float = 16.0
     tau_override: Optional[int] = None
     taubar_override: Optional[int] = None
-    q_override: Optional[int] = None
-    h_override: Optional[int] = None
     stage1_scale: Optional[tuple[int, int]] = None  # (tau, tau') of the class assignment
     stage2_scale: Optional[tuple[int, int]] = None  # (tau, tau') of the two-phase run
-    candidate_cap: int = 200_000
-    cache_dir: Optional[str] = None
     bits_per_message: Optional[int] = None
     record_messages: bool = False
 
@@ -552,23 +546,18 @@ def main_oldc(
     n = graph.n
 
     beta_hat_all = max(_pow2_ceil(max(1, graph.outdegree(v))) for v in range(n)) if n else 1
-    h = config.h_override or max(1, beta_hat_all.bit_length() - 1)
+    h = max(1, beta_hat_all.bit_length() - 1)
     hprime = _pow4_ceil(max(1.0, math.log2(8 * h)))
     alpha = _pow4_ceil(config.alpha)
     tau = _pow4_ceil(config.tau_override or tau_of(h, len(inst.color_space), graph.m))
     taubar = _pow4_ceil(config.taubar_override or tau_of(hprime, h, graph.m))
-    q = config.q_override or min(h, tau)
+    q = min(h, tau)
     g1 = max(0, h.bit_length() - 1)
 
     predecided: dict[int, int] = {}
     profiles: dict[int, LambdaProfile] = {}
     for v in range(n):
-        if not inst.lists[v]:
-            raise ListTooSmall(f"node {v} has an empty color list")
-        outdeg = graph.outdegree(v)
-        first_cover = next(
-            (x for x in inst.lists[v] if inst.defects[v][x] >= outdeg), None
-        )
+        first_cover = _first_cover(graph, inst, v)
         if first_cover is not None:
             predecided[v] = first_cover
             continue
@@ -608,8 +597,6 @@ def main_oldc(
         stage1_cfg = OldcConfig(
             alpha=1.0,
             scale_override=config.stage1_scale,
-            candidate_cap=config.candidate_cap,
-            cache_dir=config.cache_dir,
             bits_per_message=config.bits_per_message,
             record_messages=config.record_messages,
         )
@@ -647,8 +634,6 @@ def main_oldc(
     cfg2 = OldcConfig(
         alpha=config.alpha / 16,
         scale_override=config.stage2_scale,
-        candidate_cap=config.candidate_cap,
-        cache_dir=config.cache_dir,
         bits_per_message=config.bits_per_message,
         record_messages=config.record_messages,
     )

@@ -404,9 +404,6 @@ def exhaustive_solve(
                         break
                 if not ok:
                     continue
-            else:
-                # necessary condition: class edges must fit total capacity
-                pass
             colors[v] = x
             res = dfs(v + 1)
             if res is not None:

@@ -21,8 +21,8 @@ out-neighbors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Protocol, Sequence, Union
 
 from .errors import (
     ConditionViolated,
@@ -55,28 +55,24 @@ class InnerSolver(Protocol):
 
     ``solve`` must color every node of the (oriented) graph so that each
     node v has at most d_v(x_v) out-neighbors of its color, or raise a
-    FailFast error.  ``kappa(p)`` is the list-size strengthening the
-    solver needs at maximum list size p.
+    FailFast error.  ``kappa`` is the list-size strengthening the solver
+    needs.
     """
 
     nu: float
-
-    def kappa(self, p: int) -> float: ...
+    kappa: float
 
     def solve(
         self, graph: ColoredGraph, inst: LdcInstance
     ) -> tuple[ColoringOutput, RoundTrace]: ...
 
 
-@dataclass
 class OracleInner:
     """Centralized fallback: list defective coloring on the undirected
     graph, which dominates any oriented variant.  nu = 0, kappa = 1."""
 
-    nu: float = 0.0
-
-    def kappa(self, p: int) -> float:
-        return 1.0
+    nu = 0.0
+    kappa = 1.0
 
     def solve(self, graph, inst):
         undirected = LdcInstance(
@@ -87,35 +83,26 @@ class OracleInner:
 
 
 @dataclass
-class BasicInner:
-    """The basic OLDC algorithm as an inner solver (nu = 1)."""
+class OldcInner:
+    """The distributed OLDC algorithm as an inner solver (nu = 1, kappa = 4).
 
-    config: OldcConfig = field(default_factory=OldcConfig)
-    kappa_value: float = 4.0
+    An OldcConfig runs the basic algorithm (``multi_defect_oldc``), a
+    MainConfig the full one (``main_oldc``).  With ``r`` set, every solve
+    goes through r-level message-preset space reduction around it.
+    """
 
-    nu: float = 1.0
+    config: Union[OldcConfig, MainConfig] = field(default_factory=OldcConfig)
+    r: Optional[int] = None
 
-    def kappa(self, p: int) -> float:
-        return self.kappa_value
+    nu = 1.0
+    kappa = 4.0
 
     def solve(self, graph, inst):
+        if self.r is not None:
+            return preset_message(graph, inst, replace(self, r=None), self.r)
+        if isinstance(self.config, MainConfig):
+            return main_oldc(graph, inst, self.config)
         return multi_defect_oldc(graph, inst, config=self.config)
-
-
-@dataclass
-class MainInner:
-    """The full OLDC algorithm as an inner solver (nu = 1)."""
-
-    config: MainConfig = field(default_factory=MainConfig)
-    kappa_value: float = 4.0
-
-    nu: float = 1.0
-
-    def kappa(self, p: int) -> float:
-        return self.kappa_value
-
-    def solve(self, graph, inst):
-        return main_oldc(graph, inst, self.config)
 
 
 # -- recursive color-space reduction ----------------------------------------------
@@ -142,10 +129,6 @@ class SpacePartition:
             top += 1
         return SpacePartition(tuple(padded), p, depth)
 
-    def chunks(self, colors: Sequence[int]) -> list[tuple[int, ...]]:
-        size = len(colors) // self.p
-        return [tuple(colors[i * size : (i + 1) * size]) for i in range(self.p)]
-
 
 def space_reduced_oldc(
     graph: ColoredGraph,
@@ -156,7 +139,7 @@ def space_reduced_oldc(
     """Solve an oriented LDC instance by recursive space reduction.
 
     Per node the strengthened condition
-        sum (d_v(x)+1)^(1+nu) >= beta_v^(1+nu) * kappa(p)^k,   k = ceil(log_p |C|)
+        sum (d_v(x)+1)^(1+nu) >= beta_v^(1+nu) * kappa^k,   k = ceil(log_p |C|)
     must hold.  Each level solves a p-color choice instance with the
     inner solver and recurses on the induced subgraphs; sub-runs of one
     level merge in parallel (disjoint node sets), levels concatenate.
@@ -170,10 +153,10 @@ def space_reduced_oldc(
     part = SpacePartition.build(inst.color_space, p)
     k = part.depth
     nu = inner.nu
-    kappa_p = inner.kappa(p)
+    kappa = inner.kappa
     for v in range(graph.n):
         total = sum((d + 1) ** (1 + nu) for d in inst.defects[v].values())
-        if total < graph.beta(v) ** (1 + nu) * kappa_p**k:
+        if total < graph.beta(v) ** (1 + nu) * kappa**k:
             raise ConditionViolated(
                 f"node {v}: strengthened condition fails at p={p}, k={k}"
             )
@@ -191,7 +174,7 @@ def _reduce_level(
     if k <= 1 or len(colors) <= p:
         return inner.solve(graph, inst)
     nu = inner.nu
-    kappa_p = inner.kappa(p)
+    kappa = inner.kappa
     size = len(colors) // p
     chunk_of = {c: i for i, c in enumerate(colors)}
     chunks = [set(colors[i * size : (i + 1) * size]) for i in range(p)]
@@ -207,10 +190,10 @@ def _reduce_level(
         defects_v: dict[int, int] = {}
         for i, xs in sorted(lists_by_chunk[v].items()):
             energy = sum((inst.defects[v][x] + 1) ** (1 + nu) for x in xs)
-            lam = energy / (beta_v ** (1 + nu) * kappa_p**k)
+            lam = energy / (beta_v ** (1 + nu) * kappa**k)
             lam_sum += lam
             defects_v[i] = math.floor(
-                (lam * beta_v ** (1 + nu) * kappa_p) ** (1 / (1 + nu))
+                (lam * beta_v ** (1 + nu) * kappa) ** (1 / (1 + nu))
             )
         if lam_sum < 1.0 - 1e-9:
             raise NodeFailure(f"chunk shares sum to {lam_sum:.3f} < 1", node=v)
@@ -270,7 +253,7 @@ def preset_time(
 ) -> tuple[ColoringOutput, RoundTrace]:
     """Branching factor 2**ceil(sqrt(log2 beta * log2 kappa)) (time preset)."""
     beta = graph.max_beta()
-    kl = max(2.0, inner.kappa(inst.max_list_size))
+    kl = max(2.0, inner.kappa)
     exponent = math.ceil(math.sqrt(max(1.0, math.log2(max(2, beta))) * math.log2(kl)))
     p = max(2, min(2**exponent, len(inst.color_space)))
     return space_reduced_oldc(graph, inst, p, inner)
@@ -285,11 +268,11 @@ def preset_message(
         raise InvalidInstance("r must be at least 1")
     if r == 1:
         return inner.solve(graph, inst)
-    p = max(2, math.ceil(len(inst.color_space) ** (1.0 / r)))
-    return space_reduced_oldc(graph, inst, p, inner)
+    return space_reduced_oldc(graph, inst, message_preset_p(len(inst.color_space), r), inner)
 
 
 def message_preset_p(space_size: int, r: int) -> int:
+    """The message-preset branching factor; r = 1 keeps the whole space."""
     return space_size if r == 1 else max(2, math.ceil(space_size ** (1.0 / r)))
 
 
@@ -304,8 +287,7 @@ def arbdefective_subroutine(
     Requires q*(delta+1) > max degree.  When the graph carries an
     orientation whose defective coloring already fits q colors, the
     distributed defective variant is used; otherwise the doubled-defect
-    sequential route (which always applies here).  Pluggable: the
-    framework accepts any callable with this signature.
+    sequential route (which always applies here).
     """
     delta_max = graph.max_degree()
     if q * (delta + 1) <= delta_max:
@@ -370,20 +352,10 @@ class StageRow:
         )
 
 
-@dataclass
-class FrameworkConfig:
-    inner: InnerSolver = field(default_factory=OracleInner)
-    fallback_to_oracle: bool = True
-    subroutine: Callable[[ColoredGraph, int, int], tuple[ColoringOutput, RoundTrace]] = (
-        arbdefective_subroutine
-    )
-    max_stages: Optional[int] = None
-
-
 def degree_halving_framework(
     graph: ColoredGraph,
     inst: LdcInstance,
-    config: Optional[FrameworkConfig] = None,
+    inner: InnerSolver = OracleInner(),
 ) -> tuple[ColoringOutput, RoundTrace, list[StageRow]]:
     """Solve a list arbdefective instance with sum (d_v(x)+1) > deg(v).
 
@@ -392,13 +364,13 @@ def degree_halving_framework(
     least half the stage degree uncolored; the residual lists always
     satisfy the inner solver's sequential condition, so with the oracle
     fallback every stage completes and the uncolored maximum degree at
-    least halves.  The returned orientation covers every edge: within an
-    inner batch it follows the decomposition, across batches it points
-    from later-colored to earlier-colored (so finished nodes never gain
-    same-color out-neighbors), and ties between simultaneously uncolored
-    nodes resolve by coloring time.
+    least halves.  A batch on which ``inner`` fails fast is solved by
+    the oracle instead.  The returned orientation covers every edge:
+    within an inner batch it follows the decomposition, across batches
+    it points from later-colored to earlier-colored (so finished nodes
+    never gain same-color out-neighbors), and ties between simultaneously
+    uncolored nodes resolve by coloring time.
     """
-    config = config or FrameworkConfig()
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
     if inst.g != 0:
@@ -416,7 +388,7 @@ def degree_halving_framework(
     clock = 0
     stage = 0
     delta0 = graph.max_degree()
-    max_stages = config.max_stages or (max(1, delta0).bit_length() + 2)
+    max_stages = max(1, delta0).bit_length() + 2
 
     def residual(v: int) -> tuple[list[int], dict[int, int]]:
         lst = [x for x in inst.lists[v] if partial.a(v, x) <= inst.defects[v][x]]
@@ -453,12 +425,12 @@ def degree_halving_framework(
 
         factor = max(
             1.0,
-            inst.max_list_size ** (config.inner.nu / (1 + config.inner.nu))
-            * config.inner.kappa(inst.max_list_size) ** (1 / (1 + config.inner.nu)),
+            inst.max_list_size ** (inner.nu / (1 + inner.nu))
+            * inner.kappa ** (1 / (1 + inner.nu)),
         )
         delta = max(0, math.floor(delta_s / (2 * factor)))
         q = delta_s // (delta + 1) + 1
-        dec_out, dec_trace = config.subroutine(stage_graph, q, delta)
+        dec_out, dec_trace = arbdefective_subroutine(stage_graph, q, delta)
         traces.append(dec_trace)
         dec_outn: list[list[int]] = [[] for _ in keep]
         for a, b in dec_out.orientation_out or ():
@@ -517,10 +489,8 @@ def degree_halving_framework(
                 space_b, lists_b, defects_b, flavor=FLAVOR_ORIENTED, g=0
             )
             try:
-                out_b, tr_b = config.inner.solve(batch_graph, inst_b)
+                out_b, tr_b = inner.solve(batch_graph, inst_b)
             except FailFast:
-                if not config.fallback_to_oracle:
-                    raise
                 out_b, tr_b = OracleInner().solve(batch_graph, inst_b)
             traces.append(tr_b)
             for j, v in enumerate(batch_nodes):
@@ -581,31 +551,16 @@ def _check_partial_safety(graph, inst, partial, order_colored):
 # -- the CONGEST pipeline ----------------------------------------------------------
 
 
+# the pipeline accepts color spaces up to degree**SPACE_EXPONENT
+SPACE_EXPONENT = 2
+
+
 @dataclass
 class PipelineConfig:
-    space_exponent: int = 2
     r: Optional[int] = None
     bits_budget: Optional[int] = None
     inner_scale: Optional[tuple[int, int]] = None
     alpha: float = 16.0
-    use_distributed_inner: bool = True
-
-
-@dataclass
-class _SpaceReducedInner:
-    """Message-preset space-reduced main algorithm as the framework inner."""
-
-    r: int
-    main_config: MainConfig
-    nu: float = 1.0
-    kappa_value: float = 4.0
-
-    def kappa(self, p: int) -> float:
-        return self.kappa_value
-
-    def solve(self, graph, inst):
-        inner = MainInner(config=self.main_config, kappa_value=self.kappa_value)
-        return preset_message(graph, inst, inner, self.r)
 
 
 def congest_pipeline(
@@ -624,11 +579,9 @@ def congest_pipeline(
     config = config or PipelineConfig()
     delta = graph.max_degree()
     space = len(inst.color_space)
-    if space > max(4, delta + 1) ** config.space_exponent:
-        raise InvalidInstance(
-            f"color space of {space} exceeds degree^{config.space_exponent}"
-        )
-    r = config.r or 2 * config.space_exponent
+    if space > max(4, delta + 1) ** SPACE_EXPONENT:
+        raise InvalidInstance(f"color space of {space} exceeds degree^{SPACE_EXPONENT}")
+    r = config.r or 2 * SPACE_EXPONENT
     budget = config.bits_budget
     if budget is None:
         chunk = message_preset_p(space, r)
@@ -660,13 +613,7 @@ def congest_pipeline(
         stage2_scale=config.inner_scale,
         bits_per_message=budget,
     )
-    inner: InnerSolver
-    if config.use_distributed_inner:
-        inner = _SpaceReducedInner(r=r, main_config=main_cfg)
-    else:
-        inner = OracleInner()
-    fw_cfg = FrameworkConfig(inner=inner, fallback_to_oracle=True)
-    out, trace, rows = degree_halving_framework(colored, arb, fw_cfg)
+    out, trace, rows = degree_halving_framework(colored, arb, OldcInner(main_cfg, r=r))
     for r_bits in trace.max_message_bits:
         if r_bits > budget:
             raise NodeFailure(f"pipeline message of {r_bits} bits over budget {budget}")

@@ -292,7 +292,3 @@ def run(
     del trace.max_message_bits[trace.rounds_elapsed:]
     return trace
 
-
-def broadcast(view_neighbors: Sequence[int], msg: Message) -> dict[int, Message]:
-    """Same message to every neighbor."""
-    return {u: msg for u in view_neighbors}

@@ -12,7 +12,6 @@ import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
 from listdefect import (
-    BasicInner,
     ColoredGraph,
     ConflictParams,
     FailFast,
@@ -20,6 +19,7 @@ from listdefect import (
     MainConfig,
     NodeType,
     OldcConfig,
+    OldcInner,
     build_type_table,
     exhaustive_solve,
     linial_coloring,
@@ -296,7 +296,7 @@ def test_criterion_07_message_accounting():
     """Space reduction with r=4 never beats r=1 on max bits; per-message
     sizes respect the list-encoding bound of the active sub-instance."""
     cfg = OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True)
-    inner = BasicInner(config=cfg, kappa_value=4.0)
+    inner = OldcInner(config=cfg)
 
     def shape_bound(space, lam, beta, m, h):
         colors = min(space, lam * max(1, math.ceil(math.log2(max(2, space)))))
@@ -443,7 +443,7 @@ def test_criterion_10_determinism():
 
     checks.append(run_main() == run_main())
 
-    inner = BasicInner(config=cfg, kappa_value=4.0)
+    inner = OldcInner(config=cfg)
 
     def run_reduced():
         try:

@@ -142,6 +142,16 @@ def test_single_type_gets_first_family():
     assert table.verify()
 
 
+def test_family_larger_than_the_recursion_limit():
+    # unscaled tau' admits the family of all C(66, 64) = 2145 candidate sets,
+    # one search level per member
+    params = ConflictParams(h=1, color_space_size=80, m=2)
+    table = build_type_table(
+        params, [NodeType(0, tuple(range(66)), 1)], {1: 64}, tau_prime_of(1, 80, 2)
+    )
+    assert table.families == (tuple(colex_combinations(66, 64)),)
+
+
 def test_disjoint_types_never_conflict():
     params = _table_params()
     t1 = NodeType(0, (0, 2, 4, 6), 1)

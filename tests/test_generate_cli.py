@@ -234,6 +234,54 @@ def test_cli_sweep_empty_matrix(tmp_path):
     ]
 
 
+def test_cli_run_rejects_non_object_instance(tmp_path, capsys):
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text("[1]")
+    rc = cli_main([
+        "run", "--algorithm", "seq", "--instance", str(inst_path),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "error: InvalidInstance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"tau_override": [2, 2]},
+    {"ns": 8},
+    {"seeds": [0, "1"]},
+    {"alpha": True},
+    {"inner": "magic"},
+    {"algorithms": ["seq", "nope"]},
+    {"colour": "red"},
+])
+def test_cli_sweep_rejects_malformed_matrix(tmp_path, capsys, bad):
+    cfg = tmp_path / "matrix.json"
+    cfg.write_text(json.dumps({"algorithms": ["seq"], **bad}))
+    rc = cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 1
+    assert "error: ValueError: " in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_sweep_valid_column_checks_the_output(tmp_path, monkeypatch):
+    from listdefect import ColoringOutput, cli
+
+    real = cli.sequential_ldc
+
+    def one_color(graph, inst):
+        _, stats = real(graph, inst)
+        return ColoringOutput((inst.lists[0][0],) * graph.n), stats
+
+    monkeypatch.setattr(cli, "sequential_ldc", one_color)
+    cfg = tmp_path / "matrix.json"
+    cfg.write_text(json.dumps({
+        "ns": [6], "list_models": ["uniform-k"], "space": 8, "k": 8, "algorithms": ["seq"],
+    }))
+    out = tmp_path / "sweep.csv"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "ring,6,uniform-k,seq,0,0,0,False,"
+
+
 def test_cli_framework_stage_csv(tmp_path):
     inst_path = tmp_path / "inst.json"
     cli_main([
@@ -266,7 +314,22 @@ def _bool_g(doc):
     doc["g"] = False
 
 
-@pytest.mark.parametrize("corrupt", [_short_defects, _string_defect, _bool_g])
+def _list_defect_entry(doc):
+    doc["defects"][0] = [0, 0, 0]
+
+
+def _int_list_entry(doc):
+    doc["lists"][0] = 3
+
+
+def _string_edge_endpoint(doc):
+    doc["edges"][0][0] = "0"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _short_defects, _string_defect, _bool_g,
+    _list_defect_entry, _int_list_entry, _string_edge_endpoint,
+])
 def test_cli_run_rejects_malformed_instance(tmp_path, capsys, corrupt):
     g = make_graph("ring", 6, 2, seed=0)
     doc = json.loads(instance_to_json(g, make_instance(g, "degree-plus-one", seed=0, space_size=8)))

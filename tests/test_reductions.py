@@ -4,11 +4,11 @@ import random
 import pytest
 
 from listdefect import (
-    BasicInner,
     ColoredGraph,
     ConditionViolated,
     LdcInstance,
     OldcConfig,
+    OldcInner,
     OracleInner,
     PipelineConfig,
     SpacePartition,
@@ -72,13 +72,13 @@ def test_space_reduction_condition_gate():
         space, [space[:4]] * 6, [{x: 0 for x in space[:4]}] * 6, flavor="oriented"
     )
     with pytest.raises(ConditionViolated):
-        space_reduced_oldc(g, inst, 4, BasicInner(kappa_value=4.0))
+        space_reduced_oldc(g, inst, 4, OldcInner())
 
 
 def test_space_reduction_distributed_messages_shrink():
     """Max message bits are non-increasing in the recursion depth r."""
     cfg = OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True)
-    inner = BasicInner(config=cfg, kappa_value=4.0)
+    inner = OldcInner(config=cfg)
     done = 0
     for seed in range(8):
         g = random_dag(10, 2, 0.3, seed=100 + seed)
