@@ -181,15 +181,24 @@ class NodeType:
 
 
 def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Index k-subsets of range(n) in colexicographic order, lazily."""
-    if k == 0:
-        yield ()
-        return
+    """Index k-subsets of range(n) in colexicographic order, lazily.
+
+    Iterative, so k is not bounded by the recursion limit: the successor
+    of a subset raises its lowest member that has room below the next
+    member (or below n) and resets the members under it to 0, 1, ...
+    """
     if k > n:
         return
-    for top in range(k - 1, n):
-        for rest in colex_combinations(top, k - 1):
-            yield rest + (top,)
+    c = list(range(k)) + [n]
+    while True:
+        yield tuple(c[:k])
+        i = 0
+        while i < k and c[i] + 1 == c[i + 1]:
+            i += 1
+        if i == k:
+            return
+        c[i] += 1
+        c[:i] = range(i)
 
 
 @dataclass(frozen=True)

@@ -215,13 +215,14 @@ class LdcInstance:
                 f"{len(self.defects)} defect maps for {len(self.lists)} lists"
             )
         for v, lst in enumerate(self.lists):
-            if len(set(lst)) != len(lst):
+            colors = set(lst)
+            if len(colors) != len(lst):
                 raise InvalidInstance(f"list of node {v} has duplicates")
-            if not set(lst) <= space:
+            if not colors <= space:
                 raise InvalidInstance(f"list of node {v} leaves the color space")
-            if set(self.defects[v]) != set(lst):
+            if self.defects[v].keys() != colors:
                 raise InvalidInstance(f"defect domain of node {v} differs from its list")
-            if any(d < 0 for d in self.defects[v].values()):
+            if min(self.defects[v].values(), default=0) < 0:
                 raise InvalidInstance(f"negative defect at node {v}")
 
     @staticmethod

@@ -12,7 +12,8 @@ recoloring and starts at most 3|E|, which bounds the recoloring count.
 ``sequential_arbdefective`` solves the doubled-defect instance, then
 orients each color class along an Euler tour (after evening out odd
 degrees with virtual matching edges), giving per-color outdegree at most
-ceil(class_degree/2) <= d_v(x).
+ceil(class_degree/2) <= d_v(x).  All classes are oriented in a single
+O(n + m) Euler pass over their union.
 
 ``exhaustive_solve`` is the brute-force oracle for tiny instances; for
 arbdefective instances it checks orientation feasibility per color class
@@ -37,7 +38,6 @@ from .graphs import (
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
-    check_existence_condition,
 )
 
 
@@ -85,9 +85,9 @@ def sequential_ldc(
     """
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
+    defects = inst.defects
     cond = [
-        sum(d + 1 for d in inst.defects[v].values()) > graph.degree(v)
-        for v in range(graph.n)
+        sum(defects[v].values()) + len(defects[v]) > graph.degree(v) for v in range(graph.n)
     ]
     if not all(cond):
         bad = cond.index(False)
@@ -196,19 +196,21 @@ def sequential_arbdefective(
     Requires sum(2 d_v(x)+1) > deg(v) per node.  First solves the list
     defective instance with defects 2 d_v(x); in each color class, nodes of
     odd class-degree are greedily paired in id order by virtual edges (the
-    pairs need not be actual edges), making all degrees even; each class is
-    then oriented along Euler circuits, so the real-edge outdegree of v is
-    at most ceil(class_degree(v)/2) <= d_v(x).  Edges between different
-    color classes are oriented from the lower to the higher id.
+    pairs need not be actual edges), making all degrees even; all classes
+    are then oriented along Euler circuits in one pass over their union,
+    so the real-edge outdegree of v is at most ceil(class_degree(v)/2) <=
+    d_v(x).  The classes are node-disjoint, so the single pass walks each
+    class exactly as a pass over that class alone would, and the whole
+    orientation costs O(n + m).  Edges between different color classes
+    are oriented from the lower to the higher id.
     """
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
-    cond = check_existence_condition(
-        graph,
-        LdcInstance(inst.color_space, inst.lists, inst.defects, FLAVOR_ARBDEFECTIVE, 0),
-    )
-    if not all(cond):
-        raise ConditionViolated(f"existence condition fails at node {cond.index(False)}")
+    n = graph.n
+    for v in range(n):
+        dv = inst.defects[v]
+        if 2 * sum(dv.values()) + len(dv) <= graph.degree(v):
+            raise ConditionViolated(f"existence condition fails at node {v}")
 
     doubled = LdcInstance(
         inst.color_space,
@@ -218,36 +220,37 @@ def sequential_arbdefective(
         0,
     )
     out, stats = sequential_ldc(graph, doubled)
-    colors = list(out.colors)
+    colors = out.colors
 
-    oriented: list[tuple[int, int]] = []
-    by_color: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        by_color.setdefault(colors[v], []).append(v)
-    for x, nodes in sorted(by_color.items()):
-        class_edges = [
-            (u, v) for u, v in graph.edges() if colors[u] == x and colors[v] == x
-        ]
-        deg: dict[int, int] = {v: 0 for v in nodes}
-        for u, v in class_edges:
-            deg[u] += 1
-            deg[v] += 1
-        odd = sorted(v for v in nodes if deg[v] % 2 == 1)
-        virtual = [(odd[i], odd[i + 1]) for i in range(0, len(odd), 2)]
-        directed = _euler_orient(graph.n, class_edges + virtual)
-        oriented.extend(directed[: len(class_edges)])
-        # per-node outdegree check: at most ceil(deg/2) <= d_v(x)
-        outdeg: dict[int, int] = {v: 0 for v in nodes}
-        for a, b in directed[: len(class_edges)]:
-            outdeg[a] += 1
-        for v in nodes:
-            assert outdeg[v] <= (deg[v] + 1) // 2 <= inst.defects[v][x], (
-                f"Euler orientation violated the defect bound at node {v}"
-            )
+    # monochromatic edges in edges() order, then the virtual pairs of each
+    # class: within a class this is the edge-id order of a per-class pass
+    mono: list[tuple[int, int]] = []
+    cross: list[tuple[int, int]] = []
+    class_deg = [0] * n
     for u, v in graph.edges():
-        if colors[u] != colors[v]:
-            oriented.append((u, v))
-    return ColoringOutput(tuple(colors), tuple(sorted(oriented))), stats
+        if colors[u] == colors[v]:
+            mono.append((u, v))
+            class_deg[u] += 1
+            class_deg[v] += 1
+        else:
+            cross.append((u, v))
+    odd: dict[int, list[int]] = {}
+    for v in range(n):
+        if class_deg[v] % 2:
+            odd.setdefault(colors[v], []).append(v)
+    virtual = [
+        (nodes[i], nodes[i + 1]) for _, nodes in sorted(odd.items()) for i in range(0, len(nodes), 2)
+    ]
+    directed = _euler_orient(n, mono + virtual)[: len(mono)]
+    # per-node outdegree check: at most ceil(deg/2) <= d_v(x)
+    outdeg = [0] * n
+    for a, _ in directed:
+        outdeg[a] += 1
+    for v in range(n):
+        assert outdeg[v] <= (class_deg[v] + 1) // 2 <= inst.defects[v][colors[v]], (
+            f"Euler orientation violated the defect bound at node {v}"
+        )
+    return ColoringOutput(colors, tuple(sorted(directed + cross))), stats
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -366,24 +369,27 @@ def exhaustive_solve(
         # does v's color count toward u's conflicts?
         return v in relevant[u]
 
+    edges = graph.edges()
+
     def final_check() -> Optional[ColoringOutput]:
         if inst.flavor != FLAVOR_ARBDEFECTIVE:
             return ColoringOutput(tuple(colors))
         oriented: list[tuple[int, int]] = []
+        class_edges: dict[int, list[tuple[int, int]]] = {}
+        for u, v in edges:
+            if colors[u] == colors[v]:
+                class_edges.setdefault(colors[u], []).append((u, v))
+            else:
+                oriented.append((u, v))
         by_color: dict[int, list[int]] = {}
         for v in range(n):
             by_color.setdefault(colors[v], []).append(v)
         for x, nodes in sorted(by_color.items()):
-            class_edges = [
-                (u, v) for u, v in graph.edges() if colors[u] == x and colors[v] == x
-            ]
-            res = _orient_class(nodes, class_edges, {v: inst.defects[v][x] for v in nodes})
+            caps = {v: inst.defects[v][x] for v in nodes}
+            res = _orient_class(nodes, class_edges.get(x, []), caps)
             if res is None:
                 return None
             oriented.extend(res)
-        for u, v in graph.edges():
-            if colors[u] != colors[v]:
-                oriented.append((u, v))
         return ColoringOutput(tuple(colors), tuple(sorted(oriented)))
 
     def dfs(v: int) -> Optional[ColoringOutput]:

@@ -574,7 +574,9 @@ def congest_pipeline(
     space-reduced main OLDC as the framework inner solver (with the
     oracle fallback the down-scaled parameters usually force), and the
     degree-halving framework.  Every message of every distributed phase
-    is checked against the bit budget.
+    is checked against the bit budget.  The framework solves the
+    arbdefective copy of the instance; for any other flavor its output is
+    checked against the instance itself and a violation fails fast.
     """
     config = config or PipelineConfig()
     delta = graph.max_degree()
@@ -617,6 +619,12 @@ def congest_pipeline(
     for r_bits in trace.max_message_bits:
         if r_bits > budget:
             raise NodeFailure(f"pipeline message of {r_bits} bits over budget {budget}")
+    if inst.flavor != FLAVOR_ARBDEFECTIVE:
+        # the framework solved the arbdefective copy, whose chosen orientation
+        # need not bound the conflicts this instance counts
+        report = validate_ldc(graph, inst, out)
+        if not report.valid:
+            raise NodeFailure(f"pipeline output invalid at {report.violating_nodes()}")
     full_trace = concat_traces([trace0, trace])
     full_trace.outputs = list(out.colors)
     return out, full_trace, rows

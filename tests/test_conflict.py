@@ -128,6 +128,35 @@ def test_colex_order():
     assert list(colex_combinations(2, 3)) == []
 
 
+def _recursive_colex(n, k):
+    """Reference: the recursive colex generator, one level per member."""
+    if k == 0:
+        yield ()
+        return
+    if k > n:
+        return
+    for top in range(k - 1, n):
+        for rest in _recursive_colex(top, k - 1):
+            yield rest + (top,)
+
+
+def test_colex_order_matches_the_recursive_generator():
+    for n in range(10):
+        for k in range(n + 2):
+            got = list(colex_combinations(n, k))
+            assert got == list(_recursive_colex(n, k)), (n, k)
+            assert len(got) == math.comb(n, k)
+
+
+def test_candidate_sets_larger_than_the_recursion_limit():
+    # C(1025, 1024) = 1025 candidate sets of 1024 members each
+    params = ConflictParams(h=1, color_space_size=2048, m=2, scale_override=(2, 2))
+    table = build_type_table(params, [NodeType(0, tuple(range(1025)), 1)], {1: 1024}, 2)
+    assert table.families[0][0] == tuple(range(1024))
+    assert all(len(c) == 1024 for c in table.families[0])
+    assert table.verify()
+
+
 def _table_params(g=0):
     return ConflictParams(h=1, color_space_size=10, m=4, g=g, scale_override=(2, 2))
 

@@ -149,6 +149,27 @@ def test_cli_fail_fast_exit_code(tmp_path):
     assert report["outcome"] == "fail-fast"
 
 
+def test_cli_pipeline_on_oriented_instance_fails_fast(tmp_path, capsys):
+    # the pipeline solves the arbdefective copy; on this oriented instance
+    # that coloring breaks the given orientation's defects
+    inst_path = tmp_path / "dag.json"
+    assert cli_main([
+        "generate", "--family", "random-dag", "--n", "8", "--list-model", "defect-budget",
+        "--space", "16", "--k", "4", "--flavor", "oriented", "--seed", "1",
+        "--out", str(inst_path),
+    ]) == 0
+    rc = cli_main([
+        "run", "--algorithm", "congest-pipeline", "--instance", str(inst_path),
+        "--alpha", "1.0", "--tau-override", "2,2", "--r", "2", "--out-dir", str(tmp_path / "r"),
+    ])
+    assert rc == 2
+    assert "NodeFailure" in capsys.readouterr().err
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["outcome"] == "fail-fast"
+    assert report["error"] == "NodeFailure"
+    assert not (tmp_path / "r" / "coloring.json").exists()
+
+
 def test_cli_budget_violation_exit_code(tmp_path):
     inst_path = tmp_path / "ring.json"
     cli_main([

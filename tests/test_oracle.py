@@ -2,11 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdefect import (
     CapExceeded,
     ColoredGraph,
+    ColoringOutput,
     ConditionViolated,
+    InvalidInstance,
     LdcInstance,
     PotentialState,
     check_existence_condition,
@@ -15,6 +19,8 @@ from listdefect import (
     sequential_ldc,
     validate_ldc,
 )
+from listdefect import oracle
+from listdefect.generate import make_graph, make_instance
 
 from conftest import complete_graph
 
@@ -184,3 +190,105 @@ def test_sequential_matches_oracle_on_small_instances():
         out, _ = sequential_ldc(g, inst)
         assert validate_ldc(g, inst, out).valid
         assert exhaustive_solve(g, inst) is not None
+
+
+# -- the single Euler pass against the per-class passes ---------------------------
+
+
+def _per_class_arbdefective(graph: ColoredGraph, inst: LdcInstance):
+    """Reference: the former solver, one Euler pass per color class over
+    all n nodes, with the existence condition checked on a re-validated
+    arbdefective copy of the instance."""
+    if inst.g != 0:
+        raise InvalidInstance("sequential solver requires g = 0")
+    cond = check_existence_condition(
+        graph,
+        LdcInstance(inst.color_space, inst.lists, inst.defects, "arbdefective", 0),
+    )
+    if not all(cond):
+        raise ConditionViolated(f"existence condition fails at node {cond.index(False)}")
+    doubled = LdcInstance(
+        inst.color_space,
+        inst.lists,
+        tuple({x: 2 * d for x, d in dv.items()} for dv in inst.defects),
+        "defective",
+        0,
+    )
+    out, stats = sequential_ldc(graph, doubled)
+    colors = list(out.colors)
+    oriented = []
+    by_color: dict[int, list[int]] = {}
+    for v in range(graph.n):
+        by_color.setdefault(colors[v], []).append(v)
+    for x, nodes in sorted(by_color.items()):
+        class_edges = [(u, v) for u, v in graph.edges() if colors[u] == x and colors[v] == x]
+        deg = {v: 0 for v in nodes}
+        for u, v in class_edges:
+            deg[u] += 1
+            deg[v] += 1
+        odd = sorted(v for v in nodes if deg[v] % 2 == 1)
+        virtual = [(odd[i], odd[i + 1]) for i in range(0, len(odd), 2)]
+        directed = oracle._euler_orient(graph.n, class_edges + virtual)
+        oriented.extend(directed[: len(class_edges)])
+    for u, v in graph.edges():
+        if colors[u] != colors[v]:
+            oriented.append((u, v))
+    return ColoringOutput(tuple(colors), tuple(sorted(oriented))), stats
+
+
+@st.composite
+def _arbdefective_instances(draw):
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([0.2, 0.4, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    graph = ColoredGraph.build(n, edges)
+    space = list(range(draw(st.integers(1, 8))))
+    meet_condition = draw(st.booleans())
+    lists, defects = [], []
+    for v in range(n):
+        lst = sorted(rng.sample(space, rng.randrange(1, len(space) + 1)))
+        dv = {x: rng.randrange(0, 4) for x in lst}
+        while meet_condition and sum(2 * d + 1 for d in dv.values()) <= graph.degree(v):
+            dv[rng.choice(lst)] += 1
+        lists.append(lst)
+        defects.append(dv)
+    g = draw(st.sampled_from([0] * 7 + [1]))
+    return graph, LdcInstance.build(space, lists, defects, flavor="arbdefective", g=g)
+
+
+def _outcome(solver, graph, inst):
+    try:
+        out, stats = solver(graph, inst)
+    except Exception as exc:  # the exception class is the outcome
+        return type(exc)
+    return out, stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arbdefective_instances())
+def test_single_euler_pass_matches_per_class_passes(case):
+    graph, inst = case
+    got = _outcome(sequential_arbdefective, graph, inst)
+    assert got == _outcome(_per_class_arbdefective, graph, inst)
+    if not isinstance(got, type):
+        assert validate_ldc(graph, inst, got[0]).valid
+
+
+def test_one_euler_pass_per_call(monkeypatch):
+    calls = []
+    real = oracle._euler_orient
+
+    def counting(n, multi_edges):
+        calls.append(len(multi_edges))
+        return real(n, multi_edges)
+
+    monkeypatch.setattr(oracle, "_euler_orient", counting)
+    made = make_graph("random-gnp", 400, 8, seed=3, oriented=False)
+    graph = ColoredGraph.build(made.n, made.edges())
+    inst = make_instance(graph, "degree-plus-one", seed=3, space_size=64, flavor="arbdefective")
+    assert len(inst.color_space) == 64
+    out, _ = sequential_arbdefective(graph, inst)
+    assert len(set(out.colors)) > 32
+    assert len(calls) == 1
+    assert validate_ldc(graph, inst, out).valid
