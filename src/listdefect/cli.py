@@ -242,15 +242,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     with open(os.path.join(args.out_dir, "coloring.json"), "w") as fh:
-        json.dump(
-            {
-                "colors": list(out.colors) if out is not None else None,
-                "orientation": [list(e) for e in out.orientation_out]
-                if out is not None and out.orientation_out
-                else None,
-            },
-            fh,
-            sort_keys=True,
+        # json.dumps, unlike json.dump, takes the C encoder: same bytes
+        fh.write(
+            json.dumps(
+                {
+                    "colors": list(out.colors) if out is not None else None,
+                    "orientation": [list(e) for e in out.orientation_out]
+                    if out is not None and out.orientation_out
+                    else None,
+                },
+                sort_keys=True,
+            )
         )
     with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)

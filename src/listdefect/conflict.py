@@ -101,6 +101,29 @@ def tau_g_conflict(c1: Sequence[int], c2: Sequence[int], tau: int, g: int) -> bo
     return total >= tau
 
 
+def color_mask(colors: Iterable[int]) -> int:
+    """Bitmask of a color set: bit c set for every color c."""
+    mask = 0
+    for c in colors:
+        mask |= 1 << c
+    return mask
+
+
+def shifted_masks(mask: int, g: int) -> list[int]:
+    """shift(mask, d) for d = 0..g, then d = -1..-g."""
+    return [mask << d for d in range(g + 1)] + [mask >> d for d in range(1, g + 1)]
+
+
+def masks_conflict(shifted: Sequence[int], mask2: int, tau: int) -> bool:
+    """tau_g_conflict(c1, c2, tau, g) from shifted_masks(mask of c1, g) and
+    the mask of c2, for color sets without repeated colors.
+
+    sum_{x in c1} mu_g(x, c2) = sum_{d=-g..g} popcount(shift(c1, d) & c2),
+    so the test is 2g+1 ANDs and popcounts.
+    """
+    return sum((s & mask2).bit_count() for s in shifted) >= tau
+
+
 def psi_g_member(
     k1: Sequence[Sequence[int]],
     k2: Sequence[Sequence[int]],
@@ -263,11 +286,10 @@ def _member_hits(
     """Which members of each assigned family one candidate set tau&g-conflicts with.
 
     Returns (j, bitmask over the members of family j) for every family j
-    with at least one hit.  For sets without repeated colors,
-    sum_{x in c1} mu_g(x, c2) = sum_{d=-g..g} popcount(shift(c1, d) & c2),
-    so each conflict test is 2g+1 ANDs and popcounts.
+    with at least one hit.  Each conflict test is the popcount identity
+    of masks_conflict, inlined.
     """
-    shifted = [mask << d for d in range(g + 1)] + [mask >> d for d in range(1, g + 1)]
+    shifted = shifted_masks(mask, g)
     hits = []
     for j, fam_masks in enumerate(assigned_masks):
         r = 0

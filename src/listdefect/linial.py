@@ -16,7 +16,7 @@ or max outdegree, defect), so every node derives it locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import MissingOrientation
@@ -110,6 +110,16 @@ class _LinialProgram:
     palettes: list[int]  # palette entering each reduction step
     oriented: bool
     trivial_color: Optional[int]  # everyone outputs this at init (degenerate graphs)
+    # bit width of the color sent in round r+1, for every round r that sends
+    widths: list[int] = field(init=False, repr=False, compare=False)
+    # p_color(a) of the current reduction step, keyed by color * q + a; a
+    # cache of a pure function of public quantities, shared by all nodes
+    _memo: dict[int, int] = field(init=False, repr=False, compare=False)
+    _memo_step: int = field(default=-1, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.widths = [max(1, (p - 1).bit_length()) for p in self.palettes]
+        self._memo = {}
 
     def init(self, view: NodeView):
         if self.trivial_color is not None:
@@ -119,25 +129,37 @@ class _LinialProgram:
         relevant = view.out_neighbors if self.oriented else view.neighbors
         return {"view": view, "color": view.node, "relevant": relevant}, None
 
-    def _bits(self, step_idx: int) -> int:
-        p = self.palettes[step_idx]
-        return max(1, (p - 1).bit_length())
+    def _memo_for(self, step_idx: int) -> dict[int, int]:
+        """The memo of reduction step ``step_idx``, started afresh on a new step."""
+        if step_idx != self._memo_step:
+            self._memo = {}
+            self._memo_step = step_idx
+        return self._memo
 
     def step(self, state, inbox, round_no: int):
         view = state["view"]
         if round_no > 1:
             # apply reduction round_no-2 using last round's colors
             q, e, d = self.schedule[round_no - 2]
+            memo = self._memo_for(round_no - 2)
             mine = state["color"]
             others = [
                 inbox[u]["color"].value for u in state["relevant"] if u in inbox
             ]
             chosen = None
             for a in range(q):
-                val = _poly_eval(mine, q, e, a)
-                collisions = sum(
-                    1 for c in others if _poly_eval(c, q, e, a) == val
-                )
+                key = mine * q + a
+                val = memo.get(key)
+                if val is None:
+                    val = memo[key] = _poly_eval(mine, q, e, a)
+                collisions = 0
+                for c in others:
+                    key = c * q + a
+                    other = memo.get(key)
+                    if other is None:
+                        other = memo[key] = _poly_eval(c, q, e, a)
+                    if other == val:
+                        collisions += 1
                 if collisions <= d:
                     chosen = a * q + val
                     break
@@ -145,9 +167,8 @@ class _LinialProgram:
             state["color"] = chosen
             if round_no - 1 == len(self.schedule):
                 return state, {}, chosen
-        msg = {"color": RawField(state["color"], self._bits(round_no - 1))}
-        outbox = {u: msg for u in view.neighbors}
-        return state, outbox, None
+        msg = {"color": RawField(state["color"], self.widths[round_no - 1])}
+        return state, dict.fromkeys(view.neighbors, msg), None
 
 
 def _make_program(graph: ColoredGraph, base: int, defect: int, oriented: bool):

@@ -37,9 +37,11 @@ from .conflict import (
     ConflictParams,
     NodeType,
     build_or_load_type_table,
+    color_mask,
+    masks_conflict,
     mu_g,
     residue_restrict,
-    tau_g_conflict,
+    shifted_masks,
 )
 from .errors import ListTooSmall, MissingOrientation, NodeFailure
 from .graphs import (
@@ -108,6 +110,7 @@ class _NodeStatics:
     defect: int = 0
     gamma: int = 0
     family: tuple[tuple[int, ...], ...] = ()
+    masks: tuple[int, ...] = ()  # color_mask of each family member
     restricted: tuple[int, ...] = ()
 
 
@@ -130,6 +133,7 @@ class _SingleDefectProgram:
             "view": view,
             "decided": {},     # out-neighbor -> color
             "csets": {},       # out-neighbor -> C_u
+            "cset_masks": {},  # out-neighbor -> color_mask(C_u)
             "classes": {},     # out-neighbor -> gamma class
             "cset": None,
             "p1_checked": False,
@@ -153,6 +157,7 @@ class _SingleDefectProgram:
                 state["classes"][u] = msg["class"].value
             if "cset" in msg and u in self.family_by_node:
                 state["csets"][u] = self.family_by_node[u][msg["cset"].index]
+                state["cset_masks"][u] = self.statics[u].masks[msg["cset"].index]
 
         if round_no == 1:
             if st.skip_color is not None:
@@ -173,15 +178,14 @@ class _SingleDefectProgram:
                 for u in view.out_neighbors
                 if u in state["classes"] and state["classes"][u] <= st.gamma
             ]
+            peer_masks = [self.statics[u].masks for u in peers]
             best_idx, best_d = 0, None
-            for idx, cand in enumerate(fam):
+            for idx, mask in enumerate(st.masks):
+                shifted = shifted_masks(mask, self.g)
                 d_c = sum(
                     1
-                    for u in peers
-                    if any(
-                        tau_g_conflict(cand, c2, self.tau, self.g)
-                        for c2 in self.family_by_node[u]
-                    )
+                    for masks in peer_masks
+                    if any(masks_conflict(shifted, m2, self.tau) for m2 in masks)
                 )
                 if best_d is None or d_c < best_d:
                     best_idx, best_d = idx, d_c
@@ -197,17 +201,19 @@ class _SingleDefectProgram:
                     f"beta={beta_v} tau'={self.tau_prime} |K|={len(fam)} d={st.defect}"
                 )
             state["cset"] = st.family[best_idx]
+            state["cset_mask"] = st.masks[best_idx]
             msg = {"cset": IndexField(best_idx, len(fam))}
             return state, {u: msg for u in view.neighbors}, None
 
         if round_no == 3 and not state["p1_checked"]:
             state["p1_checked"] = True
+            shifted = shifted_masks(state["cset_mask"], self.g)
             conflicts = sum(
                 1
-                for u, c_u in state["csets"].items()
+                for u, m_u in state["cset_masks"].items()
                 if u in out_set
                 and state["classes"][u] <= st.gamma
-                and tau_g_conflict(c_u, state["cset"], self.tau, self.g)
+                and masks_conflict(shifted, m_u, self.tau)
             )
             if 2 * conflicts > st.defect:
                 raise NodeFailure(
@@ -308,9 +314,13 @@ def _run_single_defect(
     k_prime = (1 << h) * tau_prime
     table = build_or_load_type_table(params, types, k_by_class, k_prime)
     family_by_node: dict[int, tuple[tuple[int, ...], ...]] = {}
+    masks_of: dict[NodeType, tuple[int, ...]] = {}  # one mask tuple per family
     for v, t in zip(classed, types):
         fam = table.family_of(t)
         statics[v].family = fam
+        if t not in masks_of:
+            masks_of[t] = tuple(map(color_mask, fam))
+        statics[v].masks = masks_of[t]
         family_by_node[v] = fam
 
     program = _SingleDefectProgram(

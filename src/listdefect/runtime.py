@@ -17,6 +17,11 @@ round and returns the new state, an outbox and optionally the final
 output.  Once a node has produced its output it no longer steps; messages
 from its final step are still delivered.  Rounds are counted until the
 last output is produced; trailing silent rounds are not counted.
+
+Programs usually send one shared message object to every neighbor, so
+the engine sizes each distinct message object once per outbox; the
+budget check and the message record still cover every delivered
+message, edge by edge in outbox order.
 """
 
 from __future__ import annotations
@@ -113,6 +118,14 @@ class NodeView:
 
 
 class NodeProgram(Protocol):
+    """A node program: one value shared by every node of a run.
+
+    ``init`` and ``step`` see only the node's own view, state and inbox.
+    A program may still cache a pure function of public quantities
+    across nodes (the Linial reduction memoises polynomial values per
+    reduction step), since that changes no result.
+    """
+
     def init(self, view: NodeView) -> tuple[Any, Optional[Any]]:
         """Return (state, output or None).  A non-None output ends the node
         before any communication (a zero-round program)."""
@@ -207,6 +220,10 @@ def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
 
 # -- the engine ---------------------------------------------------------------
 
+# An outbox with more recipients than this is checked against a set of the
+# sender's neighbors instead of scanning its adjacency tuple per recipient.
+_SCAN_LIMIT = 8
+
 
 def run(
     graph: ColoredGraph,
@@ -222,6 +239,7 @@ def run(
     oriented graphs).  In budgeted mode any over-size message aborts the
     run with a BudgetViolation naming edge, round and size.
     """
+    n = graph.n
     views = [
         NodeView(
             node=v,
@@ -229,16 +247,16 @@ def run(
             out_neighbors=None if graph.out_neighbors is None else graph.out_neighbors[v],
             init_color=graph.init_colors[v],
             m=graph.m,
-            n=graph.n,
+            n=n,
         )
-        for v in range(graph.n)
+        for v in range(n)
     ]
-    states: list[Any] = [None] * graph.n
-    outputs: list[Any] = [None] * graph.n
-    done = [False] * graph.n
-    output_round = [0] * graph.n
+    states: list[Any] = [None] * n
+    outputs: list[Any] = [None] * n
+    output_round = [0] * n
+    pending: list[int] = []
 
-    for v in range(graph.n):
+    for v in range(n):
         try:
             states[v], out = program.init(views[v])
         except NodeFailure as exc:
@@ -247,48 +265,59 @@ def run(
             raise
         if out is not None:
             outputs[v] = out
-            done[v] = True
+        else:
+            pending.append(v)
 
     trace = RoundTrace(outputs=outputs, output_rounds=output_round)
-    if record_messages:
-        trace.messages = []
-    inboxes: list[dict[int, Message]] = [{} for _ in range(graph.n)]
+    messages = trace.messages = [] if record_messages else None
+    inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
+    step = program.step
 
     rnd = 0
-    while not all(done):
+    while pending:
         rnd += 1
         if rnd > max_rounds:
-            raise RoundLimitExceeded(f"{sum(done)}/{graph.n} nodes decided after {max_rounds} rounds")
-        next_inboxes: list[dict[int, Message]] = [{} for _ in range(graph.n)]
+            raise RoundLimitExceeded(
+                f"{n - len(pending)}/{n} nodes decided after {max_rounds} rounds"
+            )
+        next_inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
+        still_pending: list[int] = []
         round_max = 0
-        for v in range(graph.n):
-            if done[v]:
-                continue
+        for v in pending:
             try:
-                states[v], outbox, out = program.step(states[v], inboxes[v], rnd)
+                states[v], outbox, out = step(states[v], inboxes[v], rnd)
             except NodeFailure as exc:
                 exc.node = v if exc.node is None else exc.node
                 exc.round_no = rnd
                 raise
-            for u, msg in outbox.items():
-                if u not in views[v].neighbors:
-                    raise NodeFailure(f"message to non-neighbor {u}", node=v, round_no=rnd)
-                size = message_bits(msg)
-                if bits_per_message is not None and size > bits_per_message:
-                    raise BudgetViolation((v, u), rnd, size, bits_per_message)
-                round_max = max(round_max, size)
-                if trace.messages is not None:
-                    trace.messages.append((rnd, v, u, size))
-                next_inboxes[u][v] = msg
+            if outbox:
+                neighbors = graph.adjacency[v]
+                if len(outbox) > _SCAN_LIMIT:
+                    neighbors = set(neighbors)
+                sizes: dict[int, int] = {}  # id(message) -> bits, for this outbox
+                for u, msg in outbox.items():
+                    if u not in neighbors:
+                        raise NodeFailure(f"message to non-neighbor {u}", node=v, round_no=rnd)
+                    size = sizes.get(id(msg))
+                    if size is None:
+                        size = sizes[id(msg)] = message_bits(msg)
+                        if bits_per_message is not None and size > bits_per_message:
+                            raise BudgetViolation((v, u), rnd, size, bits_per_message)
+                        if size > round_max:
+                            round_max = size
+                    if messages is not None:
+                        messages.append((rnd, v, u, size))
+                    next_inboxes[u][v] = msg
             if out is not None:
                 outputs[v] = out
-                done[v] = True
                 output_round[v] = rnd
+            else:
+                still_pending.append(v)
         trace.max_message_bits.append(round_max)
         inboxes = next_inboxes
+        pending = still_pending
 
     trace.rounds_elapsed = max(output_round, default=0)
     # trailing silent rounds are not counted
     del trace.max_message_bits[trace.rounds_elapsed:]
     return trace
-

@@ -22,7 +22,10 @@ from listdefect import (
 )
 from listdefect.conflict import (
     TypeTable,
+    color_mask,
     colex_combinations,
+    masks_conflict,
+    shifted_masks,
     table_cache_key,
     tau_of,
     tau_prime_of,
@@ -54,6 +57,21 @@ def test_tau_conflict_symmetric(c1, c2, tau, g):
     assert tau_g_conflict(tuple(c1), tuple(c2), tau, g) == tau_g_conflict(
         tuple(c2), tuple(c1), tau, g
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.frozensets(st.integers(0, 60), max_size=10),
+    st.frozensets(st.integers(0, 60), max_size=10),
+    st.integers(1, 12),
+    st.integers(0, 4),
+)
+def test_mask_kernel_matches_tau_g_conflict(c1, c2, tau, g):
+    """The shifted-AND popcount kernel decides exactly what the mu_g sum does."""
+    m1, m2 = color_mask(c1), color_mask(c2)
+    expected = tau_g_conflict(tuple(c1), tuple(c2), tau, g)
+    assert masks_conflict(shifted_masks(m1, g), m2, tau) == expected
+    assert masks_conflict(shifted_masks(m2, g), m1, tau) == expected
 
 
 def test_psi_examples():

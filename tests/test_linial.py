@@ -1,12 +1,20 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from listdefect import (
     ColoredGraph,
+    RawField,
     defective_linial,
+    defective_linial_program,
     linial_coloring,
     linial_palette,
+    linial_program,
     linial_schedule,
+    run,
 )
+from listdefect.linial import _poly_eval
 
 from conftest import random_dag, ring_graph
 
@@ -92,3 +100,76 @@ def test_random_graph_properness_and_shape():
         assert _proper(g, out.colors)
         assert linial_palette(g) <= 8 * d * d
         assert trace.rounds_elapsed <= 6
+
+
+class _PerPairLinial:
+    """Reference: the Linial node program that evaluates both polynomials of
+    every (node, neighbor) pair at every point, with no memo.  It takes the
+    schedule and palettes of a library program and delegates ``init``."""
+
+    def __init__(self, program):
+        self.program = program
+
+    def init(self, view):
+        return self.program.init(view)
+
+    def _bits(self, step_idx):
+        p = self.program.palettes[step_idx]
+        return max(1, (p - 1).bit_length())
+
+    def step(self, state, inbox, round_no):
+        view = state["view"]
+        schedule = self.program.schedule
+        if round_no > 1:
+            q, e, d = schedule[round_no - 2]
+            mine = state["color"]
+            others = [inbox[u]["color"].value for u in state["relevant"] if u in inbox]
+            chosen = None
+            for a in range(q):
+                val = _poly_eval(mine, q, e, a)
+                collisions = sum(1 for c in others if _poly_eval(c, q, e, a) == val)
+                if collisions <= d:
+                    chosen = a * q + val
+                    break
+            assert chosen is not None
+            state["color"] = chosen
+            if round_no - 1 == len(schedule):
+                return state, {}, chosen
+        msg = {"color": RawField(state["color"], self._bits(round_no - 1))}
+        return state, {u: msg for u in view.neighbors}, None
+
+
+def _random_graph(seed, n, p, oriented):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    orientation = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    return ColoredGraph.build(n, edges, orientation=orientation if oriented else None)
+
+
+def _same_run(graph, program, trace, colors, reference):
+    """Same colors and trace files as the reference, and with every
+    message recorded, the same messages and sizes."""
+    assert colors == tuple(reference.outputs)
+    assert trace.to_json() == reference.to_json()
+    assert trace.to_csv() == reference.to_csv()
+    recorded = run(graph, program, record_messages=True)
+    recorded_reference = run(graph, _PerPairLinial(program), record_messages=True)
+    assert recorded.to_json(verbose=True) == recorded_reference.to_json(verbose=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 160), st.floats(0.0, 0.3))
+def test_memoised_linial_matches_per_pair_reference(seed, n, p):
+    graph = _random_graph(seed, n, p, oriented=False)
+    out, trace = linial_coloring(graph)
+    program = linial_program(graph)
+    _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 160), st.floats(0.0, 0.3), st.sampled_from([0, 1, 2]))
+def test_memoised_defective_linial_matches_per_pair_reference(seed, n, p, d):
+    graph = _random_graph(seed, n, p, oriented=True)
+    out, trace = defective_linial(graph, d)
+    program = defective_linial_program(graph, d)
+    _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))

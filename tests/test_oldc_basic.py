@@ -11,8 +11,11 @@ from listdefect import (
     gamma_class_of,
     multi_defect_oldc,
     single_defect_oldc,
+    tau_g_conflict,
     validate_ldc,
 )
+from listdefect import oldc_basic
+from listdefect.errors import NodeFailure
 
 from conftest import random_dag, uniform_instance
 
@@ -157,3 +160,73 @@ def test_determinism():
         except FailFast as exc:
             runs.append(("fail", str(exc)))
     assert runs[0] == runs[1]
+
+
+class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
+    """The library program, with its P1 selection (round 2) and P1 check
+    (round 3) recomputed from tau_g_conflict over the color tuples."""
+
+    checked: list = []  # one row per recomputed selection or check
+
+    def step(self, state, inbox, round_no):
+        view = state["view"]
+        st = self.statics[view.node]
+        try:
+            state, outbox, out = super().step(state, inbox, round_no)
+        except NodeFailure as exc:
+            if "P1 violated" in str(exc):
+                assert 2 * self._pairwise_conflicts(state, st) > st.defect
+            raise
+        if round_no == 2 and st.skip_color is None:
+            peers = [
+                u
+                for u in view.out_neighbors
+                if u in state["classes"] and state["classes"][u] <= st.gamma
+            ]
+            counts = [
+                sum(
+                    1
+                    for u in peers
+                    if any(tau_g_conflict(cand, c2, self.tau, self.g) for c2 in self.family_by_node[u])
+                )
+                for cand in st.family
+            ]
+            assert state["cset"] == st.family[counts.index(min(counts))]
+            self.checked.append(("P1 selection", min(counts), max(counts)))
+        if round_no == 3 and st.skip_color is None:
+            assert 2 * self._pairwise_conflicts(state, st) <= st.defect
+            self.checked.append(("P1 check",))
+        return state, outbox, out
+
+    def _pairwise_conflicts(self, state, st):
+        return sum(
+            1
+            for u, c_u in state["csets"].items()
+            if u in state["view"].out_neighbors
+            and state["classes"][u] <= st.gamma
+            and tau_g_conflict(c_u, state["cset"], self.tau, self.g)
+        )
+
+
+def test_p1_bitset_kernel_matches_pairwise_conflicts(monkeypatch):
+    """Lists mixing residue classes make g matter across restricted lists."""
+    monkeypatch.setattr(oldc_basic, "_SingleDefectProgram", _PairwiseCheckedProgram)
+    monkeypatch.setattr(_PairwiseCheckedProgram, "checked", [])
+    rng = random.Random(5)
+    ok = 0
+    for trial in range(60):
+        g = rng.choice([1, 2])
+        graph = random_dag(14, 5, 0.5, seed=2000 + trial)
+        space = list(range(120))
+        lists = [sorted(rng.sample(space, 40)) for _ in range(graph.n)]
+        config = OldcConfig(alpha=0.1, scale_override=(rng.choice([1, 2]), 2))
+        try:
+            single_defect_oldc(graph, space, lists, [4] * graph.n, g, config)
+            ok += 1
+        except FailFast:
+            continue
+    selections = [c for c in _PairwiseCheckedProgram.checked if c[0] == "P1 selection"]
+    assert ok > 0
+    # some selections had a real choice: candidate sets with different conflict counts
+    assert any(low < high for _, low, high in selections)
+    assert any(c[0] == "P1 check" for c in _PairwiseCheckedProgram.checked)

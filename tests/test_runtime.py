@@ -12,6 +12,7 @@ from listdefect import (
     message_bits,
     run,
 )
+from listdefect import runtime
 from listdefect.errors import NodeFailure
 
 from conftest import ring_graph
@@ -135,3 +136,95 @@ def test_ring_flood_rounds():
     tr = run(ring, FloodIds(16))
     # diameter 4, one extra round to detect completion
     assert tr.rounds_elapsed == 5
+
+
+# a star with center 0 and leaves 1..12, plus node 13 adjacent to nothing
+STAR = ColoredGraph.build(14, [(0, leaf) for leaf in range(1, 13)])
+
+
+class SendOnce:
+    """Round 1: every node sends outbox_of(node); round 2: every node outputs."""
+
+    def __init__(self, outbox_of):
+        self.outbox_of = outbox_of
+
+    def init(self, view):
+        return view, None
+
+    def step(self, view, inbox, rnd):
+        if rnd == 1:
+            return view, self.outbox_of(view.node), None
+        return view, {}, view.node
+
+
+def test_message_to_non_neighbor_small_outbox():
+    program = SendOnce(lambda v: {2: {"p": RawField(0, 1)}} if v == 0 else {})
+    with pytest.raises(NodeFailure, match="non-neighbor 2") as exc:
+        run(PATH3, program)
+    assert exc.value.node == 0 and exc.value.round_no == 1
+
+
+def test_message_to_non_neighbor_large_outbox():
+    def outbox_of(v):
+        if v != 0:
+            return {}
+        msg = {"p": RawField(0, 1)}
+        recipients = list(range(1, 7)) + [13] + list(range(7, 13))
+        return {u: msg for u in recipients}
+
+    assert len(outbox_of(0)) > runtime._SCAN_LIMIT
+    with pytest.raises(NodeFailure, match="non-neighbor 13") as exc:
+        run(STAR, SendOnce(outbox_of))
+    assert exc.value.node == 0 and exc.value.round_no == 1
+
+
+def test_shared_message_over_budget_names_first_edge():
+    msg = {"p": RawField(0, 40)}
+    program = SendOnce(lambda v: {u: msg for u in range(12, 0, -1)} if v == 0 else {})
+    with pytest.raises(BudgetViolation) as exc:
+        run(STAR, program, bits_per_message=32)
+    assert exc.value.edge == (0, 12)
+    assert exc.value.round_no == 1 and exc.value.size == 40
+
+
+def test_each_distinct_message_is_sized_once_per_outbox(monkeypatch):
+    sized = []
+
+    def counting_bits(msg):
+        sized.append(msg)
+        return message_bits(msg)
+
+    monkeypatch.setattr(runtime, "message_bits", counting_bits)
+    a, b = {"p": RawField(0, 3)}, {"p": RawField(1, 5)}
+    program = SendOnce(lambda v: {u: (a if u % 2 else b) for u in range(1, 13)} if v == 0 else {})
+    tr = run(STAR, program)
+    assert len(sized) == 2
+    assert tr.max_message_bits == [5, 0]
+
+
+def test_record_messages_lists_every_delivered_message():
+    shared = {"p": RawField(0, 7)}
+
+    def outbox_of(v):
+        if v == 0:
+            return {u: shared for u in range(1, 13)}
+        if v == 13:
+            return {}
+        return {0: {"p": RawField(v, v)}}
+
+    tr = run(STAR, SendOnce(outbox_of), record_messages=True)
+    expected = [(1, 0, u, 7) for u in range(1, 13)] + [(1, v, 0, v) for v in range(1, 13)]
+    assert tr.messages == expected
+    assert tr.max_message_bits == [12, 0]
+
+
+def test_round_limit_message_counts_decided_nodes():
+    class HalfDecide:
+        def init(self, view):
+            return view, ("init" if view.node == 0 else None)
+
+        def step(self, view, inbox, rnd):
+            return view, {}, ("late" if view.node == 1 and rnd == 2 else None)
+
+    with pytest.raises(RoundLimitExceeded, match=r"^2/3 nodes decided after 5 rounds$"):
+        run(PATH3, HalfDecide(), max_rounds=5)
