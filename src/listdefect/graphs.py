@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -409,21 +408,16 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
         init_colors=doc["init_colors"],
         m=doc["m"],
     )
-    # each defect map is made once, int-keyed and in color order, as
-    # LdcInstance.build would leave it (a stable sort: a repeated key keeps
-    # its last value, as a dict display does)
-    defects = tuple(
-        [dict(sorted(zip(map(int, dv), dv.values()), key=itemgetter(0))) for dv in doc["defects"]]
-    )
+    defects = [{int(c): d for c, d in dv.items()} for dv in doc["defects"]]
     # bool is an int subclass: without the type test, JSON true would pass as g=1
     if type(doc["g"]) is not int:
         raise InvalidInstance(f"g must be an integer, not {doc['g']!r}")
     if not set(map(type, chain.from_iterable(map(dict.values, defects)))) <= {int}:
         raise InvalidInstance("defect values must be integers")
-    inst = LdcInstance(
-        color_space=tuple(sorted(set(doc["color_space"]))),
-        lists=tuple(tuple(sorted(set(l))) for l in doc["lists"]),
-        defects=defects,
+    inst = LdcInstance.build(
+        doc["color_space"],
+        doc["lists"],
+        defects,
         flavor=doc["flavor"],
         g=doc["g"],
     )

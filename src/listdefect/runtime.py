@@ -220,11 +220,6 @@ def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
 
 # -- the engine ---------------------------------------------------------------
 
-# An outbox with more recipients than this is checked against a set of the
-# sender's neighbors instead of scanning its adjacency tuple per recipient.
-_SCAN_LIMIT = 8
-
-
 def run(
     graph: ColoredGraph,
     program: NodeProgram,
@@ -292,8 +287,6 @@ def run(
                 raise
             if outbox:
                 neighbors = graph.adjacency[v]
-                if len(outbox) > _SCAN_LIMIT:
-                    neighbors = set(neighbors)
                 sizes: dict[int, int] = {}  # id(message) -> bits, for this outbox
                 for u, msg in outbox.items():
                     if u not in neighbors:

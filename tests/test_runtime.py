@@ -172,7 +172,7 @@ def test_message_to_non_neighbor_large_outbox():
         recipients = list(range(1, 7)) + [13] + list(range(7, 13))
         return {u: msg for u in recipients}
 
-    assert len(outbox_of(0)) > runtime._SCAN_LIMIT
+    assert len(outbox_of(0)) == 13
     with pytest.raises(NodeFailure, match="non-neighbor 13") as exc:
         run(STAR, SendOnce(outbox_of))
     assert exc.value.node == 0 and exc.value.round_no == 1
