@@ -478,13 +478,14 @@ def table_cache_key(
     types: Sequence[NodeType],
     k_by_class: dict[int, int],
     k_prime: int,
+    candidate_cap: int = 200_000,
 ) -> str:
     doc = {
-        "params": [params.h, params.color_space_size, params.m, params.g,
-                   params.tau, params.tau_prime],
+        "params": list(_table_params(params)),
         "types": sorted([t.init_color, list(t.restricted_list), t.gamma_class] for t in set(types)),
         "k": sorted(k_by_class.items()),
         "k_prime": k_prime,
+        "cap": candidate_cap,
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -501,18 +502,25 @@ def build_or_load_type_table(
     """Like build_type_table, with a binary cache keyed by the inputs.
 
     The cache directory comes from the argument or the LISTDEFECT_CACHE
-    environment variable; without either, no caching happens.  A cache
-    file that cannot be read or decoded counts as a miss and is rebuilt.
+    environment variable; without either, no caching happens.  The key
+    covers every argument, ``candidate_cap`` included.  A cache file that
+    cannot be read or decoded, or whose params or types differ from the
+    request, counts as a miss and is rebuilt.
     Each writer goes through its own temporary file and renames it into
     place, so concurrent writers of one key never interleave.
     """
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
-        path = os.path.join(cache_dir, table_cache_key(params, types, k_by_class, k_prime) + ".tt")
+        key = table_cache_key(params, types, k_by_class, k_prime, candidate_cap)
+        path = os.path.join(cache_dir, key + ".tt")
         try:
             with open(path, "rb") as fh:
-                return _table_from_bytes(fh.read())
+                cached = _table_from_bytes(fh.read())
+            if _table_params(cached.params) == _table_params(params) and (
+                cached.types == tuple(sorted(set(types), key=NodeType.sort_key))
+            ):
+                return cached
         except (OSError, ValueError, KeyError, IndexError, TypeError, InvalidInstance):
             pass  # missing, unreadable or corrupt: build and (over)write
     table = build_type_table(params, types, k_by_class, k_prime, candidate_cap)
@@ -527,6 +535,12 @@ def build_or_load_type_table(
             os.unlink(tmp)
             raise
     return table
+
+
+def _table_params(params: ConflictParams) -> tuple[int, ...]:
+    """The parameters a stored table records, in the cache key's order."""
+    return (params.h, params.color_space_size, params.m, params.g,
+            params.tau, params.tau_prime)
 
 
 def _table_from_bytes(blob: bytes) -> TypeTable:

@@ -408,7 +408,13 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
         init_colors=doc["init_colors"],
         m=doc["m"],
     )
-    defects = [{int(c): d for c, d in dv.items()} for dv in doc["defects"]]
+    try:
+        defects = [{int(c): d for c, d in dv.items()} for dv in doc["defects"]]
+    except ValueError:
+        raise InvalidInstance("defect keys must be integers") from None
+    # two spellings of one color ("0", "00") would collapse into one key
+    if list(map(len, defects)) != list(map(len, doc["defects"])):
+        raise InvalidInstance("defect keys name a color twice")
     # bool is an int subclass: without the type test, JSON true would pass as g=1
     if type(doc["g"]) is not int:
         raise InvalidInstance(f"g must be an integer, not {doc['g']!r}")

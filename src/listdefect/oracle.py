@@ -85,64 +85,68 @@ def sequential_ldc(
     """
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
-    defects = inst.defects
-    cond = [
-        sum(defects[v].values()) + len(defects[v]) > graph.degree(v) for v in range(graph.n)
-    ]
+    n = graph.n
+    adjacency = graph.adjacency
+    lists, defects = inst.lists, inst.defects
+    cond = [sum(defects[v].values()) + len(defects[v]) > len(adjacency[v]) for v in range(n)]
     if not all(cond):
         bad = cond.index(False)
         raise ConditionViolated(f"existence condition fails at node {bad}")
 
-    n = graph.n
-    colors = [inst.lists[v][0] for v in range(n)]
+    colors = [lists[v][0] for v in range(n)]
     # per-node counter of neighbor colors
     nbr_count: list[dict[int, int]] = [dict() for _ in range(n)]
     for v in range(n):
-        for u in graph.adjacency[v]:
-            nbr_count[v][colors[u]] = nbr_count[v].get(colors[u], 0) + 1
+        cnt = nbr_count[v]
+        for u in adjacency[v]:
+            x = colors[u]
+            cnt[x] = cnt.get(x, 0) + 1
 
-    def conflicts(v: int, x: int) -> int:
-        return nbr_count[v].get(x, 0)
-
-    mono = sum(1 for u, w in graph.edges() if colors[u] == colors[w])
-    phi = mono + sum(graph.degree(v) - inst.defects[v][colors[v]] for v in range(n))
+    # every monochromatic edge is counted once from each end
+    mono = sum(nbr_count[v].get(colors[v], 0) for v in range(n)) // 2
+    phi = mono + sum(len(adjacency[v]) - defects[v][colors[v]] for v in range(n))
     phi_history = [phi]
     cap = 3 * graph.edge_count()
 
-    heap = [v for v in range(n) if conflicts(v, colors[v]) > inst.defects[v][colors[v]]]
+    heap = [v for v in range(n) if nbr_count[v].get(colors[v], 0) > defects[v][colors[v]]]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     steps = 0
     while heap:
-        v = heapq.heappop(heap)
-        if conflicts(v, colors[v]) <= inst.defects[v][colors[v]]:
-            continue  # stale entry
+        v = heappop(heap)
+        cnt_v = nbr_count[v]
+        d_v = defects[v]
         old = colors[v]
+        c_old = cnt_v.get(old, 0)
+        if c_old <= d_v[old]:
+            continue  # stale entry
         new = None
-        for y in inst.lists[v]:
-            if conflicts(v, y) <= inst.defects[v][y]:
+        for y in lists[v]:
+            c_new = cnt_v.get(y, 0)
+            if c_new <= d_v[y]:
                 new = y
                 break
         assert new is not None, "existence condition guarantees a fitting color"
         colors[v] = new
         # only M and v's own defect term change
-        phi_new = phi + (conflicts(v, new) - conflicts(v, old)) + (
-            inst.defects[v][old] - inst.defects[v][new]
-        )
+        phi_new = phi + (c_new - c_old) + (d_v[old] - d_v[new])
         assert phi_new <= phi - 1, "potential must strictly decrease"
         phi = phi_new
         phi_history.append(phi)
         steps += 1
         assert steps <= cap, "recoloring count exceeded 3|E|"
-        for u in graph.adjacency[v]:
+        # v's own counter does not change, so v itself stays happy
+        for u in adjacency[v]:
             cnt = nbr_count[u]
-            cnt[old] -= 1
-            if not cnt[old]:
+            left = cnt[old] - 1
+            if left:
+                cnt[old] = left
+            else:
                 del cnt[old]
             cnt[new] = cnt.get(new, 0) + 1
-            if conflicts(u, colors[u]) > inst.defects[u][colors[u]]:
-                heapq.heappush(heap, u)
-        if conflicts(v, new) > inst.defects[v][new]:
-            heapq.heappush(heap, v)
+            x = colors[u]
+            if cnt.get(x, 0) > defects[u][x]:
+                heappush(heap, u)
 
     return (
         ColoringOutput(tuple(colors)),

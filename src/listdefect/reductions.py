@@ -33,7 +33,6 @@ from .errors import (
 )
 from .graphs import (
     FLAVOR_ARBDEFECTIVE,
-    FLAVOR_DEFECTIVE,
     FLAVOR_ORIENTED,
     ColoredGraph,
     ColoringOutput,
@@ -69,16 +68,17 @@ class InnerSolver(Protocol):
 
 class OracleInner:
     """Centralized fallback: list defective coloring on the undirected
-    graph, which dominates any oriented variant.  nu = 0, kappa = 1."""
+    graph, which dominates any oriented variant.  nu = 0, kappa = 1.
+
+    The instance goes to ``sequential_ldc`` as it is, whatever its
+    flavor: that solver reads only the lists, the defects and g, and
+    always counts conflicts over the undirected adjacency."""
 
     nu = 0.0
     kappa = 1.0
 
     def solve(self, graph, inst):
-        undirected = LdcInstance(
-            inst.color_space, inst.lists, inst.defects, FLAVOR_DEFECTIVE, inst.g
-        )
-        out, _ = sequential_ldc(graph, undirected)
+        out, _ = sequential_ldc(graph, inst)
         return out, RoundTrace(outputs=list(out.colors))
 
 
@@ -297,12 +297,11 @@ def arbdefective_subroutine(
         oriented = tuple(graph.oriented_edges())
         out = ColoringOutput(out.colors, oriented)
         return out, trace
-    inst = LdcInstance.build(
-        list(range(q)),
-        [list(range(q))] * graph.n,
-        [{x: delta for x in range(q)}] * graph.n,
-        flavor=FLAVOR_ARBDEFECTIVE,
-        g=0,
+    # every node shares one list and one defect map
+    palette = tuple(range(q))
+    uniform = {x: delta for x in palette}
+    inst = LdcInstance(
+        palette, (palette,) * graph.n, (uniform,) * graph.n, FLAVOR_ARBDEFECTIVE, 0
     )
     out, _ = sequential_arbdefective(graph, inst)
     return out, RoundTrace(outputs=list(out.colors))
@@ -313,23 +312,33 @@ def arbdefective_subroutine(
 
 @dataclass
 class PartialColoring:
-    """Colors assigned so far plus the bookkeeping the framework relies on."""
+    """Colors assigned so far plus the bookkeeping the framework relies on.
+
+    ``taken[v]`` maps a color to the number of v's colored neighbors that
+    hold it, and ``uncolored_degree[v]`` is the number of v's neighbors
+    still uncolored.  ``assign`` updates both for the neighbors of the
+    node it colors, so neither is ever recounted from the adjacency.
+    """
 
     colors: list[Optional[int]]
-    taken: dict[tuple[int, int], int]  # (node, color) -> colored neighbors with it
+    taken: list[dict[int, int]]  # per node: color -> colored neighbors with it
+    uncolored_degree: list[int]
     oriented: list[tuple[int, int]]
 
     @staticmethod
-    def empty(n: int) -> "PartialColoring":
-        return PartialColoring([None] * n, {}, [])
-
-    def a(self, v: int, x: int) -> int:
-        return self.taken.get((v, x), 0)
+    def empty(graph: ColoredGraph) -> "PartialColoring":
+        n = graph.n
+        return PartialColoring(
+            [None] * n, [{} for _ in range(n)], [len(a) for a in graph.adjacency], []
+        )
 
     def assign(self, graph: ColoredGraph, v: int, x: int) -> None:
         self.colors[v] = x
+        taken, udeg = self.taken, self.uncolored_degree
         for u in graph.adjacency[v]:
-            self.taken[(u, x)] = self.taken.get((u, x), 0) + 1
+            t = taken[u]
+            t[x] = t.get(x, 0) + 1
+            udeg[u] -= 1
 
 
 @dataclass
@@ -370,17 +379,24 @@ def degree_halving_framework(
     it points from later-colored to earlier-colored (so finished nodes
     never gain same-color out-neighbors), and ties between simultaneously
     uncolored nodes resolve by coloring time.
+
+    Each node's uncolored degree is a counter (``PartialColoring``) that
+    drops by one whenever a neighbor is colored, and each batch graph is
+    built once, directly from the stage graph with the decomposition's
+    orientation.
     """
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
     if inst.g != 0:
         raise InvalidInstance("framework requires g = 0")
     n = graph.n
+    lists, defects = inst.lists, inst.defects
     for v in range(n):
-        if sum(d + 1 for d in inst.defects[v].values()) <= graph.degree(v):
+        if sum(d + 1 for d in defects[v].values()) <= graph.degree(v):
             raise ConditionViolated(f"node {v}: sum(d+1) <= deg")
 
-    partial = PartialColoring.empty(n)
+    partial = PartialColoring.empty(graph)
+    taken, udeg = partial.taken, partial.uncolored_degree
     uncolored = set(range(n))
     traces: list[RoundTrace] = []
     rows: list[StageRow] = []
@@ -389,20 +405,28 @@ def degree_halving_framework(
     stage = 0
     delta0 = graph.max_degree()
     max_stages = max(1, delta0).bit_length() + 2
+    factor = max(
+        1.0,
+        inst.max_list_size ** (inner.nu / (1 + inner.nu))
+        * inner.kappa ** (1 / (1 + inner.nu)),
+    )
 
-    def residual(v: int) -> tuple[list[int], dict[int, int]]:
-        lst = [x for x in inst.lists[v] if partial.a(v, x) <= inst.defects[v][x]]
-        dd = {x: inst.defects[v][x] - partial.a(v, x) for x in lst}
-        # shrink to uncolored degree + 1 worth of budget
-        deg_u = sum(1 for u in graph.adjacency[v] if u in uncolored)
-        keep: list[int] = []
+    def residual(v: int) -> tuple[dict[int, int], int]:
+        """v's residual defects, cut to the shortest list prefix whose
+        budget sum(d+1) exceeds v's uncolored degree, and that budget."""
+        t = taken[v]
+        d_v = defects[v]
+        deg_u = udeg[v]
+        dd: dict[int, int] = {}
         budget = 0
-        for x in lst:
-            keep.append(x)
-            budget += dd[x] + 1
-            if budget > deg_u:
-                break
-        return keep, {x: dd[x] for x in keep}
+        for x in lists[v]:
+            left = d_v[x] - t.get(x, 0)
+            if left >= 0:
+                dd[x] = left
+                budget += left + 1
+                if budget > deg_u:
+                    break
+        return dd, budget
 
     while uncolored:
         stage += 1
@@ -410,24 +434,18 @@ def degree_halving_framework(
             raise NodeFailure(f"degree halving stalled after {max_stages} stages")
         sub_nodes = sorted(uncolored)
         stage_graph, keep = graph.subgraph(sub_nodes)
-        back = {i: v for i, v in enumerate(keep)}
         delta_s = stage_graph.max_degree()
         if delta_s == 0:
             for v in sub_nodes:
-                lst, _ = residual(v)
-                assert lst, "residual condition left an empty list"
-                partial.assign(graph, v, lst[0])
+                dd, _ = residual(v)
+                assert dd, "residual condition left an empty list"
+                partial.assign(graph, v, next(iter(dd)))
                 order_colored[v] = clock
                 clock += 1
             uncolored.clear()
             rows.append(StageRow(stage, 0, len(sub_nodes), 0, 0, 0))
             break
 
-        factor = max(
-            1.0,
-            inst.max_list_size ** (inner.nu / (1 + inner.nu))
-            * inner.kappa ** (1 / (1 + inner.nu)),
-        )
         delta = max(0, math.floor(delta_s / (2 * factor)))
         q = delta_s // (delta + 1) + 1
         dec_out, dec_trace = arbdefective_subroutine(stage_graph, q, delta)
@@ -435,54 +453,49 @@ def degree_halving_framework(
         dec_outn: list[list[int]] = [[] for _ in keep]
         for a, b in dec_out.orientation_out or ():
             dec_outn[a].append(b)
+        by_class: dict[int, list[int]] = {}
+        for i, c in enumerate(dec_out.colors):
+            by_class.setdefault(c, []).append(i)
 
-        def is_active(i: int) -> bool:
-            v = back[i]
-            if v not in uncolored:
-                return False
-            deg_u = sum(1 for u in graph.adjacency[v] if u in uncolored)
+        def is_active(v: int) -> bool:
+            deg_u = udeg[v]
             if 2 * deg_u >= delta_s:
                 return True
             # defect absorbs the whole remaining neighborhood: color now
-            return any(
-                partial.a(v, x) <= inst.defects[v][x]
-                and inst.defects[v][x] - partial.a(v, x) >= deg_u
-                for x in inst.lists[v]
-            )
+            t = taken[v]
+            return any(d - t.get(x, 0) >= deg_u for x, d in defects[v].items())
 
         for cls in range(q):
-            members = [i for i in range(len(keep)) if dec_out.colors[i] == cls]
-            active = [i for i in members if is_active(i)]
+            active = [i for i in by_class.get(cls, ()) if is_active(keep[i])]
             if not active:
                 rows.append(StageRow(stage, cls, 0, delta_s, 0, 0))
                 continue
-            batch_nodes = [back[i] for i in active]
-            batch_graph, batch_keep = stage_graph.subgraph(active)
-            ori = []
-            active_index = {i: j for j, i in enumerate(active)}
-            for i in active:
-                for b in dec_outn[i]:
-                    if b in active_index:
-                        ori.append((active_index[i], active_index[b]))
+            batch_nodes = [keep[i] for i in active]
+            index = {i: j for j, i in enumerate(active)}
             batch_graph = ColoredGraph.build(
-                batch_graph.n,
-                batch_graph.edges(),
-                orientation=ori,
-                init_colors=batch_graph.init_colors,
-                m=batch_graph.m,
+                len(active),
+                [
+                    (j, index[b])
+                    for j, i in enumerate(active)
+                    for b in stage_graph.adjacency[i]
+                    if i < b and b in index
+                ],
+                orientation=[
+                    (j, index[b]) for j, i in enumerate(active) for b in dec_outn[i] if b in index
+                ],
+                init_colors=[stage_graph.init_colors[i] for i in active],
+                m=stage_graph.m,
             )
             lists_b, defects_b = [], []
             for v in batch_nodes:
-                lst, dd = residual(v)
-                if not lst:
+                dd, total = residual(v)
+                if not dd:
                     raise NodeFailure("empty residual list", node=v)
-                total = sum(d + 1 for d in dd.values())
-                deg_u = sum(1 for u in graph.adjacency[v] if u in uncolored)
-                if total <= deg_u:
+                if total <= udeg[v]:
                     raise NodeFailure(
-                        f"residual budget {total} at uncolored degree {deg_u}", node=v
+                        f"residual budget {total} at uncolored degree {udeg[v]}", node=v
                     )
-                lists_b.append(lst)
+                lists_b.append(list(dd))
                 defects_b.append(dd)
             space_b = sorted({x for l in lists_b for x in l})
             inst_b = LdcInstance.build(
@@ -507,15 +520,14 @@ def degree_halving_framework(
             # safety: a colored node never exceeds its defect later on
             _check_partial_safety(graph, inst, partial, order_colored)
 
-        still = [v for v in uncolored]
-        for v in still:
-            deg_u = sum(1 for u in graph.adjacency[v] if u in uncolored)
+        for v in uncolored:
+            deg_u = udeg[v]
             if 2 * deg_u > delta_s:
                 raise NodeFailure(
                     f"degree halving failed: uncolored degree {deg_u} of {delta_s}", node=v
                 )
-            lst, dd = residual(v)
-            if sum(d + 1 for d in dd.values()) <= deg_u:
+            _, total = residual(v)
+            if total <= deg_u:
                 raise NodeFailure("residual condition lost", node=v)
 
     # orient the remaining (cross-batch) edges from later- to earlier-colored;
@@ -575,8 +587,9 @@ def congest_pipeline(
     oracle fallback the down-scaled parameters usually force), and the
     degree-halving framework.  Every message of every distributed phase
     is checked against the bit budget.  The framework solves the
-    arbdefective copy of the instance; for any other flavor its output is
-    checked against the instance itself and a violation fails fast.
+    arbdefective g = 0 copy of the instance; when the instance differs
+    from that copy (another flavor, or g > 0), the output is checked
+    against the instance itself and a violation fails fast.
     """
     config = config or PipelineConfig()
     delta = graph.max_degree()
@@ -619,9 +632,9 @@ def congest_pipeline(
     for r_bits in trace.max_message_bits:
         if r_bits > budget:
             raise NodeFailure(f"pipeline message of {r_bits} bits over budget {budget}")
-    if inst.flavor != FLAVOR_ARBDEFECTIVE:
-        # the framework solved the arbdefective copy, whose chosen orientation
-        # need not bound the conflicts this instance counts
+    if inst.flavor != FLAVOR_ARBDEFECTIVE or inst.g != 0:
+        # the framework solved the arbdefective g = 0 copy, which need not
+        # bound the conflicts this instance counts
         report = validate_ldc(graph, inst, out)
         if not report.valid:
             raise NodeFailure(f"pipeline output invalid at {report.violating_nodes()}")

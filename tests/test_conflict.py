@@ -417,3 +417,33 @@ def test_table_cache_write_uses_a_private_temp_file(tmp_path):
     table = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
     assert path.read_bytes() == table.to_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".tmp"])
+
+
+def test_table_cache_key_covers_the_cap(tmp_path):
+    # a table cached at the default cap is not returned for a cap it exceeds
+    params = _table_params()
+    types = [NodeType(0, (0, 2, 4, 6), 1)]
+    assert table_cache_key(params, types, {1: 2}, 2, 1) != table_cache_key(params, types, {1: 2}, 2)
+    build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    with pytest.raises(CapExceeded):
+        build_type_table(params, types, {1: 2}, 2, candidate_cap=1)
+    with pytest.raises(CapExceeded):
+        build_or_load_type_table(params, types, {1: 2}, 2, candidate_cap=1, cache_dir=str(tmp_path))
+
+
+def test_table_cache_mismatched_table_is_a_miss(tmp_path):
+    # a decodable table stored under the key of another request is rebuilt
+    params = _table_params()
+    types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
+    want = build_type_table(params, types, {1: 2}, 2)
+    path = tmp_path / (table_cache_key(params, types, {1: 2}, 2) + ".tt")
+    others = (
+        build_type_table(_table_params(g=1), types, {1: 2}, 2),
+        build_type_table(params, types[:1], {1: 2}, 2),
+    )
+    for other in others:
+        assert other.to_bytes() != want.to_bytes()
+        path.write_bytes(other.to_bytes())
+        got = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+        assert got.to_bytes() == want.to_bytes()
+        assert path.read_bytes() == want.to_bytes()

@@ -347,9 +347,20 @@ def _string_edge_endpoint(doc):
     doc["edges"][0][0] = "0"
 
 
+def _repeated_defect_key(doc):
+    # "03" and "3" both parse as color 3; the later one must not win silently
+    color = next(iter(doc["defects"][0]))
+    doc["defects"][0]["0" + color] = doc["defects"][0][color] + 1
+
+
+def _non_integer_defect_key(doc):
+    doc["defects"][0]["a"] = 0
+
+
 @pytest.mark.parametrize("corrupt", [
     _short_defects, _string_defect, _bool_g,
     _list_defect_entry, _int_list_entry, _string_edge_endpoint,
+    _repeated_defect_key, _non_integer_defect_key,
 ])
 def test_cli_run_rejects_malformed_instance(tmp_path, capsys, corrupt):
     g = make_graph("ring", 6, 2, seed=0)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -292,3 +293,106 @@ def test_one_euler_pass_per_call(monkeypatch):
     assert len(set(out.colors)) > 32
     assert len(calls) == 1
     assert validate_ldc(graph, inst, out).valid
+
+
+# -- the lean recoloring loop against the closure-based one -----------------------
+
+
+def _closure_sequential_ldc(graph: ColoredGraph, inst: LdcInstance):
+    """Reference: the former recoloring loop, which read every conflict
+    count through a closure and counted M over the edge list."""
+    if inst.g != 0:
+        raise InvalidInstance("sequential solver requires g = 0")
+    defects = inst.defects
+    cond = [
+        sum(defects[v].values()) + len(defects[v]) > graph.degree(v) for v in range(graph.n)
+    ]
+    if not all(cond):
+        raise ConditionViolated(f"existence condition fails at node {cond.index(False)}")
+    n = graph.n
+    colors = [inst.lists[v][0] for v in range(n)]
+    nbr_count: list[dict[int, int]] = [dict() for _ in range(n)]
+    for v in range(n):
+        for u in graph.adjacency[v]:
+            nbr_count[v][colors[u]] = nbr_count[v].get(colors[u], 0) + 1
+
+    def conflicts(v: int, x: int) -> int:
+        return nbr_count[v].get(x, 0)
+
+    mono = sum(1 for u, w in graph.edges() if colors[u] == colors[w])
+    phi = mono + sum(graph.degree(v) - inst.defects[v][colors[v]] for v in range(n))
+    phi_history = [phi]
+    cap = 3 * graph.edge_count()
+    heap = [v for v in range(n) if conflicts(v, colors[v]) > inst.defects[v][colors[v]]]
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        v = heapq.heappop(heap)
+        if conflicts(v, colors[v]) <= inst.defects[v][colors[v]]:
+            continue
+        old = colors[v]
+        new = None
+        for y in inst.lists[v]:
+            if conflicts(v, y) <= inst.defects[v][y]:
+                new = y
+                break
+        assert new is not None, "existence condition guarantees a fitting color"
+        colors[v] = new
+        phi_new = phi + (conflicts(v, new) - conflicts(v, old)) + (
+            inst.defects[v][old] - inst.defects[v][new]
+        )
+        assert phi_new <= phi - 1, "potential must strictly decrease"
+        phi = phi_new
+        phi_history.append(phi)
+        steps += 1
+        assert steps <= cap, "recoloring count exceeded 3|E|"
+        for u in graph.adjacency[v]:
+            cnt = nbr_count[u]
+            cnt[old] -= 1
+            if not cnt[old]:
+                del cnt[old]
+            cnt[new] = cnt.get(new, 0) + 1
+            if conflicts(u, colors[u]) > inst.defects[u][colors[u]]:
+                heapq.heappush(heap, u)
+        if conflicts(v, new) > inst.defects[v][new]:
+            heapq.heappush(heap, v)
+    return (
+        ColoringOutput(tuple(colors)),
+        oracle.RecoloringStats(steps, phi_history[0], tuple(phi_history)),
+    )
+
+
+@st.composite
+def _ldc_instances(draw):
+    n = draw(st.integers(0, 16))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    graph = ColoredGraph.build(n, edges)
+    space = list(range(draw(st.integers(1, 10))))
+    meet_condition = draw(st.sampled_from([True] * 4 + [False]))
+    flavor = draw(st.sampled_from(["defective", "oriented", "arbdefective"]))
+    lists, defects = [], []
+    for v in range(n):
+        lst = rng.sample(space, rng.randrange(1, len(space) + 1))
+        if draw(st.booleans()):
+            lst.sort()
+        dv = {x: rng.randrange(0, 3) for x in lst}
+        while meet_condition and sum(d + 1 for d in dv.values()) <= graph.degree(v):
+            dv[rng.choice(lst)] += 1
+        lists.append(tuple(lst))
+        defects.append(dv)
+    g = draw(st.sampled_from([0] * 7 + [1]))
+    # lists keep their drawn order: the solver scans them as given
+    return graph, LdcInstance(tuple(space), tuple(lists), tuple(defects), flavor, g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ldc_instances())
+def test_sequential_ldc_matches_the_closure_loop(case):
+    graph, inst = case
+    got = _outcome(sequential_ldc, graph, inst)
+    assert got == _outcome(_closure_sequential_ldc, graph, inst)
+    if not isinstance(got, type):
+        undirected = LdcInstance(inst.color_space, inst.lists, inst.defects, "defective", 0)
+        assert validate_ldc(graph, undirected, got[0]).valid

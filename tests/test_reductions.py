@@ -19,7 +19,8 @@ from listdefect import (
     space_reduced_oldc,
     validate_ldc,
 )
-from listdefect.errors import FailFast
+from listdefect.errors import FailFast, NodeFailure
+from listdefect.generate import make_graph, make_instance
 from listdefect.reductions import message_preset_p
 
 from conftest import blockspread_instance, complete_graph, random_dag, ring_graph
@@ -205,6 +206,45 @@ def test_pipeline_ring_within_budget():
     )
     out, trace, rows = congest_pipeline(ring, inst)
     assert all(out.colors[u] != out.colors[v] for u, v in ring.edges())
+
+
+def test_pipeline_checks_its_output_when_g_is_positive():
+    # the framework solves the g = 0 copy; its coloring violates the g = 1
+    # instance at several nodes, so the pipeline must fail fast
+    g = make_graph("random-gnp", 30, 6, seed=1, oriented=False)
+    inst = make_instance(
+        g, "degree-plus-one", seed=1, space_size=49, flavor="arbdefective", g=1
+    )
+    with pytest.raises(NodeFailure, match="pipeline output invalid"):
+        congest_pipeline(g, inst)
+
+
+class _SmallClassOracle(OracleInner):
+    """The oracle under the distributed inner's (nu, kappa), which makes
+    the framework pick many small decomposition classes."""
+
+    nu = 1.0
+    kappa = 4.0
+
+
+def test_framework_builds_each_batch_graph_once(monkeypatch):
+    builds = []
+    real = ColoredGraph.build
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return real(*args, **kwargs)
+
+    made = make_graph("random-gnp", 80, 6, seed=4, oriented=False)
+    inst = make_instance(made, "degree-plus-one", seed=4, space_size=49, flavor="arbdefective")
+    monkeypatch.setattr(ColoredGraph, "build", staticmethod(counting))
+    out, _, rows = degree_halving_framework(made, inst, _SmallClassOracle())
+    assert validate_ldc(made, inst, out).valid
+    stages = {r.stage for r in rows}
+    batches = [r for r in rows if r.colored and r.max_uncolored_degree]
+    assert len(batches) > len(stages)
+    # one stage subgraph per stage, one graph per batch
+    assert len(builds) == len(stages) + len(batches)
 
 
 def test_pipeline_budget_violation_fail_fast():
