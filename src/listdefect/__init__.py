@@ -14,7 +14,6 @@ from .conflict import (
     bound_d1_d2,
     build_or_load_type_table,
     build_type_table,
-    mu_g,
     psi_g_member,
     residue_restrict,
     tau_g_conflict,
@@ -68,7 +67,6 @@ from .reductions import (
     congest_pipeline,
     degree_halving_framework,
     preset_message,
-    preset_time,
     space_reduced_oldc,
 )
 from .runtime import (

@@ -85,27 +85,14 @@ class ConflictParams:
 # -- conflict predicates -----------------------------------------------------
 
 
-def mu_g(x: int, colors: Iterable[int], g: int) -> int:
-    """Number of colors in the set within distance g of x."""
-    return sum(1 for c in colors if abs(x - c) <= g)
-
-
-def tau_g_conflict(c1: Sequence[int], c2: Sequence[int], tau: int, g: int) -> bool:
-    """Whether sum over x in c1 of mu_g(x, c2) reaches tau.
-
-    The sum is symmetric in (c1, c2); both orders are evaluated and
-    compared while assertions are enabled.
-    """
-    total = sum(mu_g(x, c2, g) for x in c1)
-    assert total == sum(mu_g(y, c1, g) for y in c2), "conflict sum must be symmetric"
-    return total >= tau
-
-
 def color_mask(colors: Iterable[int]) -> int:
     """Bitmask of a color set: bit c set for every color c."""
     mask = 0
-    for c in colors:
-        mask |= 1 << c
+    try:
+        for c in colors:
+            mask |= 1 << c
+    except ValueError:  # a negative shift count
+        raise InvalidInstance("colors must be nonnegative integers") from None
     return mask
 
 
@@ -114,14 +101,24 @@ def shifted_masks(mask: int, g: int) -> list[int]:
     return [mask << d for d in range(g + 1)] + [mask >> d for d in range(1, g + 1)]
 
 
-def masks_conflict(shifted: Sequence[int], mask2: int, tau: int) -> bool:
-    """tau_g_conflict(c1, c2, tau, g) from shifted_masks(mask of c1, g) and
-    the mask of c2, for color sets without repeated colors.
+def proximity_count(shifted: Sequence[int], mask2: int) -> int:
+    """Pairs (x, y) in c1 x c2 with |x - y| <= g, from shifted_masks(mask
+    of c1, g) and the mask of c2: sum_{d=-g..g} popcount(shift(c1, d) & c2).
 
-    sum_{x in c1} mu_g(x, c2) = sum_{d=-g..g} popcount(shift(c1, d) & c2),
-    so the test is 2g+1 ANDs and popcounts.
+    This is the one conflict kernel; a single color x is the set {x}.
     """
-    return sum((s & mask2).bit_count() for s in shifted) >= tau
+    return sum((s & mask2).bit_count() for s in shifted)
+
+
+def masks_conflict(shifted: Sequence[int], mask2: int, tau: int) -> bool:
+    """Whether the color sets behind the two masks tau&g-conflict."""
+    return proximity_count(shifted, mask2) >= tau
+
+
+def tau_g_conflict(c1: Iterable[int], c2: Iterable[int], tau: int, g: int) -> bool:
+    """Whether at least tau pairs of colors (x in c1, y in c2) have
+    |x - y| <= g.  Symmetric in (c1, c2)."""
+    return masks_conflict(shifted_masks(color_mask(c1), g), color_mask(c2), tau)
 
 
 def psi_g_member(
@@ -136,9 +133,11 @@ def psi_g_member(
     True iff at least tau' distinct members of K_1 each tau&g-conflict
     with some member of K_2.  Not symmetric.
     """
+    masks2 = [color_mask(c2) for c2 in k2]
     hits = 0
     for c1 in k1:
-        if any(tau_g_conflict(c1, c2, tau, g) for c2 in k2):
+        shifted = shifted_masks(color_mask(c1), g)
+        if any(masks_conflict(shifted, m2, tau) for m2 in masks2):
             hits += 1
             if hits >= tau_prime:
                 return True
@@ -286,8 +285,8 @@ def _member_hits(
     """Which members of each assigned family one candidate set tau&g-conflicts with.
 
     Returns (j, bitmask over the members of family j) for every family j
-    with at least one hit.  Each conflict test is the popcount identity
-    of masks_conflict, inlined.
+    with at least one hit.  Each conflict test is proximity_count, inlined:
+    this is the hot path of the type-table search.
     """
     shifted = shifted_masks(mask, g)
     hits = []

@@ -80,22 +80,9 @@ class ColoredGraph:
             adj[u].append(v)
             adj[v].append(u)
 
-        out: Optional[tuple[tuple[int, ...], ...]] = None
+        out = None
         if orientation is not None:
-            directed = list(orientation)
-            seen: set[tuple[int, int]] = set()
-            outl: list[list[int]] = [[] for _ in range(n)]
-            for u, v in directed:
-                key = (min(u, v), max(u, v))
-                if key not in edge_set:
-                    raise InvalidGraph(f"oriented pair ({u},{v}) is not an edge")
-                if key in seen:
-                    raise InvalidGraph(f"edge {key} oriented twice")
-                seen.add(key)
-                outl[u].append(v)
-            if len(seen) != len(edge_set):
-                raise InvalidGraph("orientation does not cover every edge")
-            out = tuple(tuple(sorted(x)) for x in outl)
+            out = _orientation_out_lists(n, edge_set, orientation, InvalidGraph)
 
         if init_colors is None:
             init_colors = tuple(range(n))
@@ -274,6 +261,31 @@ class ValidityReport:
     _over: tuple[bool, ...] = field(default=(), repr=False)
 
 
+def _orientation_out_lists(
+    n: int,
+    edge_set: set[tuple[int, int]],
+    orientation: Iterable[tuple[int, int]],
+    error: type[Exception],
+) -> tuple[tuple[int, ...], ...]:
+    """Sorted out-neighbor tuples of an orientation, which must name every
+    edge of ``edge_set`` (pairs (u, v) with u < v) exactly once as a
+    directed pair; a non-edge, an edge oriented twice or an uncovered edge
+    raises ``error``."""
+    seen: set[tuple[int, int]] = set()
+    outl: list[list[int]] = [[] for _ in range(n)]
+    for u, v in orientation:
+        key = (min(u, v), max(u, v))
+        if key not in edge_set:
+            raise error(f"oriented pair ({u},{v}) is not an edge")
+        if key in seen:
+            raise error(f"edge {key} oriented twice")
+        seen.add(key)
+        outl[u].append(v)
+    if len(seen) != len(edge_set):
+        raise error("orientation does not cover every edge")
+    return tuple(tuple(sorted(x)) for x in outl)
+
+
 def _out_lists(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput):
     """Relevant-neighbor lists for the instance flavor."""
     if inst.flavor == FLAVOR_DEFECTIVE:
@@ -285,20 +297,9 @@ def _out_lists(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput):
     # arbdefective: orientation is part of the output
     if out.orientation_out is None:
         raise MissingOrientation("arbdefective output carries no orientation")
-    outl: list[list[int]] = [[] for _ in range(graph.n)]
-    seen: set[tuple[int, int]] = set()
-    edge_set = {(min(u, v), max(u, v)) for u, v in graph.edges()}
-    for u, v in out.orientation_out:
-        key = (min(u, v), max(u, v))
-        if key not in edge_set:
-            raise MissingOrientation(f"output orients non-edge ({u},{v})")
-        if key in seen:
-            raise MissingOrientation(f"output orients edge {key} twice")
-        seen.add(key)
-        outl[u].append(v)
-    if len(seen) != len(edge_set):
-        raise MissingOrientation("output orientation does not cover every edge")
-    return tuple(tuple(sorted(x)) for x in outl)
+    return _orientation_out_lists(
+        graph.n, set(graph.edges()), out.orientation_out, MissingOrientation
+    )
 
 
 def validate_ldc(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput) -> ValidityReport:

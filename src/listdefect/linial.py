@@ -227,11 +227,3 @@ def defective_linial(graph: ColoredGraph, d: int) -> tuple[ColoringOutput, Round
     """
     trace = run(graph, defective_linial_program(graph, d))
     return ColoringOutput(tuple(trace.outputs)), trace
-
-
-def defective_linial_palette(graph: ColoredGraph, d: int) -> int:
-    beta = max((graph.outdegree(v) for v in range(graph.n)), default=0)
-    if d >= beta:
-        return 1
-    _, palette = linial_schedule(graph.n, graph.max_beta(), d)
-    return palette

@@ -39,7 +39,7 @@ from .conflict import (
     build_or_load_type_table,
     color_mask,
     masks_conflict,
-    mu_g,
+    proximity_count,
     residue_restrict,
     shifted_masks,
 )
@@ -125,14 +125,12 @@ class _SingleDefectProgram:
     tau_prime: int
     g: int
     beta_max: int
-    family_by_node: dict[int, tuple[tuple[int, ...], ...]]
 
     def init(self, view):
         st = self.statics[view.node]
         state = {
             "view": view,
             "decided": {},     # out-neighbor -> color
-            "csets": {},       # out-neighbor -> C_u
             "cset_masks": {},  # out-neighbor -> color_mask(C_u)
             "classes": {},     # out-neighbor -> gamma class
             "cset": None,
@@ -155,8 +153,7 @@ class _SingleDefectProgram:
                 state["decided"][u] = msg["color"].colors[0]
             if "class" in msg:
                 state["classes"][u] = msg["class"].value
-            if "cset" in msg and u in self.family_by_node:
-                state["csets"][u] = self.family_by_node[u][msg["cset"].index]
+            if "cset" in msg:
                 state["cset_masks"][u] = self.statics[u].masks[msg["cset"].index]
 
         if round_no == 1:
@@ -222,13 +219,14 @@ class _SingleDefectProgram:
 
         if round_no == self._decision_round(st.gamma):
             undecided = [
-                u
+                state["cset_masks"][u]
                 for u in view.out_neighbors
-                if u in state["csets"] and state["classes"][u] <= st.gamma
+                if u in state["cset_masks"] and state["classes"][u] <= st.gamma
             ]
             best_x, best_f = None, None
             for x in state["cset"]:
-                f = sum(mu_g(x, state["csets"][u], self.g) for u in undecided)
+                near_x = shifted_masks(1 << x, self.g)
+                f = sum(proximity_count(near_x, m_u) for m_u in undecided)
                 f += sum(
                     1
                     for u in view.out_neighbors
@@ -313,15 +311,11 @@ def _run_single_defect(
     k_by_class = {i: (1 << i) * tau for i in range(1, h + 1)}
     k_prime = (1 << h) * tau_prime
     table = build_or_load_type_table(params, types, k_by_class, k_prime)
-    family_by_node: dict[int, tuple[tuple[int, ...], ...]] = {}
-    masks_of: dict[NodeType, tuple[int, ...]] = {}  # one mask tuple per family
+    # one mask tuple per family
+    masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
     for v, t in zip(classed, types):
-        fam = table.family_of(t)
-        statics[v].family = fam
-        if t not in masks_of:
-            masks_of[t] = tuple(map(color_mask, fam))
+        statics[v].family = table.family_of(t)
         statics[v].masks = masks_of[t]
-        family_by_node[v] = fam
 
     program = _SingleDefectProgram(
         statics=statics,
@@ -331,7 +325,6 @@ def _run_single_defect(
         tau_prime=tau_prime,
         g=g,
         beta_max=beta_max,
-        family_by_node=family_by_node,
     )
     inst = LdcInstance.build(
         color_space,

@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .conflict import ConflictParams, NodeType, build_or_load_type_table, tau_of
+from .conflict import (
+    ConflictParams, NodeType, build_or_load_type_table, color_mask, proximity_count, tau_of
+)
 from .errors import (
     InvalidInstance,
     ListTooSmall,
@@ -118,9 +120,8 @@ class _TwoPhaseNode:
     defect: int = 0
     gamma: int = 0
     cset: tuple[int, ...] = ()
-    family: tuple[tuple[int, ...], ...] = ()
-    known_types: dict = field(default_factory=dict)    # u -> (class, list)
-    known_csets: dict = field(default_factory=dict)    # u -> C_u
+    known_types: dict = field(default_factory=dict)    # u -> (class, list, init color)
+    known_csets: dict = field(default_factory=dict)    # u -> color_mask(C_u)
     known_colors: dict = field(default_factory=dict)   # u -> final color
     audit: tuple = ()
 
@@ -222,22 +223,21 @@ def two_phase_oldc(
             continue
         for v in members:
             node = nodes[v]
-            lower_claims: dict[int, int] = {}
-            d_total = 0
-            for u, c_u in node.known_csets.items():
-                if u in graph.out_neighbors[v] and budget.classes.get(u, h + 1) < i:
-                    d_total += len(c_u)
-                    for x in c_u:
-                        if x in node.colors:
-                            lower_claims[x] = lower_claims.get(x, 0) + 1
-            bad = tuple(
-                x for x in node.colors if 4 * lower_claims.get(x, 0) > node.defect
+            lower = [
+                m_u
+                for u, m_u in node.known_csets.items()
+                if u in graph.out_neighbors[v] and budget.classes[u] < i
+            ]
+            d_total = sum(m_u.bit_count() for m_u in lower)
+            # a color is bad when over d/4 lower-class candidate sets claim it
+            keep = tuple(
+                x for x in node.colors if 4 * sum(m_u >> x & 1 for m_u in lower) <= node.defect
             )
-            if len(bad) * (node.defect + 1) > 4 * d_total:
+            n_bad = len(node.colors) - len(keep)
+            if n_bad * (node.defect + 1) > 4 * d_total:
                 raise NodeFailure(
-                    f"bad-color bound violated: |B|={len(bad)} D={d_total}", node=v
+                    f"bad-color bound violated: |B|={n_bad} D={d_total}", node=v
                 )
-            keep = tuple(x for x in node.colors if x not in set(bad))
             k_i = (1 << i) * tau
             if len(keep) < k_i:
                 raise ListTooSmall(
@@ -268,27 +268,25 @@ def two_phase_oldc(
             {i: (1 << i) * tau},
             (1 << i) * tau_prime,
         )
+        masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
         cset_msgs = {}
         for v in members:
             node = nodes[v]
             fam = table.family_of(class_types[v])
-            node.family = fam
-            peers = [
-                u
-                for u in graph.out_neighbors[v]
-                if node.known_types.get(u, (None,))[0] == i
-            ]
-            peer_fams = [
-                table.family_of(NodeType(node.known_types[u][2], node.known_types[u][1], i))
-                for u in peers
+            peer_masks = [
+                masks_of[NodeType(init, lst, i)]
+                for cls, lst, init in (
+                    node.known_types.get(u, (None,) * 3) for u in graph.out_neighbors[v]
+                )
+                if cls == i
             ]
             best_idx, best_d = 0, None
-            for idx, cand in enumerate(fam):
-                cand_set = set(cand)
+            # g = 0, so a candidate set's one shifted mask is its own mask
+            for idx, cand in enumerate(masks_of[class_types[v]]):
                 d_c = sum(
                     1
-                    for pf in peer_fams
-                    if any(len(cand_set & set(c2)) >= tau for c2 in pf)
+                    for masks in peer_masks
+                    if any(proximity_count((cand,), m2) >= tau for m2 in masks)
                 )
                 if best_d is None or d_c < best_d:
                     best_idx, best_d = idx, d_c
@@ -310,8 +308,7 @@ def two_phase_oldc(
         for v in machinery:
             for u, msg in delivered[v].items():
                 cls, lst, init = nodes[v].known_types[u]
-                fam_u = table.family_of(NodeType(init, lst, cls))
-                nodes[v].known_csets[u] = fam_u[msg["cset"].index]
+                nodes[v].known_csets[u] = masks_of[NodeType(init, lst, cls)][msg["cset"].index]
 
     # Phase II, descending classes
     colors: dict[int, int] = dict(predecided)
@@ -322,25 +319,20 @@ def two_phase_oldc(
         color_msgs = {}
         for v in members:
             node = nodes[v]
-            cset = set(node.cset)
-            star = [
-                u
+            c_v = (color_mask(node.cset),)
+            # same-class out-neighbors: C_u overlaps C_v in under tau colors
+            # (star, counted in the multiset) or in tau or more (ignored)
+            overlap = {
+                u: proximity_count(c_v, node.known_csets[u])
                 for u in graph.out_neighbors[v]
                 if budget.classes.get(u) == i
-                and len(set(node.known_csets[u]) & cset) < tau
-            ]
-            ignored = sum(
-                1
-                for u in graph.out_neighbors[v]
-                if budget.classes.get(u) == i
-                and len(set(node.known_csets[u]) & cset) >= tau
-            )
+            }
+            star = [u for u, o in overlap.items() if o < tau]
+            ignored = len(overlap) - len(star)
             decided_hits = {
                 u: c for u, c in node.known_colors.items() if u in graph.out_neighbors[v]
             }
-            multiset = len(decided_hits) + sum(
-                len(set(node.known_csets[u]) & cset) for u in star
-            )
+            multiset = len(decided_hits) + sum(overlap[u] for u in star)
             if 2 * multiset >= (1 << i) * (node.defect + 1) * tau:
                 raise NodeFailure(
                     f"phase-II multiset bound fails: {multiset}", node=v
@@ -348,7 +340,7 @@ def two_phase_oldc(
             best_x, best_f = None, None
             for x in node.cset:
                 f_x = sum(1 for c in decided_hits.values() if c == x)
-                f_x += sum(1 for u in star if x in node.known_csets[u])
+                f_x += sum(node.known_csets[u] >> x & 1 for u in star)
                 if best_f is None or f_x < best_f:
                     best_x, best_f = x, f_x
             if 2 * best_f > node.defect:
@@ -356,9 +348,9 @@ def two_phase_oldc(
                     f"phase-II frequency bound fails: {best_f} > d/2", node=v
                 )
             lower_hits = sum(
-                1
+                node.known_csets[u] >> best_x & 1
                 for u in graph.out_neighbors[v]
-                if budget.classes.get(u, h + 1) < i and best_x in node.known_csets[u]
+                if budget.classes.get(u, h + 1) < i
             )
             if 4 * lower_hits > node.defect:
                 raise NodeFailure(f"lower-class budget exceeded: {lower_hits}", node=v)

@@ -39,7 +39,7 @@ from .graphs import (
     LdcInstance,
     validate_ldc,
 )
-from .linial import defective_linial, defective_linial_palette, linial_coloring
+from .linial import linial_coloring
 from .oldc_basic import OldcConfig, multi_defect_oldc
 from .oldc_main import MainConfig, main_oldc
 from .oracle import sequential_arbdefective, sequential_ldc
@@ -248,17 +248,6 @@ def _reduce_level(
     return output, trace
 
 
-def preset_time(
-    graph: ColoredGraph, inst: LdcInstance, inner: InnerSolver
-) -> tuple[ColoringOutput, RoundTrace]:
-    """Branching factor 2**ceil(sqrt(log2 beta * log2 kappa)) (time preset)."""
-    beta = graph.max_beta()
-    kl = max(2.0, inner.kappa)
-    exponent = math.ceil(math.sqrt(max(1.0, math.log2(max(2, beta))) * math.log2(kl)))
-    p = max(2, min(2**exponent, len(inst.color_space)))
-    return space_reduced_oldc(graph, inst, p, inner)
-
-
 def preset_message(
     graph: ColoredGraph, inst: LdcInstance, inner: InnerSolver, r: int
 ) -> tuple[ColoringOutput, RoundTrace]:
@@ -284,19 +273,14 @@ def arbdefective_subroutine(
 ) -> tuple[ColoringOutput, RoundTrace]:
     """A delta-arbdefective q-coloring with an explicit orientation.
 
-    Requires q*(delta+1) > max degree.  When the graph carries an
-    orientation whose defective coloring already fits q colors, the
-    distributed defective variant is used; otherwise the doubled-defect
-    sequential route (which always applies here).
+    Requires q*(delta+1) > max degree.  The coloring is centralized: the
+    doubled-defect sequential route (``sequential_arbdefective``), which
+    always applies under that condition, in 0 rounds.  An orientation the
+    graph carries is ignored.
     """
     delta_max = graph.max_degree()
     if q * (delta + 1) <= delta_max:
         raise ConditionViolated(f"q(delta+1)={q*(delta+1)} <= max degree {delta_max}")
-    if graph.out_neighbors is not None and defective_linial_palette(graph, delta) <= q:
-        out, trace = defective_linial(graph, delta)
-        oriented = tuple(graph.oriented_edges())
-        out = ColoringOutput(out.colors, oriented)
-        return out, trace
     # every node shares one list and one defect map
     palette = tuple(range(q))
     uniform = {x: delta for x in palette}

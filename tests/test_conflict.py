@@ -15,7 +15,6 @@ from listdefect import (
     bound_d1_d2,
     build_or_load_type_table,
     build_type_table,
-    mu_g,
     psi_g_member,
     residue_restrict,
     tau_g_conflict,
@@ -25,6 +24,7 @@ from listdefect.conflict import (
     color_mask,
     colex_combinations,
     masks_conflict,
+    proximity_count,
     shifted_masks,
     table_cache_key,
     tau_of,
@@ -32,11 +32,34 @@ from listdefect.conflict import (
 )
 
 
+# -- pairwise references for the mask kernel --------------------------------------
+
+
+def mu_g_ref(x, colors, g):
+    """Number of colors in the set within distance g of x."""
+    return sum(1 for c in colors if abs(x - c) <= g)
+
+
+def tau_g_ref(c1, c2, tau, g):
+    """The pairwise tau&g conflict: sum over x in c1 of mu_g(x, c2) >= tau."""
+    return sum(mu_g_ref(x, c2, g) for x in c1) >= tau
+
+
+def _near(x, colors, g):
+    """mu_g(x, colors) through the mask kernel."""
+    return proximity_count(shifted_masks(1 << x, g), color_mask(colors))
+
+
 def test_mu_examples():
-    assert mu_g(5, {1, 4, 7, 10}, 2) == 2
-    assert mu_g(9, {9}, 0) == 1
-    assert mu_g(9, {8}, 0) == 0
-    assert mu_g(9, (), 3) == 0
+    for x, colors, g, want in [(5, {1, 4, 7, 10}, 2, 2), (9, {9}, 0, 1), (9, {8}, 0, 0), (9, (), 3, 0)]:
+        assert mu_g_ref(x, colors, g) == want
+        assert _near(x, colors, g) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), st.frozensets(st.integers(0, 60), max_size=10), st.integers(0, 4))
+def test_single_color_kernel_matches_mu_g_ref(x, colors, g):
+    assert _near(x, colors, g) == mu_g_ref(x, colors, g)
 
 
 def test_tau_conflict_examples():
@@ -67,11 +90,27 @@ def test_tau_conflict_symmetric(c1, c2, tau, g):
     st.integers(0, 4),
 )
 def test_mask_kernel_matches_tau_g_conflict(c1, c2, tau, g):
-    """The shifted-AND popcount kernel decides exactly what the mu_g sum does."""
+    """The shifted-AND popcount kernel and the public predicate decide
+    exactly what the pairwise mu_g sum does."""
     m1, m2 = color_mask(c1), color_mask(c2)
-    expected = tau_g_conflict(tuple(c1), tuple(c2), tau, g)
+    expected = tau_g_ref(c1, c2, tau, g)
     assert masks_conflict(shifted_masks(m1, g), m2, tau) == expected
     assert masks_conflict(shifted_masks(m2, g), m1, tau) == expected
+    assert tau_g_conflict(tuple(c1), tuple(c2), tau, g) == expected
+    assert tau_g_conflict(tuple(c2), tuple(c1), tau, g) == expected
+
+
+def test_negative_color_is_an_invalid_instance():
+    with pytest.raises(InvalidInstance):
+        color_mask((3, -1))
+    with pytest.raises(InvalidInstance):
+        tau_g_conflict((1, 2), (-2, 5), tau=1, g=1)
+    with pytest.raises(InvalidInstance):
+        tau_g_conflict((-1,), (5,), tau=1, g=0)
+    with pytest.raises(InvalidInstance):
+        psi_g_member(((0, 1),), ((2, -3),), tau_prime=1, tau=1, g=0)
+    with pytest.raises(InvalidInstance):
+        psi_g_member(((-4, 1),), ((2, 3),), tau_prime=1, tau=1, g=0)
 
 
 def test_psi_examples():

@@ -8,6 +8,8 @@ tests regenerate both and compare bytes.  After an intended output
 change, rewrite them with
 
     PYTHONPATH=src python tests/test_determinism_corpus.py
+
+which also prints every corpus entry and sweep row that changed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import io
 import json
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from conftest import blockspread_instance, random_dag
@@ -129,8 +132,40 @@ def test_sweep_csv_is_byte_identical(tmp_path):
     assert sweep_csv(tmp_path) == SWEEP_CSV.read_bytes()
 
 
+def test_report_changes_names_each_changed_entry_and_row():
+    old = {"a": {"seq": {"exit": 0}, "linial": {"exit": 0}}}
+    new = {"a": {"seq": {"exit": 0}, "linial": {"exit": 3}}, "b": {"seq": {"exit": 0}}}
+    assert report_changes(old, new, "h\nx,1\ny,2\n", "h\nx,1\ny,3\nz,4\n") == [
+        "corpus a linial: {'exit': 0} -> {'exit': 3}",
+        "corpus b seq: None -> {'exit': 0}",
+        "sweep line 3: y,2 -> y,3",
+        "sweep line 4: None -> z,4",
+    ]
+    assert report_changes(old, old, "h\n", "h\n") == []
+
+
+def report_changes(old_corpus: dict, corpus: dict, old_sweep: str, sweep: str) -> list[str]:
+    """One line per corpus entry and per sweep row that differs."""
+    lines = []
+    for name in sorted(old_corpus.keys() | corpus.keys()):
+        old, new = old_corpus.get(name, {}), corpus.get(name, {})
+        for label in sorted(old.keys() | new.keys()):
+            if old.get(label) != new.get(label):
+                lines.append(f"corpus {name} {label}: {old.get(label)} -> {new.get(label)}")
+    rows = zip_longest(old_sweep.splitlines(), sweep.splitlines())
+    for no, (old_row, row) in enumerate(rows, 1):
+        if old_row != row:
+            lines.append(f"sweep line {no}: {old_row} -> {row}")
+    return lines
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
+    old_corpus = json.loads(RUN_CORPUS.read_text()) if RUN_CORPUS.exists() else {}
+    old_sweep = SWEEP_CSV.read_text() if SWEEP_CSV.exists() else ""
     with tempfile.TemporaryDirectory() as tmp:
-        RUN_CORPUS.write_bytes(_corpus_bytes(run_corpus(Path(tmp))))
-        SWEEP_CSV.write_bytes(sweep_csv(Path(tmp)))
+        corpus = run_corpus(Path(tmp))
+        sweep = sweep_csv(Path(tmp))
+    RUN_CORPUS.write_bytes(_corpus_bytes(corpus))
+    SWEEP_CSV.write_bytes(sweep)
+    print("\n".join(report_changes(old_corpus, corpus, old_sweep, sweep.decode())) or "no changes")

@@ -69,6 +69,32 @@ def test_graph_construction_rejects_junk():
         ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1)])
 
 
+# a path 0 - 1 - 2: three broken orientations of it and their messages
+_BAD_ORIENTATIONS = {
+    "non-edge": ([(0, 1), (1, 2), (0, 2)], "not an edge"),
+    "twice": ([(0, 1), (1, 2), (2, 1)], "oriented twice"),
+    "incomplete": ([(0, 1)], "does not cover"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ORIENTATIONS))
+def test_graph_build_rejects_a_bad_orientation(case):
+    orientation, message = _BAD_ORIENTATIONS[case]
+    with pytest.raises(InvalidGraph, match=message):
+        ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=orientation)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ORIENTATIONS))
+def test_validate_rejects_a_bad_output_orientation(case):
+    g = ColoredGraph.build(3, [(0, 1), (1, 2)], init_colors=[0, 1, 0], m=2)
+    arb = LdcInstance.build([5], [[5]] * 3, [{5: 2}] * 3, flavor="arbdefective")
+    good = ColoringOutput((5, 5, 5), ((1, 0), (1, 2)))
+    assert validate_ldc(g, arb, good).valid
+    orientation, message = _BAD_ORIENTATIONS[case]
+    with pytest.raises(MissingOrientation, match=message):
+        validate_ldc(g, arb, ColoringOutput((5, 5, 5), tuple(orientation)))
+
+
 def test_beta_floors_at_one():
     g = ColoredGraph.build(2, [(0, 1)], orientation=[(0, 1)])
     assert g.outdegree(1) == 0

@@ -11,13 +11,13 @@ from listdefect import (
     gamma_class_of,
     multi_defect_oldc,
     single_defect_oldc,
-    tau_g_conflict,
     validate_ldc,
 )
 from listdefect import oldc_basic
 from listdefect.errors import NodeFailure
 
 from conftest import random_dag, uniform_instance
+from test_conflict import mu_g_ref, tau_g_ref
 
 SCALED = OldcConfig(alpha=1.0, scale_override=(2, 2))
 
@@ -164,13 +164,19 @@ def test_determinism():
 
 class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
     """The library program, with its P1 selection (round 2) and P1 check
-    (round 3) recomputed from tau_g_conflict over the color tuples."""
+    (round 3) and its color choice (decision round) recomputed with the
+    pairwise references over the color tuples.  A received C_u is read as
+    statics[u].family[index]."""
 
     checked: list = []  # one row per recomputed selection or check
 
     def step(self, state, inbox, round_no):
         view = state["view"]
         st = self.statics[view.node]
+        ref = state.setdefault("ref_csets", {})  # out-neighbor -> C_u
+        for u, msg in inbox.items():
+            if "cset" in msg:
+                ref[u] = self.statics[u].family[msg["cset"].index]
         try:
             state, outbox, out = super().step(state, inbox, round_no)
         except NodeFailure as exc:
@@ -187,7 +193,7 @@ class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
                 sum(
                     1
                     for u in peers
-                    if any(tau_g_conflict(cand, c2, self.tau, self.g) for c2 in self.family_by_node[u])
+                    if any(tau_g_ref(cand, c2, self.tau, self.g) for c2 in self.statics[u].family)
                 )
                 for cand in st.family
             ]
@@ -196,15 +202,27 @@ class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
         if round_no == 3 and st.skip_color is None:
             assert 2 * self._pairwise_conflicts(state, st) <= st.defect
             self.checked.append(("P1 check",))
+        if out is not None and st.skip_color is None:
+            undecided = [
+                c_u for u, c_u in ref.items()
+                if u in view.out_neighbors and state["classes"][u] <= st.gamma
+            ]
+            decided = [c for u, c in state["decided"].items() if u in view.out_neighbors]
+            freq = [
+                sum(mu_g_ref(x, c_u, self.g) for c_u in undecided) + mu_g_ref(x, decided, self.g)
+                for x in state["cset"]
+            ]
+            assert out == state["cset"][freq.index(min(freq))]
+            self.checked.append(("frequency",))
         return state, outbox, out
 
     def _pairwise_conflicts(self, state, st):
         return sum(
             1
-            for u, c_u in state["csets"].items()
+            for u, c_u in state["ref_csets"].items()
             if u in state["view"].out_neighbors
             and state["classes"][u] <= st.gamma
-            and tau_g_conflict(c_u, state["cset"], self.tau, self.g)
+            and tau_g_ref(c_u, state["cset"], self.tau, self.g)
         )
 
 
@@ -230,3 +248,4 @@ def test_p1_bitset_kernel_matches_pairwise_conflicts(monkeypatch):
     # some selections had a real choice: candidate sets with different conflict counts
     assert any(low < high for _, low, high in selections)
     assert any(c[0] == "P1 check" for c in _PairwiseCheckedProgram.checked)
+    assert any(c[0] == "frequency" for c in _PairwiseCheckedProgram.checked)

@@ -5,6 +5,7 @@ import pytest
 
 from listdefect import (
     ClassBudget,
+    ColoredGraph,
     FailFast,
     LdcInstance,
     MainConfig,
@@ -14,7 +15,7 @@ from listdefect import (
     two_phase_oldc,
     validate_ldc,
 )
-from listdefect.errors import InvalidInstance
+from listdefect.errors import InvalidInstance, NodeFailure
 
 from conftest import random_dag
 
@@ -112,6 +113,51 @@ def test_two_phase_empty_bad_colors_with_disjoint_lower():
     for (v, lower, ignored, star) in trace.audit:
         if classes.get(v) == 2:
             assert lower == 0  # disjoint colors: no bad-color pressure
+
+
+def _claimed_star(d):
+    """Center 0 (class 2, defect d) points at four class-1 sinks; sink j's
+    list starts with 2j, 2j+1, so its candidate set claims those colors of
+    the center's list 0..15 once each."""
+    edges = [(0, u) for u in range(1, 5)]
+    g = ColoredGraph.build(5, edges, orientation=edges)
+    lists = [list(range(16))] + [
+        [2 * j, 2 * j + 1, *range(100 + 10 * j, 110 + 10 * j)] for j in range(4)
+    ]
+    budget = ClassBudget(
+        classes={0: 2, 1: 1, 2: 1, 3: 1, 4: 1}, defects={0: d, 1: 3, 2: 3, 3: 3, 4: 3}, h=2, q=1
+    )
+    return two_phase_oldc(g, range(150), lists, budget, OldcConfig(alpha=0.25, scale_override=(1, 2)))
+
+
+def test_two_phase_lower_class_claims_by_hand():
+    # d = 3: one claim is over d/4, so colors 0..7 are bad (|B| = 8, D = 8,
+    # 8 * 4 <= 4 * 8) and the center takes 8 from what is left
+    out, trace = _claimed_star(3)
+    assert out.colors == (8, 0, 2, 4, 6)
+    assert trace.audit[0] == (0, 0, 0, 0)
+    # d = 4: one claim is exactly d/4 and keeps the color; the center takes
+    # 0, which the lower-class candidate set {0, 1} of sink 1 claims
+    out, trace = _claimed_star(4)
+    assert out.colors == (0, 0, 2, 4, 6)
+    assert trace.audit[0] == (0, 1, 0, 0)
+
+
+def test_two_phase_same_class_overlap_is_ignored_by_hand():
+    # single-member families {0, 1} and {1, 5} overlap in tau = 1 color, so
+    # the center ignores its same-class out-neighbor; the phase-I average
+    # bound 4 * beta_same * (tau' - 1) < (d + 1) * |K| needs d >= 4
+    g = ColoredGraph.build(2, [(0, 1)], orientation=[(0, 1)])
+    cfg = OldcConfig(alpha=0.25, scale_override=(1, 2))
+    for d, want in [(3, None), (4, (0, 1))]:
+        budget = ClassBudget(classes={0: 1, 1: 1}, defects={0: d, 1: d}, h=1, q=1)
+        if want is None:
+            with pytest.raises(NodeFailure, match="average bound"):
+                two_phase_oldc(g, range(8), [[0, 1], [1, 5]], budget, cfg)
+            continue
+        out, trace = two_phase_oldc(g, range(8), [[0, 1], [1, 5]], budget, cfg)
+        assert out.colors == want
+        assert trace.audit == [(0, 0, 1, 0), (1, 0, 0, 0)]
 
 
 def test_main_case2_trivial_stage1():

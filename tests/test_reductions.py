@@ -15,6 +15,7 @@ from listdefect import (
     arbdefective_subroutine,
     congest_pipeline,
     degree_halving_framework,
+    linial_schedule,
     preset_message,
     space_reduced_oldc,
     validate_ldc,
@@ -95,13 +96,22 @@ def test_space_reduction_distributed_messages_shrink():
     assert done >= 4
 
 
-def test_preset_time_runs():
-    from listdefect import preset_time
-
-    g = random_dag(10, 2, 0.3, seed=11)
-    inst = blockspread_instance(g, seed=11)
-    out, trace = preset_time(g, inst, OracleInner())
-    assert validate_ldc(g, inst, out).valid
+def test_arbdefective_subroutine_on_an_oriented_dag_is_sequential():
+    # an oriented DAG whose defective Linial palette (n = 8: no round
+    # shrinks it) fits q = 8; the decomposition is still sequential
+    graph = make_graph("random-dag", 8, 4, seed=1)
+    q, delta = 8, 0
+    assert graph.out_neighbors is not None and graph.max_degree() < q
+    assert linial_schedule(graph.n, graph.max_beta(), delta) == ([], q)
+    out, trace = arbdefective_subroutine(graph, q, delta)
+    palette = list(range(q))
+    inst = LdcInstance.build(
+        palette, [palette] * graph.n, [dict.fromkeys(palette, delta)] * graph.n,
+        flavor="arbdefective",
+    )
+    assert validate_ldc(graph, inst, out).valid
+    assert trace.rounds_elapsed == 0 and trace.max_message_bits == []
+    assert trace.outputs == list(out.colors)
 
 
 def test_arbdefective_subroutine_k5():
