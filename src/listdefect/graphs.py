@@ -10,8 +10,9 @@ formulas never divide by zero even for sinks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -79,10 +80,11 @@ class ColoredGraph:
             edge_set.add(key)
             adj[u].append(v)
             adj[v].append(u)
+        adjacency = tuple(tuple(sorted(x)) for x in adj)
 
         out = None
         if orientation is not None:
-            out = _orientation_out_lists(n, edge_set, orientation, InvalidGraph)
+            out = _orientation_out_lists(adjacency, orientation, InvalidGraph)
 
         if init_colors is None:
             init_colors = tuple(range(n))
@@ -93,7 +95,7 @@ class ColoredGraph:
                 raise InvalidGraph("init_colors length mismatch")
             m_eff = (max(init_colors) + 1 if n else 0) if m is None else m
         for u in range(n):
-            for v in adj[u]:
+            for v in adjacency[u]:
                 if u < v and init_colors[u] == init_colors[v]:
                     raise InvalidGraph(f"init coloring not proper on edge ({u},{v})")
             if n and not (0 <= init_colors[u] < m_eff):
@@ -101,7 +103,7 @@ class ColoredGraph:
 
         return ColoredGraph(
             n=n,
-            adjacency=tuple(tuple(sorted(x)) for x in adj),
+            adjacency=adjacency,
             out_neighbors=out,
             init_colors=init_colors,
             m=max(1, m_eff),
@@ -201,15 +203,20 @@ class LdcInstance:
             raise InvalidInstance(
                 f"{len(self.defects)} defect maps for {len(self.lists)} lists"
             )
-        for v, lst in enumerate(self.lists):
+        last_list = last_defects = None
+        for v, (lst, dv) in enumerate(zip(self.lists, self.defects)):
+            # a run of nodes sharing one list and one defect map is checked once
+            if lst is last_list and dv is last_defects:
+                continue
+            last_list, last_defects = lst, dv
             colors = set(lst)
             if len(colors) != len(lst):
                 raise InvalidInstance(f"list of node {v} has duplicates")
             if not colors <= space:
                 raise InvalidInstance(f"list of node {v} leaves the color space")
-            if self.defects[v].keys() != colors:
+            if dv.keys() != colors:
                 raise InvalidInstance(f"defect domain of node {v} differs from its list")
-            if min(self.defects[v].values(), default=0) < 0:
+            if min(dv.values(), default=0) < 0:
                 raise InvalidInstance(f"negative defect at node {v}")
 
     @staticmethod
@@ -262,26 +269,37 @@ class ValidityReport:
 
 
 def _orientation_out_lists(
-    n: int,
-    edge_set: set[tuple[int, int]],
+    adjacency: tuple[tuple[int, ...], ...],
     orientation: Iterable[tuple[int, int]],
     error: type[Exception],
 ) -> tuple[tuple[int, ...], ...]:
     """Sorted out-neighbor tuples of an orientation, which must name every
-    edge of ``edge_set`` (pairs (u, v) with u < v) exactly once as a
-    directed pair; a non-edge, an edge oriented twice or an uncovered edge
-    raises ``error``."""
-    seen: set[tuple[int, int]] = set()
+    edge of the graph with sorted neighbor tuples ``adjacency`` exactly
+    once as a directed pair; a non-edge, an edge oriented twice or an
+    uncovered edge raises ``error``.
+
+    Edge {a, b} with a < b is found by bisecting ``adjacency[a]`` and is
+    marked at a's offset plus b's index there, so the check costs
+    O(m log max degree) and builds no edge set.
+    """
+    n = len(adjacency)
+    offset = list(accumulate(map(len, adjacency), initial=0))
+    marked = bytearray(offset[-1])
+    covered = 0
     outl: list[list[int]] = [[] for _ in range(n)]
     for u, v in orientation:
-        key = (min(u, v), max(u, v))
-        if key not in edge_set:
+        a, b = (u, v) if u < v else (v, u)
+        nbrs = adjacency[a] if 0 <= a and b < n else ()
+        i = bisect_left(nbrs, b)
+        if i == len(nbrs) or nbrs[i] != b:
             raise error(f"oriented pair ({u},{v}) is not an edge")
-        if key in seen:
-            raise error(f"edge {key} oriented twice")
-        seen.add(key)
+        i += offset[a]
+        if marked[i]:
+            raise error(f"edge {(a, b)} oriented twice")
+        marked[i] = 1
+        covered += 1
         outl[u].append(v)
-    if len(seen) != len(edge_set):
+    if 2 * covered != offset[-1]:
         raise error("orientation does not cover every edge")
     return tuple(tuple(sorted(x)) for x in outl)
 
@@ -297,9 +315,7 @@ def _out_lists(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput):
     # arbdefective: orientation is part of the output
     if out.orientation_out is None:
         raise MissingOrientation("arbdefective output carries no orientation")
-    return _orientation_out_lists(
-        graph.n, set(graph.edges()), out.orientation_out, MissingOrientation
-    )
+    return _orientation_out_lists(graph.adjacency, out.orientation_out, MissingOrientation)
 
 
 def validate_ldc(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput) -> ValidityReport:

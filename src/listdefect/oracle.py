@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from .errors import CapExceeded, ConditionViolated, InvalidInstance
 from .graphs import (
     FLAVOR_ARBDEFECTIVE,
-    FLAVOR_DEFECTIVE,
     FLAVOR_ORIENTED,
     ColoredGraph,
     ColoringOutput,
@@ -85,9 +84,19 @@ def sequential_ldc(
     """
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
+    return _recolor(graph, inst.lists, inst.defects)
+
+
+def _recolor(
+    graph: ColoredGraph,
+    lists: tuple[tuple[int, ...], ...],
+    defects: Sequence[Mapping[int, int]],
+) -> tuple[ColoringOutput, RecoloringStats]:
+    """The recoloring walk of ``sequential_ldc`` on bare lists and defect
+    maps, so that ``sequential_arbdefective`` solves its doubled defects
+    without building and validating an instance for them."""
     n = graph.n
     adjacency = graph.adjacency
-    lists, defects = inst.lists, inst.defects
     cond = [sum(defects[v].values()) + len(defects[v]) > len(adjacency[v]) for v in range(n)]
     if not all(cond):
         bad = cond.index(False)
@@ -216,14 +225,8 @@ def sequential_arbdefective(
         if 2 * sum(dv.values()) + len(dv) <= graph.degree(v):
             raise ConditionViolated(f"existence condition fails at node {v}")
 
-    doubled = LdcInstance(
-        inst.color_space,
-        inst.lists,
-        tuple({x: 2 * d for x, d in dv.items()} for dv in inst.defects),
-        FLAVOR_DEFECTIVE,
-        0,
-    )
-    out, stats = sequential_ldc(graph, doubled)
+    doubled = [{x: 2 * d for x, d in dv.items()} for dv in inst.defects]
+    out, stats = _recolor(graph, inst.lists, doubled)
     colors = out.colors
 
     # monochromatic edges in edges() order, then the virtual pairs of each

@@ -281,7 +281,7 @@ def arbdefective_subroutine(
     delta_max = graph.max_degree()
     if q * (delta + 1) <= delta_max:
         raise ConditionViolated(f"q(delta+1)={q*(delta+1)} <= max degree {delta_max}")
-    # every node shares one list and one defect map
+    # every node shares one list and one defect map, checked once
     palette = tuple(range(q))
     uniform = {x: delta for x in palette}
     inst = LdcInstance(
@@ -357,7 +357,9 @@ def degree_halving_framework(
     least half the stage degree uncolored; the residual lists always
     satisfy the inner solver's sequential condition, so with the oracle
     fallback every stage completes and the uncolored maximum degree at
-    least halves.  A batch on which ``inner`` fails fast is solved by
+    least halves.  A batch with no edges needs no communication: each of
+    its nodes takes the smallest color of its residual list in 0 rounds,
+    without ``inner``.  A batch on which ``inner`` fails fast is solved by
     the oracle instead.  The returned orientation covers every edge:
     within an inner batch it follows the decomposition, across batches
     it points from later-colored to earlier-colored (so finished nodes
@@ -365,9 +367,9 @@ def degree_halving_framework(
     uncolored nodes resolve by coloring time.
 
     Each node's uncolored degree is a counter (``PartialColoring``) that
-    drops by one whenever a neighbor is colored, and each batch graph is
-    built once, directly from the stage graph with the decomposition's
-    orientation.
+    drops by one whenever a neighbor is colored, and the graph of a batch
+    with edges is built once, directly from the stage graph with the
+    decomposition's orientation.
     """
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
@@ -412,6 +414,27 @@ def degree_halving_framework(
                     break
         return dd, budget
 
+    def batch_residual(v: int) -> dict[int, int]:
+        dd, total = residual(v)
+        if not dd:
+            raise NodeFailure("empty residual list", node=v)
+        if total <= udeg[v]:
+            raise NodeFailure(f"residual budget {total} at uncolored degree {udeg[v]}", node=v)
+        return dd
+
+    def color_locally(nodes: list[int]) -> None:
+        """Color a batch with no edges in 0 rounds: each node takes the
+        smallest color of its residual list, as the oracle would.  No two
+        nodes are adjacent, so coloring one leaves the others' residuals
+        alone."""
+        nonlocal clock
+        for v in nodes:
+            partial.assign(graph, v, min(batch_residual(v)))
+            order_colored[v] = clock
+        clock += 1
+        uncolored.difference_update(nodes)
+        _check_partial_safety(graph, inst, partial, order_colored)
+
     while uncolored:
         stage += 1
         if stage > max_stages:
@@ -420,13 +443,7 @@ def degree_halving_framework(
         stage_graph, keep = graph.subgraph(sub_nodes)
         delta_s = stage_graph.max_degree()
         if delta_s == 0:
-            for v in sub_nodes:
-                dd, _ = residual(v)
-                assert dd, "residual condition left an empty list"
-                partial.assign(graph, v, next(iter(dd)))
-                order_colored[v] = clock
-                clock += 1
-            uncolored.clear()
+            color_locally(sub_nodes)
             rows.append(StageRow(stage, 0, len(sub_nodes), 0, 0, 0))
             break
 
@@ -456,14 +473,19 @@ def degree_halving_framework(
                 continue
             batch_nodes = [keep[i] for i in active]
             index = {i: j for j, i in enumerate(active)}
+            batch_edges = [
+                (j, index[b])
+                for j, i in enumerate(active)
+                for b in stage_graph.adjacency[i]
+                if i < b and b in index
+            ]
+            if not batch_edges:
+                color_locally(batch_nodes)
+                rows.append(StageRow(stage, cls, len(batch_nodes), delta_s, 0, 0))
+                continue
             batch_graph = ColoredGraph.build(
                 len(active),
-                [
-                    (j, index[b])
-                    for j, i in enumerate(active)
-                    for b in stage_graph.adjacency[i]
-                    if i < b and b in index
-                ],
+                batch_edges,
                 orientation=[
                     (j, index[b]) for j, i in enumerate(active) for b in dec_outn[i] if b in index
                 ],
@@ -472,13 +494,7 @@ def degree_halving_framework(
             )
             lists_b, defects_b = [], []
             for v in batch_nodes:
-                dd, total = residual(v)
-                if not dd:
-                    raise NodeFailure("empty residual list", node=v)
-                if total <= udeg[v]:
-                    raise NodeFailure(
-                        f"residual budget {total} at uncolored degree {udeg[v]}", node=v
-                    )
+                dd = batch_residual(v)
                 lists_b.append(list(dd))
                 defects_b.append(dd)
             space_b = sorted({x for l in lists_b for x in l})
@@ -603,9 +619,9 @@ def congest_pipeline(
         m=m,
     )
 
-    arb = LdcInstance(
-        inst.color_space, inst.lists, inst.defects, FLAVOR_ARBDEFECTIVE, 0
-    )
+    arb = inst
+    if inst.flavor != FLAVOR_ARBDEFECTIVE or inst.g != 0:
+        arb = LdcInstance(inst.color_space, inst.lists, inst.defects, FLAVOR_ARBDEFECTIVE, 0)
     main_cfg = MainConfig(
         alpha=config.alpha,
         stage1_scale=config.inner_scale,
@@ -616,7 +632,7 @@ def congest_pipeline(
     for r_bits in trace.max_message_bits:
         if r_bits > budget:
             raise NodeFailure(f"pipeline message of {r_bits} bits over budget {budget}")
-    if inst.flavor != FLAVOR_ARBDEFECTIVE or inst.g != 0:
+    if arb is not inst:
         # the framework solved the arbdefective g = 0 copy, which need not
         # bound the conflicts this instance counts
         report = validate_ldc(graph, inst, out)

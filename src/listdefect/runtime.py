@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Protocol, Sequence
+from itertools import repeat
+from typing import Any, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import BudgetViolation, NodeFailure, RoundLimitExceeded
 from .graphs import ColoredGraph
@@ -99,14 +100,16 @@ Message = Mapping[str, Any]
 
 def message_bits(msg: Message) -> int:
     """Canonical bit cost of a message: the sum over its fields."""
-    return sum(f.bit_cost() for f in msg.values())
+    bits = 0
+    for f in msg.values():
+        bits += f.bit_cost()
+    return bits
 
 
 # -- node programs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """What a node knows at time zero."""
 
     node: int
@@ -220,6 +223,9 @@ def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
 
 # -- the engine ---------------------------------------------------------------
 
+_NO_MESSAGE = object()
+
+
 def run(
     graph: ColoredGraph,
     program: NodeProgram,
@@ -235,17 +241,10 @@ def run(
     run with a BudgetViolation naming edge, round and size.
     """
     n = graph.n
-    views = [
-        NodeView(
-            node=v,
-            neighbors=graph.adjacency[v],
-            out_neighbors=None if graph.out_neighbors is None else graph.out_neighbors[v],
-            init_color=graph.init_colors[v],
-            m=graph.m,
-            n=n,
-        )
-        for v in range(n)
-    ]
+    outs = repeat(None) if graph.out_neighbors is None else graph.out_neighbors
+    views = list(map(NodeView._make, zip(
+        range(n), graph.adjacency, outs, graph.init_colors, repeat(graph.m), repeat(n)
+    )))
     states: list[Any] = [None] * n
     outputs: list[Any] = [None] * n
     output_round = [0] * n
@@ -288,16 +287,19 @@ def run(
             if outbox:
                 neighbors = graph.adjacency[v]
                 sizes: dict[int, int] = {}  # id(message) -> bits, for this outbox
+                last = _NO_MESSAGE  # the previous recipient's message
                 for u, msg in outbox.items():
                     if u not in neighbors:
                         raise NodeFailure(f"message to non-neighbor {u}", node=v, round_no=rnd)
-                    size = sizes.get(id(msg))
-                    if size is None:
-                        size = sizes[id(msg)] = message_bits(msg)
-                        if bits_per_message is not None and size > bits_per_message:
-                            raise BudgetViolation((v, u), rnd, size, bits_per_message)
-                        if size > round_max:
-                            round_max = size
+                    if msg is not last:
+                        last = msg
+                        size = sizes.get(id(msg))
+                        if size is None:
+                            size = sizes[id(msg)] = message_bits(msg)
+                            if bits_per_message is not None and size > bits_per_message:
+                                raise BudgetViolation((v, u), rnd, size, bits_per_message)
+                            if size > round_max:
+                                round_max = size
                     if messages is not None:
                         messages.append((rnd, v, u, size))
                     next_inboxes[u][v] = msg

@@ -7,6 +7,19 @@ import random
 from listdefect import ColoredGraph, LdcInstance
 
 
+def count_validations(monkeypatch) -> list[LdcInstance]:
+    """Record every LdcInstance that ``__post_init__`` validates from now on."""
+    seen: list[LdcInstance] = []
+    real = LdcInstance.__post_init__
+
+    def counting(self):
+        seen.append(self)
+        real(self)
+
+    monkeypatch.setattr(LdcInstance, "__post_init__", counting)
+    return seen
+
+
 def complete_graph(n: int) -> ColoredGraph:
     return ColoredGraph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 

@@ -14,7 +14,7 @@ from listdefect import (
     instance_to_json,
     validate_ldc,
 )
-from listdefect.errors import ColorNotInList
+from listdefect.errors import ColorNotInList, InvalidInstance
 
 from conftest import complete_graph
 
@@ -69,10 +69,15 @@ def test_graph_construction_rejects_junk():
         ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1)])
 
 
-# a path 0 - 1 - 2: three broken orientations of it and their messages
+# a path 0 - 1 - 2: broken orientations of it and their messages
 _BAD_ORIENTATIONS = {
     "non-edge": ([(0, 1), (1, 2), (0, 2)], "not an edge"),
+    "out-of-range": ([(0, 3), (0, 1), (1, 2)], "not an edge"),
+    # adjacency[-1] is node 2's tuple, which holds 1
+    "negative": ([(0, 1), (-1, 1), (1, 2)], "not an edge"),
     "twice": ([(0, 1), (1, 2), (2, 1)], "oriented twice"),
+    "reversed-first": ([(1, 0), (0, 1), (1, 2)], r"edge \(0, 1\) oriented twice"),
+    "same-twice": ([(1, 2), (1, 2), (0, 1)], r"edge \(1, 2\) oriented twice"),
     "incomplete": ([(0, 1)], "does not cover"),
 }
 
@@ -93,6 +98,83 @@ def test_validate_rejects_a_bad_output_orientation(case):
     orientation, message = _BAD_ORIENTATIONS[case]
     with pytest.raises(MissingOrientation, match=message):
         validate_ldc(g, arb, ColoringOutput((5, 5, 5), tuple(orientation)))
+
+
+def _edge_set_out_lists(n, edge_set, orientation, error):
+    """The orientation check as a scan against a set of (min, max) edges."""
+    seen = set()
+    outl = [[] for _ in range(n)]
+    for u, v in orientation:
+        key = (min(u, v), max(u, v))
+        if key not in edge_set:
+            raise error(f"oriented pair ({u},{v}) is not an edge")
+        if key in seen:
+            raise error(f"edge {key} oriented twice")
+        seen.add(key)
+        outl[u].append(v)
+    if len(seen) != len(edge_set):
+        raise error("orientation does not cover every edge")
+    return tuple(tuple(sorted(x)) for x in outl)
+
+
+def _outcome(fn, *args):
+    """("ok", fn's result), or the class and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except (InvalidGraph, MissingOrientation) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def faulty_orientations(draw):
+    """A random graph and an orientation of it with random faults:
+    pairs inserted (endpoints may leave the node range), pairs repeated
+    as they are or reversed, pairs dropped."""
+    n = draw(st.integers(1, 7))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    pairs = draw(st.permutations(pairs))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "repeat", "reverse", "drop"]))
+        at = draw(st.integers(0, len(pairs)))
+        if kind == "insert":
+            end = st.integers(-2, n + 1)
+            pairs.insert(at, (draw(end), draw(end)))
+        elif pairs:
+            i = draw(st.integers(0, len(pairs) - 1))
+            u, v = pairs[i]
+            if kind == "drop":
+                del pairs[i]
+            else:
+                pairs.insert(at, (u, v) if kind == "repeat" else (v, u))
+    return n, edges, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_orientations())
+def test_orientation_check_matches_the_edge_set_scan(case):
+    n, edges, pairs = case
+    expected = _outcome(_edge_set_out_lists, n, set(edges), pairs, InvalidGraph)
+    built = _outcome(lambda: ColoredGraph.build(n, edges, pairs).out_neighbors)
+    assert built == expected
+    g = ColoredGraph.build(n, edges)
+    arb = LdcInstance.build([0], [[0]] * n, [{0: n}] * n, flavor="arbdefective")
+    out = ColoringOutput((0,) * n, tuple(pairs))
+    checked = _outcome(lambda: validate_ldc(g, arb, out).valid)
+    assert checked == (("ok", True) if expected[0] == "ok" else (MissingOrientation, expected[1]))
+
+
+def test_instance_checks_each_run_of_a_shared_pair_once():
+    shared, zero = (0, 1), {0: 0, 1: 0}
+    assert LdcInstance((0, 1), (shared,) * 5, (zero,) * 5, "arbdefective").n() == 5
+    with pytest.raises(InvalidInstance, match="list of node 0 leaves"):
+        LdcInstance((0,), (shared,) * 3, (zero,) * 3)
+    # the same list with another defect map is a new pair, checked again
+    negative = {0: 0, 1: -1}
+    with pytest.raises(InvalidInstance, match="negative defect at node 3"):
+        LdcInstance((0, 1), (shared,) * 5, (zero,) * 3 + (negative, zero))
+    with pytest.raises(InvalidInstance, match="defect domain of node 2"):
+        LdcInstance((0, 1), (shared, shared, (0,)), (zero,) * 3)
 
 
 def test_beta_floors_at_one():

@@ -23,7 +23,7 @@ from listdefect import (
 from listdefect import oracle
 from listdefect.generate import make_graph, make_instance
 
-from conftest import complete_graph
+from conftest import complete_graph, count_validations
 
 
 def test_single_edge_defect_absorbs():
@@ -293,6 +293,16 @@ def test_one_euler_pass_per_call(monkeypatch):
     assert len(set(out.colors)) > 32
     assert len(calls) == 1
     assert validate_ldc(graph, inst, out).valid
+
+
+def test_sequential_arbdefective_builds_no_doubled_instance(monkeypatch):
+    made = make_graph("random-gnp", 120, 6, seed=2, oriented=False)
+    inst = make_instance(made, "degree-plus-one", seed=2, space_size=49, flavor="arbdefective")
+    validated = count_validations(monkeypatch)
+    out, stats = sequential_arbdefective(made, inst)
+    assert validated == []
+    assert stats.recolorings > 0
+    assert validate_ldc(made, inst, out).valid
 
 
 # -- the lean recoloring loop against the closure-based one -----------------------

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdefect import (
     ColoredGraph,
@@ -24,7 +26,13 @@ from listdefect.errors import FailFast, NodeFailure
 from listdefect.generate import make_graph, make_instance
 from listdefect.reductions import message_preset_p
 
-from conftest import blockspread_instance, complete_graph, random_dag, ring_graph
+from conftest import (
+    blockspread_instance,
+    complete_graph,
+    count_validations,
+    random_dag,
+    ring_graph,
+)
 
 
 def test_partition_depth_and_padding():
@@ -229,12 +237,40 @@ def test_pipeline_checks_its_output_when_g_is_positive():
         congest_pipeline(g, inst)
 
 
+def test_pipeline_validates_no_copy_of_an_arbdefective_instance(monkeypatch):
+    g = make_graph("random-gnp", 60, 6, seed=3, oriented=False)
+    arb = make_instance(g, "degree-plus-one", seed=3, space_size=49, flavor="arbdefective")
+    defective = LdcInstance(arb.color_space, arb.lists, arb.defects, "defective", 0)
+    validated = count_validations(monkeypatch)
+    out, _, _ = congest_pipeline(g, arb)
+    assert validate_ldc(g, arb, out).valid
+    assert not [i for i in validated if i.lists is arb.lists]
+    # another flavor is solved as its arbdefective copy, validated once
+    assert congest_pipeline(g, defective)[0].colors == out.colors
+    assert len([i for i in validated if i.lists is arb.lists]) == 1
+
+
 class _SmallClassOracle(OracleInner):
     """The oracle under the distributed inner's (nu, kappa), which makes
     the framework pick many small decomposition classes."""
 
     nu = 1.0
     kappa = 4.0
+
+
+class _EdgeBatchInner:
+    """Passes each batch to ``inner`` and keeps its graph; a batch without
+    edges must never get here, since the framework colors it locally."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.nu, self.kappa = inner.nu, inner.kappa
+        self.graphs = []
+
+    def solve(self, graph, inst):
+        assert graph.edge_count() > 0, "an edgeless batch reached the inner"
+        self.graphs.append(graph)
+        return self.inner.solve(graph, inst)
 
 
 def test_framework_builds_each_batch_graph_once(monkeypatch):
@@ -248,13 +284,152 @@ def test_framework_builds_each_batch_graph_once(monkeypatch):
     made = make_graph("random-gnp", 80, 6, seed=4, oriented=False)
     inst = make_instance(made, "degree-plus-one", seed=4, space_size=49, flavor="arbdefective")
     monkeypatch.setattr(ColoredGraph, "build", staticmethod(counting))
-    out, _, rows = degree_halving_framework(made, inst, _SmallClassOracle())
-    assert validate_ldc(made, inst, out).valid
-    stages = {r.stage for r in rows}
-    batches = [r for r in rows if r.colored and r.max_uncolored_degree]
-    assert len(batches) > len(stages)
-    # one stage subgraph per stage, one graph per batch
-    assert len(builds) == len(stages) + len(batches)
+    local = edged = 0
+    # many small edgeless classes, then a few large classes with edges
+    for inner in (_EdgeBatchInner(_SmallClassOracle()), _EdgeBatchInner(OracleInner())):
+        builds.clear()
+        out, _, rows = degree_halving_framework(made, inst, inner)
+        assert validate_ldc(made, inst, out).valid
+        stages = {r.stage for r in rows}
+        batches = [r for r in rows if r.colored and r.max_uncolored_degree]
+        # one stage subgraph per stage, one graph per batch with edges
+        assert len(builds) == len(stages) + len(inner.graphs)
+        local += len(batches) - len(inner.graphs)
+        edged += len(inner.graphs)
+    assert local > 0 and edged > 0
+
+
+@pytest.mark.parametrize("inner", [OracleInner(), _SmallClassOracle(), OldcInner()])
+def test_framework_never_hands_an_edgeless_batch_to_the_inner(inner):
+    local = 0
+    for seed in range(4):
+        made = make_graph("random-gnp", 60, 6, seed=seed, oriented=False)
+        inst = make_instance(made, "degree-plus-one", seed=seed, space_size=49, flavor="arbdefective")
+        counting = _EdgeBatchInner(inner)
+        out, trace, rows = degree_halving_framework(made, inst, counting)
+        assert validate_ldc(made, inst, out).valid
+        batches = [r for r in rows if r.colored]
+        local += len(batches) - len(counting.graphs)
+    assert local > 0
+
+
+def _reference_framework(graph, inst, inner):
+    """The degree-halving framework as a per-batch inner-call loop: every
+    batch, with edges or without, goes through ``inner`` (or the oracle
+    when it fails fast).  Returns (colors, orientation)."""
+    n = graph.n
+    lists, defects = inst.lists, inst.defects
+    colors = [None] * n
+    taken = [{} for _ in range(n)]
+    udeg = [graph.degree(v) for v in range(n)]
+    order, oriented, clock = {}, [], 0
+    factor = max(
+        1.0,
+        inst.max_list_size ** (inner.nu / (1 + inner.nu)) * inner.kappa ** (1 / (1 + inner.nu)),
+    )
+
+    def assign(v, x):
+        colors[v] = x
+        for u in graph.adjacency[v]:
+            taken[u][x] = taken[u].get(x, 0) + 1
+            udeg[u] -= 1
+
+    def residual(v):
+        dd, budget = {}, 0
+        for x in lists[v]:
+            left = defects[v][x] - taken[v].get(x, 0)
+            if left >= 0:
+                dd[x] = left
+                budget += left + 1
+                if budget > udeg[v]:
+                    break
+        return dd
+
+    def is_active(v):
+        return 2 * udeg[v] >= delta_s or any(
+            d - taken[v].get(x, 0) >= udeg[v] for x, d in defects[v].items()
+        )
+
+    uncolored = set(range(n))
+    while uncolored:
+        stage_graph, keep = graph.subgraph(sorted(uncolored))
+        delta_s = stage_graph.max_degree()
+        if delta_s == 0:
+            for v in keep:
+                assign(v, next(iter(residual(v))))
+                order[v] = clock
+                clock += 1
+            break
+        delta = math.floor(delta_s / (2 * factor))
+        q = delta_s // (delta + 1) + 1
+        dec, _ = arbdefective_subroutine(stage_graph, q, delta)
+        dec_outn = [[] for _ in keep]
+        for a, b in dec.orientation_out:
+            dec_outn[a].append(b)
+        for cls in range(q):
+            active = [i for i, c in enumerate(dec.colors) if c == cls and is_active(keep[i])]
+            if not active:
+                continue
+            index = {i: j for j, i in enumerate(active)}
+            batch = ColoredGraph.build(
+                len(active),
+                [(j, index[b]) for j, i in enumerate(active)
+                 for b in stage_graph.adjacency[i] if i < b and b in index],
+                orientation=[(j, index[b]) for j, i in enumerate(active)
+                             for b in dec_outn[i] if b in index],
+                init_colors=[stage_graph.init_colors[i] for i in active],
+                m=stage_graph.m,
+            )
+            dds = [residual(keep[i]) for i in active]
+            inst_b = LdcInstance.build(
+                {x for dd in dds for x in dd}, [list(dd) for dd in dds], dds, flavor="oriented"
+            )
+            try:
+                out_b, _ = inner.solve(batch, inst_b)
+            except FailFast:
+                out_b, _ = OracleInner().solve(batch, inst_b)
+            for j, i in enumerate(active):
+                assign(keep[i], out_b.colors[j])
+                order[keep[i]] = clock
+            clock += 1
+            uncolored.difference_update(keep[i] for i in active)
+            oriented += [(keep[active[a]], keep[active[b]]) for a, b in batch.oriented_edges()]
+    done = {(min(e), max(e)) for e in oriented}
+    for u, v in graph.edges():
+        if (u, v) not in done:
+            oriented.append((u, v) if order[u] > order[v] else (v, u))
+    return tuple(colors), tuple(sorted(oriented))
+
+
+@st.composite
+def drawn_order_arbdefective(draw):
+    """A small arbdefective g = 0 instance with sum(d+1) > deg, built
+    directly, so lists and defect maps keep the order they were drawn in."""
+    n = draw(st.integers(1, 16))
+    p = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    graph = ColoredGraph.build(n, edges)
+    space = list(range(draw(st.integers(2, 20))))
+    lists, defects = [], []
+    for v in range(n):
+        lst = rng.sample(space, rng.randint(1, len(space)))
+        dv = {x: rng.choice([0, 0, 1, 2]) for x in lst}
+        while sum(d + 1 for d in dv.values()) <= graph.degree(v):
+            dv[rng.choice(lst)] += 1
+        lists.append(tuple(lst))
+        defects.append(dict(rng.sample(sorted(dv.items()), len(dv))))
+    inst = LdcInstance(tuple(space), tuple(lists), tuple(defects), "arbdefective", 0)
+    return graph, inst
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_order_arbdefective(), st.sampled_from([OracleInner(), _SmallClassOracle()]))
+def test_framework_local_batches_match_the_inner_call_loop(case, inner):
+    graph, inst = case
+    out, trace, rows = degree_halving_framework(graph, inst, _EdgeBatchInner(inner))
+    assert (out.colors, out.orientation_out) == _reference_framework(graph, inst, inner)
+    assert trace.rounds_elapsed == 0
 
 
 def test_pipeline_budget_violation_fail_fast():
