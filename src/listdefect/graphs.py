@@ -140,36 +140,25 @@ class ColoredGraph:
             raise MissingOrientation("graph has no orientation")
         return [(u, v) for u in range(self.n) for v in self.out_neighbors[u]]
 
-    def subgraph(self, nodes: Sequence[int]) -> tuple["ColoredGraph", list[int]]:
-        """Induced subgraph; returns (graph, original-id list).
+    def subgraph(self, nodes: Iterable[int]) -> tuple["ColoredGraph", list[int]]:
+        """Induced subgraph on ``nodes``; returns (graph, sorted original ids).
 
-        The orientation (if any) and initial colors are inherited; the
-        initial coloring stays proper on any induced subgraph.
+        ``nodes`` may come in any order and repeat.  The graph is sliced
+        from this one, not rebuilt through ``build``: the sorted adjacency
+        and orientation (if any) are mapped through the order-preserving
+        index of the kept ids, so they stay sorted, and the initial colors
+        and ``m`` are inherited (a proper coloring stays proper on any
+        induced subgraph).
         """
         keep = sorted(set(nodes))
-        index = {u: i for i, u in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u in keep
-            for v in self.adjacency[u]
-            if u < v and v in index
-        ]
-        ori = None
-        if self.out_neighbors is not None:
-            ori = [
-                (index[u], index[v])
-                for u in keep
-                for v in self.out_neighbors[u]
-                if v in index
-            ]
-        g = ColoredGraph.build(
-            len(keep),
-            edges,
-            orientation=ori,
-            init_colors=[self.init_colors[u] for u in keep],
-            m=self.m,
-        )
-        return g, keep
+        index = dict(zip(keep, range(len(keep))))
+
+        def induced(rows):
+            return tuple(tuple([index[v] for v in rows[u] if v in index]) for u in keep)
+
+        out = None if self.out_neighbors is None else induced(self.out_neighbors)
+        init = tuple([self.init_colors[u] for u in keep])
+        return ColoredGraph(len(keep), induced(self.adjacency), out, init, self.m), keep
 
 
 @dataclass(frozen=True)
@@ -250,9 +239,6 @@ class ColoringOutput:
 
     colors: tuple[Optional[int], ...]
     orientation_out: Optional[tuple[tuple[int, int], ...]] = None
-
-    def total(self) -> bool:
-        return all(c is not None for c in self.colors)
 
 
 @dataclass(frozen=True)
@@ -398,14 +384,17 @@ def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
 
 def _check_rows(doc: dict, key: str, item: type, width: Optional[int] = None) -> None:
     """doc[key] must be a list of ``item`` values; lists (of ``width``
-    entries, if given) must hold integers only."""
+    entries, if given) must hold integers only.  Types are compared
+    exactly, so JSON true or 1.0 is not an int."""
     rows = doc[key]
     ok = type(rows) is list and set(map(type, rows)) <= {item}
     if ok and item is list:
         ok = set(map(type, chain.from_iterable(rows))) <= {int}
         ok = ok and (width is None or set(map(len, rows)) <= {width})
     if not ok:
-        shape = "JSON objects" if item is dict else f"lists of {width or 'any number of'} ints"
+        shape = {dict: "JSON objects", int: "integers"}.get(
+            item, f"lists of {width or 'any number of'} ints"
+        )
         raise InvalidInstance(f"{key} must be a list of {shape}")
 
 
@@ -413,11 +402,20 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
     doc = json.loads(text)
     if type(doc) is not dict:
         raise InvalidInstance("an instance is a JSON object")
+    # bool is an int subclass: without the type test, JSON true would pass as 1
+    for key in ("n", "m", "g"):
+        if type(doc[key]) is not int:
+            raise InvalidInstance(f"{key} must be an integer, not {doc[key]!r}")
     _check_rows(doc, "edges", list, 2)
     if "orientation" in doc:
         _check_rows(doc, "orientation", list, 2)
+    _check_rows(doc, "init_colors", int)
+    _check_rows(doc, "color_space", int)
     _check_rows(doc, "lists", list)
     _check_rows(doc, "defects", dict)
+    # checked before build allocates n adjacency lists
+    if len(doc["init_colors"]) != doc["n"]:
+        raise InvalidInstance("init_colors length does not match node count")
     graph = ColoredGraph.build(
         doc["n"],
         [tuple(e) for e in doc["edges"]],
@@ -432,9 +430,6 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
     # two spellings of one color ("0", "00") would collapse into one key
     if list(map(len, defects)) != list(map(len, doc["defects"])):
         raise InvalidInstance("defect keys name a color twice")
-    # bool is an int subclass: without the type test, JSON true would pass as g=1
-    if type(doc["g"]) is not int:
-        raise InvalidInstance(f"g must be an integer, not {doc['g']!r}")
     if not set(map(type, chain.from_iterable(map(dict.values, defects)))) <= {int}:
         raise InvalidInstance("defect values must be integers")
     inst = LdcInstance.build(

@@ -367,9 +367,9 @@ def degree_halving_framework(
     uncolored nodes resolve by coloring time.
 
     Each node's uncolored degree is a counter (``PartialColoring``) that
-    drops by one whenever a neighbor is colored, and the graph of a batch
-    with edges is built once, directly from the stage graph with the
-    decomposition's orientation.
+    drops by one whenever a neighbor is colored.  No graph is rebuilt: the
+    stage graph is sliced from the input, given the decomposition's
+    orientation once, and each batch graph is sliced from it in turn.
     """
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
@@ -422,38 +422,21 @@ def degree_halving_framework(
             raise NodeFailure(f"residual budget {total} at uncolored degree {udeg[v]}", node=v)
         return dd
 
-    def color_locally(nodes: list[int]) -> None:
-        """Color a batch with no edges in 0 rounds: each node takes the
-        smallest color of its residual list, as the oracle would.  No two
-        nodes are adjacent, so coloring one leaves the others' residuals
-        alone."""
-        nonlocal clock
-        for v in nodes:
-            partial.assign(graph, v, min(batch_residual(v)))
-            order_colored[v] = clock
-        clock += 1
-        uncolored.difference_update(nodes)
-        _check_partial_safety(graph, inst, partial, order_colored)
-
     while uncolored:
         stage += 1
         if stage > max_stages:
             raise NodeFailure(f"degree halving stalled after {max_stages} stages")
-        sub_nodes = sorted(uncolored)
-        stage_graph, keep = graph.subgraph(sub_nodes)
+        stage_graph, keep = graph.subgraph(uncolored)
         delta_s = stage_graph.max_degree()
-        if delta_s == 0:
-            color_locally(sub_nodes)
-            rows.append(StageRow(stage, 0, len(sub_nodes), 0, 0, 0))
-            break
-
         delta = max(0, math.floor(delta_s / (2 * factor)))
         q = delta_s // (delta + 1) + 1
         dec_out, dec_trace = arbdefective_subroutine(stage_graph, q, delta)
         traces.append(dec_trace)
+        # the decomposition's pairs come sorted, so each out-list is sorted
         dec_outn: list[list[int]] = [[] for _ in keep]
-        for a, b in dec_out.orientation_out or ():
+        for a, b in dec_out.orientation_out:
             dec_outn[a].append(b)
+        stage_graph = replace(stage_graph, out_neighbors=tuple(map(tuple, dec_outn)))
         by_class: dict[int, list[int]] = {}
         for i, c in enumerate(dec_out.colors):
             by_class.setdefault(c, []).append(i)
@@ -472,39 +455,21 @@ def degree_halving_framework(
                 rows.append(StageRow(stage, cls, 0, delta_s, 0, 0))
                 continue
             batch_nodes = [keep[i] for i in active]
-            index = {i: j for j, i in enumerate(active)}
-            batch_edges = [
-                (j, index[b])
-                for j, i in enumerate(active)
-                for b in stage_graph.adjacency[i]
-                if i < b and b in index
-            ]
-            if not batch_edges:
-                color_locally(batch_nodes)
-                rows.append(StageRow(stage, cls, len(batch_nodes), delta_s, 0, 0))
-                continue
-            batch_graph = ColoredGraph.build(
-                len(active),
-                batch_edges,
-                orientation=[
-                    (j, index[b]) for j, i in enumerate(active) for b in dec_outn[i] if b in index
-                ],
-                init_colors=[stage_graph.init_colors[i] for i in active],
-                m=stage_graph.m,
-            )
-            lists_b, defects_b = [], []
-            for v in batch_nodes:
-                dd = batch_residual(v)
-                lists_b.append(list(dd))
-                defects_b.append(dd)
-            space_b = sorted({x for l in lists_b for x in l})
-            inst_b = LdcInstance.build(
-                space_b, lists_b, defects_b, flavor=FLAVOR_ORIENTED, g=0
-            )
-            try:
-                out_b, tr_b = inner.solve(batch_graph, inst_b)
-            except FailFast:
-                out_b, tr_b = OracleInner().solve(batch_graph, inst_b)
+            batch_graph, _ = stage_graph.subgraph(active)
+            residuals = [batch_residual(v) for v in batch_nodes]
+            edged = batch_graph.edge_count() > 0
+            if edged:
+                inst_b = LdcInstance.build(
+                    {x for dd in residuals for x in dd}, residuals, residuals, flavor=FLAVOR_ORIENTED
+                )
+                try:
+                    out_b, tr_b = inner.solve(batch_graph, inst_b)
+                except FailFast:
+                    out_b, tr_b = OracleInner().solve(batch_graph, inst_b)
+            else:
+                # no two nodes are adjacent: each takes the smallest color
+                # of its residual list, as the oracle would, in 0 rounds
+                out_b, tr_b = ColoringOutput(tuple(map(min, residuals))), RoundTrace()
             traces.append(tr_b)
             for j, v in enumerate(batch_nodes):
                 partial.assign(graph, v, out_b.colors[j])
@@ -517,8 +482,9 @@ def degree_halving_framework(
             rows.append(
                 StageRow(stage, cls, len(batch_nodes), delta_s, tr_b.rounds_elapsed, tr_b.max_bits())
             )
-            # safety: a colored node never exceeds its defect later on
-            _check_partial_safety(graph, inst, partial, order_colored)
+            if edged:
+                # safety: a colored node never exceeds its defect later on
+                _check_partial_safety(inst, partial)
 
         for v in uncolored:
             deg_u = udeg[v]
@@ -548,7 +514,7 @@ def degree_halving_framework(
     return output, trace, rows
 
 
-def _check_partial_safety(graph, inst, partial, order_colored):
+def _check_partial_safety(inst, partial):
     outn: dict[int, list[int]] = {}
     for a, b in partial.oriented:
         outn.setdefault(a, []).append(b)
@@ -610,14 +576,7 @@ def congest_pipeline(
     for r_bits in trace0.max_message_bits:
         if r_bits > budget:
             raise NodeFailure(f"initial coloring message of {r_bits} bits over budget {budget}")
-    m = max(out0.colors) + 1 if graph.n else 1
-    colored = ColoredGraph.build(
-        graph.n,
-        graph.edges(),
-        orientation=[(u, v) for u, v in graph.oriented_edges()] if graph.out_neighbors else None,
-        init_colors=list(out0.colors),
-        m=m,
-    )
+    colored = replace(graph, init_colors=out0.colors, m=max(out0.colors, default=0) + 1)
 
     arb = inst
     if inst.flavor != FLAVOR_ARBDEFECTIVE or inst.g != 0:

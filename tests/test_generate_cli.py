@@ -357,10 +357,52 @@ def _non_integer_defect_key(doc):
     doc["defects"][0]["a"] = 0
 
 
+def _string_n(doc):
+    doc["n"] = str(doc["n"])
+
+
+def _bool_n(doc):
+    doc["n"] = True
+
+
+def _string_m(doc):
+    doc["m"] = str(doc["m"])
+
+
+def _float_m(doc):
+    doc["m"] = doc["m"] - 0.5
+
+
+def _int_color_space(doc):
+    doc["color_space"] = len(doc["color_space"])
+
+
+def _string_color_space(doc):
+    doc["color_space"] = ["a", "b"]
+
+
+def _float_color(doc):
+    doc["color_space"].append(0.5)
+
+
+def _bool_colors(doc):
+    doc["color_space"][:2] = [True, False]
+
+
+def _float_init_colors(doc):
+    doc["init_colors"] = [float(c) for c in doc["init_colors"]]
+
+
+def _short_init_colors(doc):
+    doc["init_colors"] = doc["init_colors"][:-1]
+
+
 @pytest.mark.parametrize("corrupt", [
     _short_defects, _string_defect, _bool_g,
     _list_defect_entry, _int_list_entry, _string_edge_endpoint,
     _repeated_defect_key, _non_integer_defect_key,
+    _string_n, _bool_n, _string_m, _float_m, _int_color_space, _string_color_space,
+    _float_color, _bool_colors, _float_init_colors, _short_init_colors,
 ])
 def test_cli_run_rejects_malformed_instance(tmp_path, capsys, corrupt):
     g = make_graph("ring", 6, 2, seed=0)

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,3 +272,75 @@ def test_proper_coloring_valid_under_all_flavors():
     for flavor in ("defective", "oriented", "arbdefective"):
         inst = LdcInstance.build([0, 1, 2], lists, defects, flavor=flavor)
         assert validate_ldc(g, inst, out).valid
+
+
+def test_init_colors_length_is_checked_before_build(monkeypatch):
+    g = ColoredGraph.build(3, [(0, 1), (1, 2)], init_colors=[0, 1, 0], m=2)
+    inst = LdcInstance.build([0, 1], [[0, 1]] * 3, [{0: 0, 1: 0}] * 3)
+    doc = json.loads(instance_to_json(g, inst))
+    doc["n"] = 4
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called before the length check")
+
+    monkeypatch.setattr(ColoredGraph, "build", staticmethod(no_build))
+    with pytest.raises(InvalidInstance, match="init_colors length"):
+        instance_from_json(json.dumps(doc))
+
+
+def _rebuilt_subgraph(graph, nodes):
+    """The induced subgraph as it was made before slicing: an edge list,
+    an orientation list and the inherited colors through ``build``."""
+    keep = sorted(set(nodes))
+    index = {u: i for i, u in enumerate(keep)}
+    edges = [
+        (index[u], index[v]) for u in keep for v in graph.adjacency[u] if u < v and v in index
+    ]
+    ori = None
+    if graph.out_neighbors is not None:
+        ori = [(index[u], index[v]) for u in keep for v in graph.out_neighbors[u] if v in index]
+    g = ColoredGraph.build(
+        len(keep),
+        edges,
+        orientation=ori,
+        init_colors=[graph.init_colors[u] for u in keep],
+        m=graph.m,
+    )
+    return g, keep
+
+
+@st.composite
+def graphs_and_node_collections(draw):
+    """A graph with or without an orientation, a shuffled proper initial
+    coloring with an explicit, roomy m, and a node collection that may be
+    unsorted, repeat nodes, be empty or be a set."""
+    n = draw(st.integers(0, 9))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    orientation = None
+    if draw(st.booleans()):
+        orientation = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    adjacency = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    colors = [0] * n
+    for v in draw(st.permutations(range(n))):
+        used = {colors[u] for u in adjacency[v]}
+        colors[v] = draw(st.sampled_from(sorted(set(range(n + 1)) - used)))
+    m = max(colors, default=0) + 1 + draw(st.integers(0, 3))
+    graph = ColoredGraph.build(n, edges, orientation=orientation, init_colors=colors, m=m)
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([]))
+    if draw(st.booleans()):
+        nodes = set(nodes)
+    return graph, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_node_collections())
+def test_subgraph_matches_the_rebuilt_subgraph(case):
+    graph, nodes = case
+    sub, keep = graph.subgraph(nodes)
+    ref, ref_keep = _rebuilt_subgraph(graph, nodes)
+    for f in fields(ColoredGraph):
+        assert getattr(sub, f.name) == getattr(ref, f.name), f.name
+    assert keep == ref_keep

@@ -273,7 +273,8 @@ class _EdgeBatchInner:
         return self.inner.solve(graph, inst)
 
 
-def test_framework_builds_each_batch_graph_once(monkeypatch):
+def _counting_builds(monkeypatch) -> list:
+    """Count ``ColoredGraph.build`` calls from here on."""
     builds = []
     real = ColoredGraph.build
 
@@ -281,22 +282,35 @@ def test_framework_builds_each_batch_graph_once(monkeypatch):
         builds.append(args[0])
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(ColoredGraph, "build", staticmethod(counting))
+    return builds
+
+
+def test_framework_builds_each_batch_graph_once(monkeypatch):
     made = make_graph("random-gnp", 80, 6, seed=4, oriented=False)
     inst = make_instance(made, "degree-plus-one", seed=4, space_size=49, flavor="arbdefective")
-    monkeypatch.setattr(ColoredGraph, "build", staticmethod(counting))
+    builds = _counting_builds(monkeypatch)
     local = edged = 0
     # many small edgeless classes, then a few large classes with edges
     for inner in (_EdgeBatchInner(_SmallClassOracle()), _EdgeBatchInner(OracleInner())):
-        builds.clear()
         out, _, rows = degree_halving_framework(made, inst, inner)
         assert validate_ldc(made, inst, out).valid
-        stages = {r.stage for r in rows}
         batches = [r for r in rows if r.colored and r.max_uncolored_degree]
-        # one stage subgraph per stage, one graph per batch with edges
-        assert len(builds) == len(stages) + len(inner.graphs)
         local += len(batches) - len(inner.graphs)
         edged += len(inner.graphs)
+    # stage and batch graphs are sliced from the input, never rebuilt
+    assert builds == []
     assert local > 0 and edged > 0
+
+
+def test_pipeline_builds_no_graph(monkeypatch):
+    made = make_graph("random-gnp", 60, 6, seed=1, oriented=False)
+    inst = make_instance(made, "degree-plus-one", seed=1, space_size=49, flavor="arbdefective")
+    builds = _counting_builds(monkeypatch)
+    out, _, rows = congest_pipeline(made, inst)
+    assert validate_ldc(made, inst, out).valid
+    assert any(r.max_uncolored_degree for r in rows)
+    assert builds == []
 
 
 @pytest.mark.parametrize("inner", [OracleInner(), _SmallClassOracle(), OldcInner()])
