@@ -61,7 +61,6 @@ from .reductions import (
     OldcInner,
     OracleInner,
     PipelineConfig,
-    SpacePartition,
     StageRow,
     arbdefective_subroutine,
     congest_pipeline,

@@ -161,12 +161,9 @@ def _oldc_main(graph, inst, opts, report) -> Result:
 
 
 def _space_reduced(graph, inst, opts, report) -> Result:
-    inner = _inner(opts)
     p = opts["p"] or message_preset_p(len(inst.color_space), opts["r"] or 1)
     report["p"] = p
-    if p >= len(inst.color_space):
-        return *inner.solve(graph, inst), []
-    return *space_reduced_oldc(graph, inst, p, inner), []
+    return *space_reduced_oldc(graph, inst, p, _inner(opts)), []
 
 
 def _framework(graph, inst, opts, report) -> Result:

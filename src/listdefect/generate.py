@@ -66,7 +66,7 @@ def make_graph(
             pool = targets if targets else [0]
             chosen = set()
             for _ in range(min(k, v)):
-                chosen.add(pool[rng.randrange(len(pool))] if pool else 0)
+                chosen.add(pool[rng.randrange(len(pool))])
             for u in sorted(chosen):
                 edges.append((u, v))
                 targets.extend([u, v])
@@ -92,10 +92,9 @@ def _target_threshold(
 ) -> tuple[int, int]:
     """(exponent, required sum) for the defect-budget model at node v."""
     deg = graph.degree(v)
-    if target == "eq1":
+    if target in ("eq1", "eq2"):
+        # eq2's sum(2d+1) > deg: the caller doubles the defects
         return 1, deg + 1
-    if target == "eq2":
-        return 1, deg + 1  # sum(2d+1) > deg handled by the caller via exponent flag
     if target == "eq5":
         beta = graph.beta(v) if graph.out_neighbors is not None else max(1, deg)
         h = max(1, beta.bit_length())

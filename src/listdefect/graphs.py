@@ -402,6 +402,11 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
     doc = json.loads(text)
     if type(doc) is not dict:
         raise InvalidInstance("an instance is a JSON object")
+    # every key but the optional "orientation"
+    keys = ("n", "edges", "init_colors", "m", "color_space", "lists", "defects", "flavor", "g")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise InvalidInstance(f"instance lacks {', '.join(missing)}")
     # bool is an int subclass: without the type test, JSON true would pass as 1
     for key in ("n", "m", "g"):
         if type(doc[key]) is not int:

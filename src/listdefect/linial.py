@@ -172,10 +172,8 @@ class _LinialProgram:
 
 
 def _make_program(graph: ColoredGraph, base: int, defect: int, oriented: bool):
-    if graph.n == 0:
-        return _LinialProgram([], [], oriented, trivial_color=0), 1
-    if base == 0:
-        # no conflicts possible at all
+    if graph.n == 0 or base == 0:
+        # no nodes, or no conflicts possible at all
         return _LinialProgram([], [], oriented, trivial_color=0), 1
     sched, palette = linial_schedule(graph.n, base, defect)
     palettes = [graph.n] + [q * q for q, _, _ in sched]

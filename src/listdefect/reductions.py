@@ -58,8 +58,8 @@ class InnerSolver(Protocol):
     needs.
     """
 
-    nu: float
-    kappa: float
+    nu: int
+    kappa: int
 
     def solve(
         self, graph: ColoredGraph, inst: LdcInstance
@@ -74,8 +74,8 @@ class OracleInner:
     flavor: that solver reads only the lists, the defects and g, and
     always counts conflicts over the undirected adjacency."""
 
-    nu = 0.0
-    kappa = 1.0
+    nu = 0
+    kappa = 1
 
     def solve(self, graph, inst):
         out, _ = sequential_ldc(graph, inst)
@@ -94,8 +94,8 @@ class OldcInner:
     config: Union[OldcConfig, MainConfig] = field(default_factory=OldcConfig)
     r: Optional[int] = None
 
-    nu = 1.0
-    kappa = 4.0
+    nu = 1
+    kappa = 4
 
     def solve(self, graph, inst):
         if self.r is not None:
@@ -108,26 +108,30 @@ class OldcInner:
 # -- recursive color-space reduction ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpacePartition:
-    """Contiguous partition of a (padded) color space into p^k cells."""
+def _iroot(x: int, e: int) -> int:
+    """floor(x ** (1/e)) for x >= 0, in exact integer arithmetic."""
+    lo, hi = 0, 1 << (x.bit_length() // e + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**e <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
-    colors: tuple[int, ...]  # sorted, padded with dummies above max
-    p: int
-    depth: int
 
-    @staticmethod
-    def build(color_space: Sequence[int], p: int) -> "SpacePartition":
-        colors = tuple(sorted(color_space))
-        if p < 2:
-            raise InvalidInstance("branching factor p must be at least 2")
-        depth = max(1, math.ceil(math.log(max(2, len(colors)), p)))
-        padded = list(colors)
-        top = (colors[-1] if colors else 0) + 1
-        while len(padded) < p**depth:
-            padded.append(top)
-            top += 1
-        return SpacePartition(tuple(padded), p, depth)
+def _padded_space(color_space: Sequence[int], p: int) -> tuple[tuple[int, ...], int]:
+    """The sorted color space padded with dummies above its maximum to p^k
+    colors, and the depth k >= 1, the least with p^k >= |C|."""
+    if p < 2:
+        raise InvalidInstance("branching factor p must be at least 2")
+    colors = sorted(color_space)
+    depth = 1
+    while p**depth < len(colors):
+        depth += 1
+    top = (colors[-1] if colors else 0) + 1
+    colors.extend(range(top, top + p**depth - len(colors)))
+    return tuple(colors), depth
 
 
 def space_reduced_oldc(
@@ -138,29 +142,30 @@ def space_reduced_oldc(
 ) -> tuple[ColoringOutput, RoundTrace]:
     """Solve an oriented LDC instance by recursive space reduction.
 
-    Per node the strengthened condition
+    With p >= |C| there is nothing to reduce, and ``inner`` solves the
+    instance as it is, whatever its flavor or orientation.  Otherwise per
+    node the strengthened condition
         sum (d_v(x)+1)^(1+nu) >= beta_v^(1+nu) * kappa^k,   k = ceil(log_p |C|)
     must hold.  Each level solves a p-color choice instance with the
     inner solver and recurses on the induced subgraphs; sub-runs of one
     level merge in parallel (disjoint node sets), levels concatenate.
     """
+    if p >= len(inst.color_space):
+        return inner.solve(graph, inst)
     if graph.out_neighbors is None:
         raise MissingOrientation("space reduction needs an orientation")
     if inst.flavor != FLAVOR_ORIENTED:
         raise InvalidInstance("space reduction expects an oriented instance")
-    if p >= len(inst.color_space):
-        return inner.solve(graph, inst)
-    part = SpacePartition.build(inst.color_space, p)
-    k = part.depth
-    nu = inner.nu
+    colors, k = _padded_space(inst.color_space, p)
+    e = 1 + inner.nu
     kappa = inner.kappa
     for v in range(graph.n):
-        total = sum((d + 1) ** (1 + nu) for d in inst.defects[v].values())
-        if total < graph.beta(v) ** (1 + nu) * kappa**k:
+        total = sum((d + 1) ** e for d in inst.defects[v].values())
+        if total < graph.beta(v) ** e * kappa**k:
             raise ConditionViolated(
                 f"node {v}: strengthened condition fails at p={p}, k={k}"
             )
-    return _reduce_level(graph, inst, part.colors, p, inner, k)
+    return _reduce_level(graph, inst, colors, p, inner, k)
 
 
 def _reduce_level(
@@ -171,32 +176,31 @@ def _reduce_level(
     inner: InnerSolver,
     k: int,
 ) -> tuple[ColoringOutput, RoundTrace]:
-    if k <= 1 or len(colors) <= p:
+    if k <= 1:
         return inner.solve(graph, inst)
-    nu = inner.nu
+    e = 1 + inner.nu
     kappa = inner.kappa
     size = len(colors) // p
-    chunk_of = {c: i for i, c in enumerate(colors)}
-    chunks = [set(colors[i * size : (i + 1) * size]) for i in range(p)]
+    chunk_of = {c: j // size for j, c in enumerate(colors)}
 
     choice_lists: list[tuple[int, ...]] = []
     choice_defects: list[dict[int, int]] = []
     lists_by_chunk: list[dict[int, list[int]]] = [dict() for _ in range(graph.n)]
     for v in range(graph.n):
-        beta_v = graph.beta(v)
         for x in inst.lists[v]:
-            lists_by_chunk[v].setdefault(chunk_of[x] // size, []).append(x)
-        lam_sum = 0.0
+            lists_by_chunk[v].setdefault(chunk_of[x], []).append(x)
+        # chunk i holds the share lambda_i = energy_i / (beta^e kappa^k)
+        # and gets the defect floor((lambda_i beta^e kappa)^(1/e)), which
+        # is iroot(energy_i // kappa^(k-1), e)
+        total = 0
         defects_v: dict[int, int] = {}
         for i, xs in sorted(lists_by_chunk[v].items()):
-            energy = sum((inst.defects[v][x] + 1) ** (1 + nu) for x in xs)
-            lam = energy / (beta_v ** (1 + nu) * kappa**k)
-            lam_sum += lam
-            defects_v[i] = math.floor(
-                (lam * beta_v ** (1 + nu) * kappa) ** (1 / (1 + nu))
-            )
-        if lam_sum < 1.0 - 1e-9:
-            raise NodeFailure(f"chunk shares sum to {lam_sum:.3f} < 1", node=v)
+            energy = sum((inst.defects[v][x] + 1) ** e for x in xs)
+            total += energy
+            defects_v[i] = _iroot(energy // kappa ** (k - 1), e)
+        bound = graph.beta(v) ** e * kappa**k
+        if total < bound:
+            raise NodeFailure(f"chunk shares sum to {total / bound:.3f} < 1", node=v)
         choice_lists.append(tuple(sorted(defects_v)))
         choice_defects.append(defects_v)
 
@@ -213,7 +217,7 @@ def _reduce_level(
     sub_traces = []
     for i, members in sorted(by_chunk.items()):
         sub, keep = graph.subgraph(members)
-        sub_space = tuple(sorted(chunks[i]))
+        sub_space = colors[i * size : (i + 1) * size]
         sub_inst = LdcInstance.build(
             sub_space,
             [lists_by_chunk[v][i] for v in keep],
@@ -237,7 +241,7 @@ def _reduce_level(
         for idx, v in enumerate(keep):
             colors_out[v] = sub_out.colors[idx]
             # the final color's chunk path must match the choice
-            assert sub_out.colors[idx] in chunks[i], "color escaped its chunk"
+            assert chunk_of[sub_out.colors[idx]] == i, "color escaped its chunk"
 
     trace = concat_traces([choice_trace, merge_parallel(sub_traces)])
     output = ColoringOutput(tuple(colors_out))
@@ -251,18 +255,17 @@ def _reduce_level(
 def preset_message(
     graph: ColoredGraph, inst: LdcInstance, inner: InnerSolver, r: int
 ) -> tuple[ColoringOutput, RoundTrace]:
-    """Branching factor ceil(|C|**(1/r)) (message-size preset); r = 1 means
-    no reduction at all."""
+    """Space reduction with the message-preset branching factor
+    ceil(|C|**(1/r)); r = 1 keeps the whole space, so ``inner`` solves."""
     if r < 1:
         raise InvalidInstance("r must be at least 1")
-    if r == 1:
-        return inner.solve(graph, inst)
     return space_reduced_oldc(graph, inst, message_preset_p(len(inst.color_space), r), inner)
 
 
 def message_preset_p(space_size: int, r: int) -> int:
-    """The message-preset branching factor; r = 1 keeps the whole space."""
-    return space_size if r == 1 else max(2, math.ceil(space_size ** (1.0 / r)))
+    """The message-preset branching factor max(2, ceil(|C|**(1/r))), with
+    ceil(x**(1/r)) = iroot(x - 1, r) + 1; r = 1 keeps the whole space."""
+    return space_size if r == 1 else max(2, _iroot(space_size - 1, r) + 1)
 
 
 # -- arbdefective subroutine -------------------------------------------------------
@@ -360,11 +363,11 @@ def degree_halving_framework(
     least halves.  A batch with no edges needs no communication: each of
     its nodes takes the smallest color of its residual list in 0 rounds,
     without ``inner``.  A batch on which ``inner`` fails fast is solved by
-    the oracle instead.  The returned orientation covers every edge:
-    within an inner batch it follows the decomposition, across batches
-    it points from later-colored to earlier-colored (so finished nodes
-    never gain same-color out-neighbors), and ties between simultaneously
-    uncolored nodes resolve by coloring time.
+    the oracle instead.  The returned orientation covers every edge, each
+    oriented when its later endpoint's batch is colored: within a batch it
+    follows the decomposition, across batches it points from later-colored
+    to earlier-colored (so finished nodes never gain same-color
+    out-neighbors).
 
     Each node's uncolored degree is a counter (``PartialColoring``) that
     drops by one whenever a neighbor is colored.  No graph is rebuilt: the
@@ -386,8 +389,6 @@ def degree_halving_framework(
     uncolored = set(range(n))
     traces: list[RoundTrace] = []
     rows: list[StageRow] = []
-    order_colored: dict[int, int] = {}
-    clock = 0
     stage = 0
     delta0 = graph.max_degree()
     max_stages = max(1, delta0).bit_length() + 2
@@ -471,14 +472,16 @@ def degree_halving_framework(
                 # of its residual list, as the oracle would, in 0 rounds
                 out_b, tr_b = ColoringOutput(tuple(map(min, residuals))), RoundTrace()
             traces.append(tr_b)
-            for j, v in enumerate(batch_nodes):
-                partial.assign(graph, v, out_b.colors[j])
-                order_colored[v] = clock
-            clock += 1
-            uncolored.difference_update(batch_nodes)
-            # batch-internal orientation follows the decomposition
+            # edges to earlier-colored nodes point at them; batch-internal
+            # edges follow the decomposition
+            done = partial.colors
+            for v in batch_nodes:
+                partial.oriented.extend((v, u) for u in graph.adjacency[v] if done[u] is not None)
             for a, b in batch_graph.oriented_edges():
                 partial.oriented.append((batch_nodes[a], batch_nodes[b]))
+            for j, v in enumerate(batch_nodes):
+                partial.assign(graph, v, out_b.colors[j])
+            uncolored.difference_update(batch_nodes)
             rows.append(
                 StageRow(stage, cls, len(batch_nodes), delta_s, tr_b.rounds_elapsed, tr_b.max_bits())
             )
@@ -495,15 +498,6 @@ def degree_halving_framework(
             _, total = residual(v)
             if total <= deg_u:
                 raise NodeFailure("residual condition lost", node=v)
-
-    # orient the remaining (cross-batch) edges from later- to earlier-colored;
-    # equal coloring times only happen inside a batch, whose edges are done
-    seen = {(min(a, b), max(a, b)) for a, b in partial.oriented}
-    for u, v in graph.edges():
-        if (u, v) in seen:
-            continue
-        assert order_colored[u] != order_colored[v], "batch edge left unoriented"
-        partial.oriented.append((u, v) if order_colored[u] > order_colored[v] else (v, u))
 
     output = ColoringOutput(tuple(partial.colors), tuple(sorted(partial.oriented)))
     report = validate_ldc(graph, inst, output)

@@ -397,12 +397,29 @@ def _short_init_colors(doc):
     doc["init_colors"] = doc["init_colors"][:-1]
 
 
+def _no_flavor(doc):
+    del doc["flavor"]
+
+
+def _no_m(doc):
+    del doc["m"]
+
+
+def _no_lists(doc):
+    del doc["lists"]
+
+
+def _no_n(doc):
+    del doc["n"]
+
+
 @pytest.mark.parametrize("corrupt", [
     _short_defects, _string_defect, _bool_g,
     _list_defect_entry, _int_list_entry, _string_edge_endpoint,
     _repeated_defect_key, _non_integer_defect_key,
     _string_n, _bool_n, _string_m, _float_m, _int_color_space, _string_color_space,
     _float_color, _bool_colors, _float_init_colors, _short_init_colors,
+    _no_flavor, _no_m, _no_lists, _no_n,
 ])
 def test_cli_run_rejects_malformed_instance(tmp_path, capsys, corrupt):
     g = make_graph("ring", 6, 2, seed=0)

@@ -288,6 +288,20 @@ def test_init_colors_length_is_checked_before_build(monkeypatch):
         instance_from_json(json.dumps(doc))
 
 
+def test_missing_keys_are_named_up_front():
+    g = ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1), (1, 2)])
+    inst = LdcInstance.build([0, 1], [[0, 1]] * 3, [{0: 0, 1: 0}] * 3, flavor="oriented")
+    doc = json.loads(instance_to_json(g, inst))
+    for key in ("flavor", "defects", "g"):
+        del doc[key]
+    with pytest.raises(InvalidInstance, match="lacks defects, flavor, g$"):
+        instance_from_json(json.dumps(doc))
+    # orientation is optional
+    doc = json.loads(instance_to_json(g, inst))
+    del doc["orientation"]
+    assert instance_from_json(json.dumps(doc))[0].out_neighbors is None
+
+
 def _rebuilt_subgraph(graph, nodes):
     """The induced subgraph as it was made before slicing: an edge list,
     an orientation list and the inherited colors through ``build``."""

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from listdefect import (
     OldcInner,
     OracleInner,
     PipelineConfig,
-    SpacePartition,
     arbdefective_subroutine,
     congest_pipeline,
     degree_halving_framework,
@@ -24,7 +24,7 @@ from listdefect import (
 )
 from listdefect.errors import FailFast, NodeFailure
 from listdefect.generate import make_graph, make_instance
-from listdefect.reductions import message_preset_p
+from listdefect.reductions import _padded_space, message_preset_p
 
 from conftest import (
     blockspread_instance,
@@ -36,19 +36,29 @@ from conftest import (
 
 
 def test_partition_depth_and_padding():
-    part = SpacePartition.build(range(9), 3)
-    assert part.depth == 2
-    assert len(part.colors) == 9
-    part2 = SpacePartition.build(range(10), 3)
-    assert part2.depth == 3 and len(part2.colors) == 27
+    colors, depth = _padded_space(range(9), 3)
+    assert depth == 2
+    assert len(colors) == 9
+    colors, depth = _padded_space(range(10), 3)
+    assert depth == 3 and len(colors) == 27
     # dummies sit above the real colors and never enter lists
-    assert part2.colors[10:] == tuple(range(10, 27))
+    assert colors[10:] == tuple(range(10, 27))
+    # exact powers, where a float log rounds up past the depth
+    for size, p in ((125, 5), (216, 6), (5832, 18)):
+        assert _padded_space(range(size), p) == (tuple(range(size)), 3)
 
 
 def test_message_preset_branching():
     assert message_preset_p(256, 1) == 256
     assert message_preset_p(256, 2) == 16
     assert message_preset_p(256, 4) == 4
+    # 3125 = 5**5 and 7776 = 6**5, where a float root rounds up
+    assert message_preset_p(3125, 5) == 5
+    assert message_preset_p(7776, 5) == 6
+    for r in (2, 3, 5):
+        for size in range(1, 400):
+            p = message_preset_p(size, r)
+            assert p == 2 or (p - 1) ** r < size <= p**r, (size, r)
 
 
 def test_reduction_formula_example():
@@ -65,6 +75,13 @@ def test_space_reduction_equals_inner_for_large_p():
     direct = inner.solve(g, inst)[0]
     via = space_reduced_oldc(g, inst, len(inst.color_space), inner)[0]
     assert via.colors == direct.colors
+    # nothing to reduce: the inner solves, even unoriented and defective
+    g = ring_graph(6)
+    space = list(range(4))
+    inst = LdcInstance.build(space, [space] * 6, [dict.fromkeys(space, 0)] * 6)
+    assert g.out_neighbors is None and inst.flavor == "defective"
+    out, _ = space_reduced_oldc(g, inst, len(space), OracleInner())
+    assert out.colors == OracleInner().solve(g, inst)[0].colors
 
 
 def test_space_reduction_sound_with_oracle_inner():
@@ -83,6 +100,74 @@ def test_space_reduction_condition_gate():
     )
     with pytest.raises(ConditionViolated):
         space_reduced_oldc(g, inst, 4, OldcInner())
+
+
+def test_preset_depth_is_exact_on_a_perfect_power():
+    # |C| = 216 = 6**3 at r = 3: p = 6 and k = 3, and every node has
+    # sum (d+1)^2 = 16 * 4 = 64 = beta^2 * kappa^3, which k = 4 would fail
+    g = ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1), (1, 2)])
+    lst = list(range(16))
+    inst = LdcInstance.build(range(216), [lst] * 3, [dict.fromkeys(lst, 1)] * 3, flavor="oriented")
+    out, _ = preset_message(g, inst, OldcInner(), r=3)
+    assert validate_ldc(g, inst, out).valid
+
+
+class _Stop(Exception):
+    pass
+
+
+class _ChoiceRecorder:
+    """An inner under OldcInner's (nu, kappa) that keeps the first
+    instance it is given, the top level's chunk choice, and stops."""
+
+    nu = 1
+    kappa = 4
+
+    def solve(self, graph, inst):
+        self.choice = inst
+        raise _Stop
+
+
+def _reference_chunk_defect(energy, beta, k, nu=1, kappa=4):
+    """floor((lambda * beta^(1+nu) * kappa)^(1/(1+nu))) with the chunk
+    share lambda = energy / (beta^(1+nu) kappa^k), in exact fractions."""
+    lam = Fraction(energy, beta ** (1 + nu) * kappa**k)
+    target = lam * beta ** (1 + nu) * kappa
+    d = 0
+    while (d + 1) ** (1 + nu) <= target:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("beta", [1, 2, 7])
+@pytest.mark.parametrize("k", [2, 3])
+def test_chunk_defects_are_exact(beta, k):
+    # a star 0 -> 1..beta over p^k colors; node 0 puts the energy of
+    # chunk 0 in colors with (d+1)^2 summing to it, and enough in chunk 1
+    # for the strengthened condition
+    p = 8
+    size = p ** (k - 1)
+    n = beta + 1
+    edges = [(0, v) for v in range(1, n)]
+    g = ColoredGraph.build(n, edges, orientation=edges)
+    leaf = {size: 2**k - 1}
+    for energy in range(1, 81):
+        roots, left = [], energy
+        while left:
+            roots.append(math.isqrt(left))
+            left -= roots[-1] ** 2
+        assert len(roots) <= size
+        hub = {x: r - 1 for x, r in enumerate(roots)}
+        hub[size] = beta * 2**k - 1
+        inst = LdcInstance.build(
+            range(p**k), [sorted(hub)] + [[size]] * beta, [hub] + [leaf] * beta,
+            flavor="oriented",
+        )
+        inner = _ChoiceRecorder()
+        with pytest.raises(_Stop):
+            space_reduced_oldc(g, inst, p, inner)
+        got = inner.choice.defects[0][0]
+        assert got == _reference_chunk_defect(energy, beta, k), (energy, got)
 
 
 def test_space_reduction_distributed_messages_shrink():
@@ -254,8 +339,8 @@ class _SmallClassOracle(OracleInner):
     """The oracle under the distributed inner's (nu, kappa), which makes
     the framework pick many small decomposition classes."""
 
-    nu = 1.0
-    kappa = 4.0
+    nu = 1
+    kappa = 4
 
 
 class _EdgeBatchInner:

@@ -44,3 +44,63 @@ def test_unused_import_check_finds_leftovers():
         "    return x\n"
     )
     assert unused_imports(source) == ["os (line 2)"]
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants (one leading
+    underscore) that no module reads.  A read is a loaded name, an
+    attribute or an imported name, outside the definition's own body, so
+    a function that only calls itself still counts as unread."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = _defined_names(stmt)
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = module
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    seen = n.id
+                elif isinstance(n, ast.Attribute):
+                    seen = n.attr
+                elif isinstance(n, ast.alias):
+                    # "from .a import _f as g" reads _f
+                    seen = n.name
+                else:
+                    continue
+                if seen not in names:
+                    read.add(seen)
+    return sorted(f"{module}: {name}" for name, module in defined.items() if name not in read)
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_check_finds_leftovers():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED = 4\n"
+            "def _walk(n):\n"
+            "    return _walk(n - 1) if n else _LIMIT\n"
+            "class _Helper:\n"
+            "    pass\n"
+            "def _shared():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _shared as shared\nimport a\nx = a._Helper\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _UNUSED", "a.py: _walk"]
