@@ -1,9 +1,10 @@
 """The synchronous round engine and its bit accounting.
 
-Node programs are pure state machines; a message is a dict of typed
-fields and its cost is the sum of field costs.  A CONGEST run passes a
-per-message budget; any oversize message aborts the run with the edge,
-round and size.
+Node programs are pure state machines.  Each round a node returns one
+message, which goes to every neighbor (None means silence); a message is
+a dict of typed fields and its cost is the sum of field costs.  A CONGEST
+run passes a per-message budget; any oversize message aborts the run
+with the edge, round and size.
 """
 
 from listdefect import BudgetViolation, ColoredGraph, RawField, run
@@ -21,9 +22,8 @@ class FloodIds:
         for msg in inbox.values():
             state["seen"].update(msg["ids"].value)
         payload = {"ids": RawField(tuple(sorted(state["seen"])), 16)}
-        outbox = {u: payload for u in state["view"].neighbors}
         done = len(state["seen"]) == state["view"].n and round_no > 1
-        return state, outbox, len(state["seen"]) if done else None
+        return state, payload, len(state["seen"]) if done else None
 
 
 trace = run(ring, FloodIds())

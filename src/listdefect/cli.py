@@ -372,11 +372,6 @@ def _add_options(sp: argparse.ArgumentParser, options: dict) -> None:
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--instance", required=True)
     _add_options(sp, RUN_OPTIONS)
-    sp.add_argument(
-        "--seed", type=int, default=0,
-        help="ignored: every algorithm is deterministic and none reads it; "
-        "kept so that existing command lines still parse",
-    )
     sp.add_argument("--out-dir", dest="out_dir", default="out")
     sp.add_argument("--verbose", action="store_true")
 

@@ -127,7 +127,7 @@ class _LinialProgram:
         if not self.schedule:
             return None, view.node
         relevant = view.out_neighbors if self.oriented else view.neighbors
-        return {"view": view, "color": view.node, "relevant": relevant}, None
+        return {"color": view.node, "relevant": relevant}, None
 
     def _memo_for(self, step_idx: int) -> dict[int, int]:
         """The memo of reduction step ``step_idx``, started afresh on a new step."""
@@ -137,7 +137,6 @@ class _LinialProgram:
         return self._memo
 
     def step(self, state, inbox, round_no: int):
-        view = state["view"]
         if round_no > 1:
             # apply reduction round_no-2 using last round's colors
             q, e, d = self.schedule[round_no - 2]
@@ -160,15 +159,16 @@ class _LinialProgram:
                         other = memo[key] = _poly_eval(c, q, e, a)
                     if other == val:
                         collisions += 1
+                        if collisions > d:
+                            break
                 if collisions <= d:
                     chosen = a * q + val
                     break
             assert chosen is not None, "prime choice guarantees a good point"
             state["color"] = chosen
             if round_no - 1 == len(self.schedule):
-                return state, {}, chosen
-        msg = {"color": RawField(state["color"], self.widths[round_no - 1])}
-        return state, dict.fromkeys(view.neighbors, msg), None
+                return state, None, chosen
+        return state, {"color": RawField(state["color"], self.widths[round_no - 1])}, None
 
 
 def _make_program(graph: ColoredGraph, base: int, defect: int, oriented: bool):

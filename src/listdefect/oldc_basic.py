@@ -159,14 +159,14 @@ class _SingleDefectProgram:
         if round_no == 1:
             if st.skip_color is not None:
                 msg = {"decided": ColorListField((st.skip_color,), self.space_size)}
-                return state, {u: msg for u in view.neighbors}, st.skip_color
+                return state, msg, st.skip_color
             msg = {
                 "init": InitColorField(view.init_color, view.m),
                 "list": ColorListField(st.restricted, self.space_size),
                 "defect": Pow2DefectField(st.defect, self.beta_max),
                 "class": RawField(st.gamma, max(1, self.h.bit_length())),
             }
-            return state, {u: msg for u in view.neighbors}, None
+            return state, msg, None
 
         if round_no == 2:
             fam = st.family
@@ -199,8 +199,7 @@ class _SingleDefectProgram:
                 )
             state["cset"] = st.family[best_idx]
             state["cset_mask"] = st.masks[best_idx]
-            msg = {"cset": IndexField(best_idx, len(fam))}
-            return state, {u: msg for u in view.neighbors}, None
+            return state, {"cset": IndexField(best_idx, len(fam))}, None
 
         if round_no == 3 and not state["p1_checked"]:
             state["p1_checked"] = True
@@ -238,10 +237,9 @@ class _SingleDefectProgram:
                 raise NodeFailure(
                     f"frequency bound failed: min frequency {best_f}, defect {st.defect}"
                 )
-            msg = {"color": ColorListField((best_x,), self.space_size)}
-            return state, {u: msg for u in view.neighbors}, best_x
+            return state, {"color": ColorListField((best_x,), self.space_size)}, best_x
 
-        return state, {}, None
+        return state, None, None
 
 
 def _run_single_defect(

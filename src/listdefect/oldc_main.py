@@ -74,10 +74,8 @@ class _SegmentProgram:
 
     def step(self, view, inbox, round_no):
         if round_no == 1:
-            msg = self.senders.get(view.node)
-            outbox = {u: msg for u in view.neighbors} if msg is not None else {}
-            return view, outbox, None
-        return view, {}, dict(inbox)
+            return view, self.senders.get(view.node), None
+        return view, None, dict(inbox)
 
 
 def _broadcast_segment(

@@ -13,15 +13,17 @@ execution order:
 
 Node programs are pure state machines.  ``init`` may already produce an
 output (a zero-round program); ``step`` consumes the inbox of the previous
-round and returns the new state, an outbox and optionally the final
-output.  Once a node has produced its output it no longer steps; messages
-from its final step are still delivered.  Rounds are counted until the
-last output is produced; trailing silent rounds are not counted.
+round and returns the new state, one message and optionally the final
+output.  Communication is broadcast: the message goes to every neighbor,
+and a falsy message (None or an empty dict) means the node is silent.
+Once a node has produced its output it no longer steps; the message of
+its final step is still delivered.  Rounds are counted until the last
+output is produced; trailing silent rounds are not counted.
 
-Programs usually send one shared message object to every neighbor, so
-the engine sizes each distinct message object once per outbox; the
-budget check and the message record still cover every delivered
-message, edge by edge in outbox order.
+The engine sizes each sending node's message once per round and checks
+it against the budget once, naming the edge to the node's first
+neighbor; the message record still has one row per delivered message,
+in adjacency order.  A node with no neighbors sends nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ def _log2ceil(x: int) -> int:
 # -- message fields ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColorListField:
+class ColorListField(NamedTuple):
     """A list of colors from a color space of the given size."""
 
     colors: tuple[int, ...]
@@ -53,8 +54,7 @@ class ColorListField:
         return min(self.space_size, len(self.colors) * _log2ceil(self.space_size))
 
 
-@dataclass(frozen=True)
-class Pow2DefectField:
+class Pow2DefectField(NamedTuple):
     """A defect value known to be (roughly) a power of two below beta."""
 
     value: int
@@ -64,8 +64,7 @@ class Pow2DefectField:
         return _log2ceil(max(1, _log2ceil(max(2, self.beta)))) + 1
 
 
-@dataclass(frozen=True)
-class IndexField:
+class IndexField(NamedTuple):
     """An index into a table of known size (e.g. a K-family)."""
 
     index: int
@@ -75,8 +74,7 @@ class IndexField:
         return _log2ceil(self.table_size)
 
 
-@dataclass(frozen=True)
-class InitColorField:
+class InitColorField(NamedTuple):
     color: int
     m: int
 
@@ -84,8 +82,7 @@ class InitColorField:
         return _log2ceil(self.m)
 
 
-@dataclass(frozen=True)
-class RawField:
+class RawField(NamedTuple):
     """Any payload with an explicitly declared bit width."""
 
     value: Any
@@ -135,10 +132,11 @@ class NodeProgram(Protocol):
 
     def step(
         self, state: Any, inbox: dict[int, Message], round_no: int
-    ) -> tuple[Any, dict[int, Message], Optional[Any]]:
+    ) -> tuple[Any, Optional[Message], Optional[Any]]:
         """Process the inbox of round ``round_no``; return
-        (state, outbox, output or None).  Must be pure in (state, inbox,
-        round_no)."""
+        (state, message, output or None).  The message goes to every
+        neighbor; None or an empty message means silence.  Must be pure
+        in (state, inbox, round_no)."""
 
 
 # -- traces -------------------------------------------------------------------
@@ -223,8 +221,6 @@ def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
 
 # -- the engine ---------------------------------------------------------------
 
-_NO_MESSAGE = object()
-
 
 def run(
     graph: ColoredGraph,
@@ -266,6 +262,7 @@ def run(
     messages = trace.messages = [] if record_messages else None
     inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
     step = program.step
+    adjacency = graph.adjacency
 
     rnd = 0
     while pending:
@@ -279,30 +276,22 @@ def run(
         round_max = 0
         for v in pending:
             try:
-                states[v], outbox, out = step(states[v], inboxes[v], rnd)
+                states[v], msg, out = step(states[v], inboxes[v], rnd)
             except NodeFailure as exc:
                 exc.node = v if exc.node is None else exc.node
                 exc.round_no = rnd
                 raise
-            if outbox:
-                neighbors = graph.adjacency[v]
-                sizes: dict[int, int] = {}  # id(message) -> bits, for this outbox
-                last = _NO_MESSAGE  # the previous recipient's message
-                for u, msg in outbox.items():
-                    if u not in neighbors:
-                        raise NodeFailure(f"message to non-neighbor {u}", node=v, round_no=rnd)
-                    if msg is not last:
-                        last = msg
-                        size = sizes.get(id(msg))
-                        if size is None:
-                            size = sizes[id(msg)] = message_bits(msg)
-                            if bits_per_message is not None and size > bits_per_message:
-                                raise BudgetViolation((v, u), rnd, size, bits_per_message)
-                            if size > round_max:
-                                round_max = size
-                    if messages is not None:
-                        messages.append((rnd, v, u, size))
+            neighbors = adjacency[v]
+            if msg and neighbors:
+                size = message_bits(msg)
+                if bits_per_message is not None and size > bits_per_message:
+                    raise BudgetViolation((v, neighbors[0]), rnd, size, bits_per_message)
+                if size > round_max:
+                    round_max = size
+                for u in neighbors:
                     next_inboxes[u][v] = msg
+                if messages is not None:
+                    messages.extend([(rnd, v, u, size) for u in neighbors])
             if out is not None:
                 outputs[v] = out
                 output_round[v] = rnd

@@ -106,6 +106,16 @@ def test_cli_generate_run_roundtrip(tmp_path):
     assert (out_dir / "trace.csv").read_text().startswith("round,max_bits")
 
 
+@pytest.mark.parametrize("command", [["run", "--algorithm", "seq"], ["oracle"]])
+def test_cli_run_and_oracle_take_no_seed(tmp_path, capsys, command):
+    # no algorithm reads a seed, so `run` and `oracle` have no --seed option
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*command, "--instance", str(tmp_path / "inst.json"), "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments: --seed 1" in err
+
+
 def test_cli_generate_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["generate", "--family", "random-dag", "--n", "16", "--seed", "5",

@@ -118,7 +118,6 @@ class _PerPairLinial:
         return max(1, (p - 1).bit_length())
 
     def step(self, state, inbox, round_no):
-        view = state["view"]
         schedule = self.program.schedule
         if round_no > 1:
             q, e, d = schedule[round_no - 2]
@@ -134,9 +133,8 @@ class _PerPairLinial:
             assert chosen is not None
             state["color"] = chosen
             if round_no - 1 == len(schedule):
-                return state, {}, chosen
-        msg = {"color": RawField(state["color"], self._bits(round_no - 1))}
-        return state, {u: msg for u in view.neighbors}, None
+                return state, None, chosen
+        return state, {"color": RawField(state["color"], self._bits(round_no - 1))}, None
 
 
 def _random_graph(seed, n, p, oriented):

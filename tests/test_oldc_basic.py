@@ -178,7 +178,7 @@ class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
             if "cset" in msg:
                 ref[u] = self.statics[u].family[msg["cset"].index]
         try:
-            state, outbox, out = super().step(state, inbox, round_no)
+            state, msg, out = super().step(state, inbox, round_no)
         except NodeFailure as exc:
             if "P1 violated" in str(exc):
                 assert 2 * self._pairwise_conflicts(state, st) > st.defect
@@ -214,7 +214,7 @@ class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
             ]
             assert out == state["cset"][freq.index(min(freq))]
             self.checked.append(("frequency",))
-        return state, outbox, out
+        return state, msg, out
 
     def _pairwise_conflicts(self, state, st):
         return sum(

@@ -61,13 +61,6 @@ def test_message_preset_branching():
             assert p == 2 or (p - 1) ** r < size <= p**r, (size, r)
 
 
-def test_reduction_formula_example():
-    # nu=0, kappa=1, k=1, beta=2, two zero-defect colors in one chunk:
-    # lambda = sum(d+1)/(beta * 1) = 1, budget floor((1*2*1)) = 2
-    lam = 2 / (2 * 1)
-    assert math.floor((lam * 2 * 1) ** 1.0) == 2
-
-
 def test_space_reduction_equals_inner_for_large_p():
     g = random_dag(8, 2, 0.4, seed=0)
     inst = blockspread_instance(g, seed=0)
@@ -168,6 +161,22 @@ def test_chunk_defects_are_exact(beta, k):
             space_reduced_oldc(g, inst, p, inner)
         got = inner.choice.defects[0][0]
         assert got == _reference_chunk_defect(energy, beta, k), (energy, got)
+
+
+def test_reduction_formula_example():
+    # nu=0, kappa=1, beta=2, two zero-defect colors in one chunk: the
+    # share is lambda = sum(d+1) / (beta * kappa^k) = 1, so the chunk
+    # defect is floor(lambda * beta * kappa) = 2
+    edges = [(0, 1), (0, 2)]
+    g = ColoredGraph.build(3, edges, orientation=edges)
+    inst = LdcInstance.build(
+        range(4), [[0, 1], [0], [0]], [{0: 0, 1: 0}, {0: 0}, {0: 0}], flavor="oriented"
+    )
+    inner = _ChoiceRecorder()
+    inner.nu, inner.kappa = 0, 1
+    with pytest.raises(_Stop):
+        space_reduced_oldc(g, inst, 2, inner)
+    assert inner.choice.defects[0] == {0: 2}
 
 
 def test_space_reduction_distributed_messages_shrink():

@@ -40,9 +40,8 @@ class FloodIds:
         for msg in inbox.values():
             state["seen"].update(msg["ids"].value)
         payload = {"ids": RawField(tuple(sorted(state["seen"])), self.bits)}
-        out = {u: payload for u in state["view"].neighbors}
         done = len(state["seen"]) == state["view"].n and rnd > 1
-        return state, out, tuple(sorted(state["seen"])) if done else None
+        return state, payload, tuple(sorted(state["seen"])) if done else None
 
 
 def test_zero_round_program():
@@ -71,8 +70,8 @@ def test_single_round_exchange_accounting():
 
         def step(self, view, inbox, rnd):
             if rnd == 1:
-                return view, {u: {"p": RawField(0, 17)} for u in view.neighbors}, None
-            return view, {}, sorted(inbox)
+                return view, {"p": RawField(0, 17)}, None
+            return view, None, sorted(inbox)
 
     tr = run(PATH3, OneShot())
     assert tr.max_message_bits[0] == 17
@@ -143,51 +142,29 @@ STAR = ColoredGraph.build(14, [(0, leaf) for leaf in range(1, 13)])
 
 
 class SendOnce:
-    """Round 1: every node sends outbox_of(node); round 2: every node outputs."""
+    """Round 1: every node sends message_of(node); round 2: every node outputs."""
 
-    def __init__(self, outbox_of):
-        self.outbox_of = outbox_of
+    def __init__(self, message_of):
+        self.message_of = message_of
 
     def init(self, view):
         return view, None
 
     def step(self, view, inbox, rnd):
         if rnd == 1:
-            return view, self.outbox_of(view.node), None
-        return view, {}, view.node
-
-
-def test_message_to_non_neighbor_small_outbox():
-    program = SendOnce(lambda v: {2: {"p": RawField(0, 1)}} if v == 0 else {})
-    with pytest.raises(NodeFailure, match="non-neighbor 2") as exc:
-        run(PATH3, program)
-    assert exc.value.node == 0 and exc.value.round_no == 1
-
-
-def test_message_to_non_neighbor_large_outbox():
-    def outbox_of(v):
-        if v != 0:
-            return {}
-        msg = {"p": RawField(0, 1)}
-        recipients = list(range(1, 7)) + [13] + list(range(7, 13))
-        return {u: msg for u in recipients}
-
-    assert len(outbox_of(0)) == 13
-    with pytest.raises(NodeFailure, match="non-neighbor 13") as exc:
-        run(STAR, SendOnce(outbox_of))
-    assert exc.value.node == 0 and exc.value.round_no == 1
+            return view, self.message_of(view.node), None
+        return view, None, view.node
 
 
 def test_shared_message_over_budget_names_first_edge():
-    msg = {"p": RawField(0, 40)}
-    program = SendOnce(lambda v: {u: msg for u in range(12, 0, -1)} if v == 0 else {})
+    program = SendOnce(lambda v: {"p": RawField(0, 40)} if v == 0 else None)
     with pytest.raises(BudgetViolation) as exc:
         run(STAR, program, bits_per_message=32)
-    assert exc.value.edge == (0, 12)
+    assert exc.value.edge == (0, 1)
     assert exc.value.round_no == 1 and exc.value.size == 40
 
 
-def test_each_distinct_message_is_sized_once_per_outbox(monkeypatch):
+def test_each_sending_nodes_message_is_sized_once_per_round(monkeypatch):
     sized = []
 
     def counting_bits(msg):
@@ -195,24 +172,38 @@ def test_each_distinct_message_is_sized_once_per_outbox(monkeypatch):
         return message_bits(msg)
 
     monkeypatch.setattr(runtime, "message_bits", counting_bits)
-    a, b = {"p": RawField(0, 3)}, {"p": RawField(1, 5)}
-    program = SendOnce(lambda v: {u: (a if u % 2 else b) for u in range(1, 13)} if v == 0 else {})
-    tr = run(STAR, program)
-    assert len(sized) == 2
+    tr = run(STAR, SendOnce(lambda v: {"p": RawField(v, 3 + v % 5)}))
+    # nodes 0..12 once each; node 13 has no neighbor to send to
+    assert [msg["p"].value for msg in sized] == list(range(13))
+    assert tr.max_message_bits == [7, 0]
+    sized.clear()
+    # FloodIds sends in every round up to and including a node's output round
+    tr = run(PATH3, FloodIds(16))
+    assert len(sized) == sum(tr.output_rounds) == 8
+
+
+def test_node_without_neighbors_sends_nothing():
+    def message_of(v):
+        if v == 13:
+            return {"p": RawField(v, 99)}  # over the budget, but goes nowhere
+        return {"p": RawField(v, 5)} if v == 1 else None
+
+    tr = run(STAR, SendOnce(message_of), bits_per_message=32, record_messages=True)
     assert tr.max_message_bits == [5, 0]
+    assert tr.messages == [(1, 1, 0, 5)]
 
 
 def test_record_messages_lists_every_delivered_message():
     shared = {"p": RawField(0, 7)}
 
-    def outbox_of(v):
+    def message_of(v):
         if v == 0:
-            return {u: shared for u in range(1, 13)}
+            return shared
         if v == 13:
             return {}
-        return {0: {"p": RawField(v, v)}}
+        return {"p": RawField(v, v)}
 
-    tr = run(STAR, SendOnce(outbox_of), record_messages=True)
+    tr = run(STAR, SendOnce(message_of), record_messages=True)
     expected = [(1, 0, u, 7) for u in range(1, 13)] + [(1, v, 0, v) for v in range(1, 13)]
     assert tr.messages == expected
     assert tr.max_message_bits == [12, 0]
