@@ -11,10 +11,8 @@ from .conflict import (
     ConflictParams,
     NodeType,
     TypeTable,
-    bound_d1_d2,
     build_or_load_type_table,
     build_type_table,
-    psi_g_member,
     residue_restrict,
     tau_g_conflict,
 )
@@ -56,7 +54,7 @@ from .linial import (
 )
 from .oldc_basic import OldcConfig, gamma_class_of, multi_defect_oldc, single_defect_oldc
 from .oldc_main import ClassBudget, LambdaProfile, MainConfig, lambda_profile, main_oldc, two_phase_oldc
-from .oracle import PotentialState, exhaustive_solve, sequential_arbdefective, sequential_ldc
+from .oracle import exhaustive_solve, sequential_arbdefective, sequential_ldc
 from .reductions import (
     OldcInner,
     OracleInner,

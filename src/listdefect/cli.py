@@ -161,7 +161,9 @@ def _oldc_main(graph, inst, opts, report) -> Result:
 
 
 def _space_reduced(graph, inst, opts, report) -> Result:
-    p = opts["p"] or message_preset_p(len(inst.color_space), opts["r"] or 1)
+    p = opts["p"]
+    if p is None:
+        p = message_preset_p(len(inst.color_space), 1 if opts["r"] is None else opts["r"])
     report["p"] = p
     return *space_reduced_oldc(graph, inst, p, _inner(opts)), []
 

@@ -121,27 +121,23 @@ def tau_g_conflict(c1: Iterable[int], c2: Iterable[int], tau: int, g: int) -> bo
     return masks_conflict(shifted_masks(color_mask(c1), g), color_mask(c2), tau)
 
 
-def psi_g_member(
-    k1: Sequence[Sequence[int]],
-    k2: Sequence[Sequence[int]],
-    tau_prime: int,
-    tau: int,
-    g: int,
-) -> bool:
-    """Directed family-level conflict (K_1, K_2) in Psi_g(tau', tau).
-
-    True iff at least tau' distinct members of K_1 each tau&g-conflict
-    with some member of K_2.  Not symmetric.
-    """
-    masks2 = [color_mask(c2) for c2 in k2]
-    hits = 0
-    for c1 in k1:
-        shifted = shifted_masks(color_mask(c1), g)
-        if any(masks_conflict(shifted, m2, tau) for m2 in masks2):
-            hits += 1
-            if hits >= tau_prime:
-                return True
-    return False
+def least_conflicting(
+    masks: Sequence[int], peer_families: Sequence[Sequence[int]], tau: int, g: int
+) -> tuple[int, int]:
+    """The P1 choice: the candidate set, by mask, that tau&g-conflicts
+    with the fewest peer families, a peer counting once when any of its
+    members conflicts.  Returns (index, count) of the first minimum."""
+    best_idx, best_count = 0, None
+    for idx, mask in enumerate(masks):
+        shifted = shifted_masks(mask, g)
+        count = sum(
+            1 for fam in peer_families if any(masks_conflict(shifted, m2, tau) for m2 in fam)
+        )
+        if best_count is None or count < best_count:
+            best_idx, best_count = idx, count
+            if count == 0:
+                break
+    return best_idx, best_count
 
 
 def residue_restrict(colors: Sequence[int], g: int) -> tuple[int, tuple[int, ...]]:
@@ -159,28 +155,6 @@ def residue_restrict(colors: Sequence[int], g: int) -> tuple[int, tuple[int, ...
         return 0, ()
     best = max(buckets, key=lambda a: (len(buckets[a]), -a))
     return best, tuple(buckets[best])
-
-
-# -- Appendix-style bound calculators -----------------------------------------
-
-
-def _comb0(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def bound_d1_d2(k: int, ell: int, k_prime: int, tau: int, tau_prime: int) -> tuple[int, int]:
-    """Exact conflict-degree bounds d1 and d2 as big integers.
-
-        d1 = C(k, tau) * C(ell - tau, k - tau)
-        d2 = 4 * C(k' * d1, tau') * C(C(ell, k) - tau', k' - tau')
-
-    Binomials with out-of-range arguments count as 0.
-    """
-    d1 = _comb0(k, tau) * _comb0(ell - tau, k - tau)
-    d2 = 4 * _comb0(k_prime * d1, tau_prime) * _comb0(_comb0(ell, k) - tau_prime, k_prime - tau_prime)
-    return d1, d2
 
 
 # -- node types and the greedy table ------------------------------------------
@@ -227,9 +201,10 @@ def colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
 class TypeTable:
     """Zero-round P2: a conflict-free family K_i per node type.
 
-    Invariant (verified exhaustively by ``verify``): for every pair of
-    assigned types with gamma_class(j) <= gamma_class(i),
-    (K_i, K_j) is not in Psi_g(tau', tau).
+    Invariant: for every pair of assigned types with
+    gamma_class(j) <= gamma_class(i), (K_i, K_j) is not in Psi_g(tau', tau),
+    that is, fewer than tau' members of K_i each tau&g-conflict with some
+    member of K_j.
     """
 
     params: ConflictParams
@@ -248,18 +223,6 @@ class TypeTable:
         if i is None:
             raise ValueError(f"{t} is not in the type table")
         return self.families[i]
-
-    def verify(self) -> bool:
-        tau, tp, g = self.params.tau, self.params.tau_prime, self.params.g
-        for i, ti in enumerate(self.types):
-            for j, tj in enumerate(self.types):
-                if i == j:
-                    continue
-                if tj.gamma_class <= ti.gamma_class and psi_g_member(
-                    self.families[i], self.families[j], tp, tau, g
-                ):
-                    return False
-        return True
 
     def to_bytes(self) -> bytes:
         doc = {
@@ -477,14 +440,12 @@ def table_cache_key(
     types: Sequence[NodeType],
     k_by_class: dict[int, int],
     k_prime: int,
-    candidate_cap: int = 200_000,
 ) -> str:
     doc = {
         "params": list(_table_params(params)),
         "types": sorted([t.init_color, list(t.restricted_list), t.gamma_class] for t in set(types)),
         "k": sorted(k_by_class.items()),
         "k_prime": k_prime,
-        "cap": candidate_cap,
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -495,23 +456,21 @@ def build_or_load_type_table(
     types: Sequence[NodeType],
     k_by_class: dict[int, int],
     k_prime: int,
-    candidate_cap: int = 200_000,
-    cache_dir: Optional[str] = None,
 ) -> TypeTable:
-    """Like build_type_table, with a binary cache keyed by the inputs.
+    """Like build_type_table at its default cap, with a binary cache keyed
+    by the inputs.
 
-    The cache directory comes from the argument or the LISTDEFECT_CACHE
-    environment variable; without either, no caching happens.  The key
-    covers every argument, ``candidate_cap`` included.  A cache file that
-    cannot be read or decoded, or whose params or types differ from the
-    request, counts as a miss and is rebuilt.
+    The cache directory is the LISTDEFECT_CACHE environment variable;
+    without it, no caching happens.  The key covers every argument.  A
+    cache file that cannot be read or decoded, or whose params or types
+    differ from the request, counts as a miss and is rebuilt.
     Each writer goes through its own temporary file and renames it into
     place, so concurrent writers of one key never interleave.
     """
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
+    cache_dir = os.environ.get(CACHE_ENV)
     path = None
     if cache_dir:
-        key = table_cache_key(params, types, k_by_class, k_prime, candidate_cap)
+        key = table_cache_key(params, types, k_by_class, k_prime)
         path = os.path.join(cache_dir, key + ".tt")
         try:
             with open(path, "rb") as fh:
@@ -522,7 +481,7 @@ def build_or_load_type_table(
                 return cached
         except (OSError, ValueError, KeyError, IndexError, TypeError, InvalidInstance):
             pass  # missing, unreadable or corrupt: build and (over)write
-    table = build_type_table(params, types, k_by_class, k_prime, candidate_cap)
+    table = build_type_table(params, types, k_by_class, k_prime)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tt.tmp")

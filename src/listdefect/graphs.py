@@ -21,6 +21,7 @@ from .errors import (
     InvalidInstance,
     MissingColor,
     MissingOrientation,
+    NodeFailure,
 )
 
 FLAVOR_DEFECTIVE = "defective"
@@ -337,6 +338,14 @@ def validate_ldc(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput) ->
     )
 
 
+def require_valid(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput, what: str) -> None:
+    """The output gate of every algorithm: raises NodeFailure, its message
+    ``what`` followed by the violating nodes, unless ``out`` validates."""
+    report = validate_ldc(graph, inst, out)
+    if not report.valid:
+        raise NodeFailure(f"{what} {report.violating_nodes()}")
+
+
 def check_existence_condition(graph: ColoredGraph, inst: LdcInstance) -> list[bool]:
     """Per-node existence condition for the sequential solvers.
 
@@ -345,17 +354,13 @@ def check_existence_condition(graph: ColoredGraph, inst: LdcInstance) -> list[bo
 
     All-true implies solvability by the corresponding sequential algorithm.
     """
-    if inst.flavor == FLAVOR_DEFECTIVE:
-        return [
-            sum(d + 1 for d in inst.defects[v].values()) > graph.degree(v)
-            for v in range(graph.n)
-        ]
-    if inst.flavor == FLAVOR_ARBDEFECTIVE:
-        return [
-            sum(2 * d + 1 for d in inst.defects[v].values()) > graph.degree(v)
-            for v in range(graph.n)
-        ]
-    raise InvalidInstance("existence condition only defined for defective/arbdefective")
+    if inst.flavor not in (FLAVOR_DEFECTIVE, FLAVOR_ARBDEFECTIVE):
+        raise InvalidInstance("existence condition only defined for defective/arbdefective")
+    w = 2 if inst.flavor == FLAVOR_ARBDEFECTIVE else 1
+    return [
+        sum(w * d + 1 for d in inst.defects[v].values()) > graph.degree(v)
+        for v in range(graph.n)
+    ]
 
 
 # -- JSON instance schema --------------------------------------------------

@@ -210,10 +210,7 @@ def linial_coloring(graph: ColoredGraph) -> tuple[ColoringOutput, RoundTrace]:
 
 def linial_palette(graph: ColoredGraph) -> int:
     """Declared final palette size of linial_coloring on this graph."""
-    if graph.n == 0 or graph.max_degree() == 0:
-        return 1
-    _, palette = linial_schedule(graph.n, graph.max_degree(), 0)
-    return palette
+    return _make_program(graph, graph.max_degree(), 0, oriented=False)[1]
 
 
 def defective_linial(graph: ColoredGraph, d: int) -> tuple[ColoringOutput, RoundTrace]:

@@ -38,6 +38,7 @@ from .conflict import (
     NodeType,
     build_or_load_type_table,
     color_mask,
+    least_conflicting,
     masks_conflict,
     proximity_count,
     residue_restrict,
@@ -49,7 +50,7 @@ from .graphs import (
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
-    validate_ldc,
+    require_valid,
 )
 from .runtime import (
     ColorListField,
@@ -176,16 +177,7 @@ class _SingleDefectProgram:
                 if u in state["classes"] and state["classes"][u] <= st.gamma
             ]
             peer_masks = [self.statics[u].masks for u in peers]
-            best_idx, best_d = 0, None
-            for idx, mask in enumerate(st.masks):
-                shifted = shifted_masks(mask, self.g)
-                d_c = sum(
-                    1
-                    for masks in peer_masks
-                    if any(masks_conflict(shifted, m2, self.tau) for m2 in masks)
-                )
-                if best_d is None or d_c < best_d:
-                    best_idx, best_d = idx, d_c
+            best_idx, best_d = least_conflicting(st.masks, peer_masks, self.tau, self.g)
             beta_v = max(1, len(view.out_neighbors))
             # pigeonhole over the family: best <= beta (tau'-1)/|K| < (d+1)/2
             if best_d * len(fam) > beta_v * (self.tau_prime - 1):
@@ -324,18 +316,7 @@ def _run_single_defect(
         g=g,
         beta_max=beta_max,
     )
-    inst = LdcInstance.build(
-        color_space,
-        [list(lists[v]) if v not in predecided else [predecided[v]] for v in range(n)],
-        [
-            {x: defects[v] for x in lists[v]}
-            if v not in predecided
-            else {predecided[v]: graph.outdegree(v)}
-            for v in range(n)
-        ],
-        flavor=FLAVOR_ORIENTED,
-        g=g,
-    )
+    inst = _single_defect_instance(graph, color_space, lists, defects, predecided, g)
     trace = run(
         graph,
         program,
@@ -344,10 +325,25 @@ def _run_single_defect(
         record_messages=config.record_messages,
     )
     output = ColoringOutput(tuple(trace.outputs))
-    report = validate_ldc(graph, inst, output)
-    if not report.valid:
-        raise NodeFailure(f"output failed validation at nodes {report.violating_nodes()}")
+    require_valid(graph, inst, output, "output failed validation at nodes")
     return output, trace
+
+
+def _single_defect_instance(
+    graph: ColoredGraph, color_space: Sequence[int], lists: Sequence[Sequence[int]],
+    defects: Sequence[int] | dict[int, int], predecided: dict[int, int], g: int,
+) -> LdcInstance:
+    """The instance a single-defect run is checked against: each node's
+    list at its one defect ``defects[v]``, and a predecided node's color
+    at its outdegree."""
+    nodes = range(graph.n)
+    return LdcInstance.build(
+        color_space,
+        [(predecided[v],) if v in predecided else lists[v] for v in nodes],
+        [{predecided[v]: graph.outdegree(v)} if v in predecided
+         else dict.fromkeys(lists[v], defects[v]) for v in nodes],
+        flavor=FLAVOR_ORIENTED, g=g,
+    )
 
 
 def single_defect_oldc(
@@ -392,7 +388,7 @@ def multi_defect_oldc(
     reduced_lists: list[tuple[int, ...]] = [()] * n
     reduced_defect: list[int] = [0] * n
     max_class = 1
-    machinery: list[int] = []
+    machinery: list[tuple[int, int, int]] = []  # (node, beta_hat, energy total)
     for v in range(n):
         first_cover = _first_cover(graph, inst, v)
         if first_cover is not None:
@@ -418,7 +414,7 @@ def multi_defect_oldc(
         reduced_lists[v] = tuple(sorted(xs))
         reduced_defect[v] = _pow2_floor(inst.defects[v][xs[0]] + 1) - 1
         max_class = max(max_class, star)
-        machinery.append(v)
+        machinery.append((v, beta_hat, total))
 
     h_used = max(h or 1, max_class)
     params = ConflictParams(
@@ -426,9 +422,7 @@ def multi_defect_oldc(
         scale_override=config.scale_override,
     )
     tau = params.tau
-    for v in machinery:
-        beta_hat = _pow2_ceil(max(1, graph.outdegree(v)))
-        total = sum(_pow2_floor(inst.defects[v][x] + 1) ** 2 for x in inst.lists[v])
+    for v, beta_hat, total in machinery:
         need = config.alpha * beta_hat**2 * tau * h_used * (2 * g + 1)
         if total < need:
             raise ListTooSmall(
@@ -446,7 +440,5 @@ def multi_defect_oldc(
         h_arg=h_used,
         predecided=predecided,
     )
-    report = validate_ldc(graph, inst, out)
-    if not report.valid:
-        raise NodeFailure(f"output failed validation at nodes {report.violating_nodes()}")
+    require_valid(graph, inst, out, "output failed validation at nodes")
     return out, trace

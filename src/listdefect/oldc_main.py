@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .conflict import (
-    ConflictParams, NodeType, build_or_load_type_table, color_mask, proximity_count, tau_of
+    ConflictParams, NodeType, build_or_load_type_table, color_mask, least_conflicting,
+    proximity_count, tau_of,
 )
 from .errors import (
     InvalidInstance,
@@ -45,9 +46,11 @@ from .graphs import (
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
-    validate_ldc,
+    require_valid,
 )
-from .oldc_basic import OldcConfig, _first_cover, _pow2_ceil, _pow2_floor, multi_defect_oldc
+from .oldc_basic import (
+    OldcConfig, _first_cover, _pow2_ceil, _pow2_floor, _single_defect_instance, multi_defect_oldc
+)
 from .runtime import (
     ColorListField,
     IndexField,
@@ -278,16 +281,7 @@ def two_phase_oldc(
                 )
                 if cls == i
             ]
-            best_idx, best_d = 0, None
-            # g = 0, so a candidate set's one shifted mask is its own mask
-            for idx, cand in enumerate(masks_of[class_types[v]]):
-                d_c = sum(
-                    1
-                    for masks in peer_masks
-                    if any(proximity_count((cand,), m2) >= tau for m2 in masks)
-                )
-                if best_d is None or d_c < best_d:
-                    best_idx, best_d = idx, d_c
+            best_idx, best_d = least_conflicting(masks_of[class_types[v]], peer_masks, tau, 0)
             b_same = beta_within[v].get(i, 0)
             if best_d * len(fam) > b_same * (tau_prime - 1):
                 raise NodeFailure(
@@ -362,27 +356,12 @@ def two_phase_oldc(
                 nodes[v].known_colors[u] = msg["color"].colors[0]
 
     output = ColoringOutput(tuple(colors[v] for v in range(n)))
-    trace = concat_traces(traces)
-    trace.outputs = list(output.colors)
+    trace = concat_traces(traces, output.colors)
     trace.audit = [
         (v, *nodes[v].audit) if v in nodes else (v, 0, 0, 0) for v in range(n)
     ]
-
-    inst = LdcInstance.build(
-        color_space,
-        [lists[v] if v in budget.classes else (predecided[v],) for v in range(n)],
-        [
-            {x: budget.defects[v] for x in lists[v]}
-            if v in budget.classes
-            else {predecided[v]: graph.outdegree(v)}
-            for v in range(n)
-        ],
-        flavor=FLAVOR_ORIENTED,
-        g=0,
-    )
-    report = validate_ldc(graph, inst, output)
-    if not report.valid:
-        raise NodeFailure(f"two-phase output invalid at {report.violating_nodes()}")
+    inst = _single_defect_instance(graph, color_space, lists, budget.defects, predecided, 0)
+    require_valid(graph, inst, output, "two-phase output invalid at")
     return output, trace
 
 # -- lambda profiles and the full algorithm -------------------------------------
@@ -413,7 +392,6 @@ class LambdaProfile:
     lam: dict[int, Fraction]
     class_of_mu: dict[int, Optional[int]]
     case2: bool
-    mu_case2: Optional[int]
     class_list: tuple[int, ...]
     deltas: dict[int, int]          # class -> delta budget
     mu_of_class: dict[int, int]
@@ -476,29 +454,20 @@ def lambda_profile(
             class_of_mu[mu] = cls if mu == case2_mu else None
         deltas[cls] = math.isqrt(r_big) // 4
         mu_of_class[cls] = case2_mu
-        return LambdaProfile(
-            r_big, {m: tuple(xs) for m, xs in buckets.items()}, energy, total,
-            lam, class_of_mu, True, case2_mu, (cls,), deltas, mu_of_class,
-        )
-
-    seen_f: set[int] = set()
-    for mu in sorted(buckets):
-        if lam[mu] == 0:
+    else:
+        for mu in sorted(buckets):
             class_of_mu[mu] = None
-            continue
-        r = (lam[mu].denominator.bit_length() - 1) // 2
-        f = mu - r + 2
-        if f < 1 or f > h or f in seen_f:
-            class_of_mu[mu] = None
-            continue
-        seen_f.add(f)
-        class_of_mu[mu] = f
-        lam_r = r_big >> (2 * r)
-        deltas[f] = math.isqrt(lam_r)
-        mu_of_class[f] = mu
+            if lam[mu] == 0:
+                continue
+            r = (lam[mu].denominator.bit_length() - 1) // 2
+            f = mu - r + 2
+            if 1 <= f <= h and f not in deltas:
+                class_of_mu[mu] = f
+                deltas[f] = math.isqrt(r_big >> (2 * r))
+                mu_of_class[f] = mu
     return LambdaProfile(
         r_big, {m: tuple(xs) for m, xs in buckets.items()}, energy, total,
-        lam, class_of_mu, False, None, tuple(sorted(deltas)), deltas, mu_of_class,
+        lam, class_of_mu, case2_mu is not None, tuple(sorted(deltas)), deltas, mu_of_class,
     )
 
 
@@ -632,10 +601,5 @@ def main_oldc(
     )
     traces.append(tr2)
 
-    output = out2
-    report = validate_ldc(graph, inst, output)
-    if not report.valid:
-        raise NodeFailure(f"main OLDC output invalid at {report.violating_nodes()}")
-    trace = concat_traces(traces)
-    trace.outputs = list(output.colors)
-    return output, trace
+    require_valid(graph, inst, out2, "main OLDC output invalid at")
+    return out2, concat_traces(traces, out2.colors)

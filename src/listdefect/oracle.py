@@ -41,32 +41,6 @@ from .graphs import (
 
 
 @dataclass
-class PotentialState:
-    """Snapshot of the recoloring walk, for auditing the potential."""
-
-    colors: list[int]
-    monochromatic_edges: int
-    potential: int
-    unhappy: list[int]
-
-    @staticmethod
-    def recompute(graph: ColoredGraph, inst: LdcInstance, colors: list[int]) -> "PotentialState":
-        mono = sum(
-            1 for u, v in graph.edges() if colors[u] == colors[v]
-        )
-        pot = mono + sum(
-            graph.degree(v) - inst.defects[v][colors[v]] for v in range(graph.n)
-        )
-        unhappy = [
-            v
-            for v in range(graph.n)
-            if sum(1 for u in graph.adjacency[v] if colors[u] == colors[v])
-            > inst.defects[v][colors[v]]
-        ]
-        return PotentialState(list(colors), mono, pot, unhappy)
-
-
-@dataclass
 class RecoloringStats:
     recolorings: int
     phi_initial: int

@@ -37,7 +37,7 @@ from .graphs import (
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
-    validate_ldc,
+    require_valid,
 )
 from .linial import linial_coloring
 from .oldc_basic import OldcConfig, multi_defect_oldc
@@ -243,13 +243,9 @@ def _reduce_level(
             # the final color's chunk path must match the choice
             assert chunk_of[sub_out.colors[idx]] == i, "color escaped its chunk"
 
-    trace = concat_traces([choice_trace, merge_parallel(sub_traces)])
     output = ColoringOutput(tuple(colors_out))
-    report = validate_ldc(graph, inst, output)
-    if not report.valid:
-        raise NodeFailure(f"space reduction output invalid at {report.violating_nodes()}")
-    trace.outputs = list(output.colors)
-    return output, trace
+    require_valid(graph, inst, output, "space reduction output invalid at")
+    return output, concat_traces([choice_trace, merge_parallel(sub_traces)], output.colors)
 
 
 def preset_message(
@@ -257,14 +253,15 @@ def preset_message(
 ) -> tuple[ColoringOutput, RoundTrace]:
     """Space reduction with the message-preset branching factor
     ceil(|C|**(1/r)); r = 1 keeps the whole space, so ``inner`` solves."""
-    if r < 1:
-        raise InvalidInstance("r must be at least 1")
     return space_reduced_oldc(graph, inst, message_preset_p(len(inst.color_space), r), inner)
 
 
 def message_preset_p(space_size: int, r: int) -> int:
     """The message-preset branching factor max(2, ceil(|C|**(1/r))), with
-    ceil(x**(1/r)) = iroot(x - 1, r) + 1; r = 1 keeps the whole space."""
+    ceil(x**(1/r)) = iroot(x - 1, r) + 1; r = 1 keeps the whole space.
+    Raises InvalidInstance for r < 1."""
+    if r < 1:
+        raise InvalidInstance("r must be at least 1")
     return space_size if r == 1 else max(2, _iroot(space_size - 1, r) + 1)
 
 
@@ -500,12 +497,8 @@ def degree_halving_framework(
                 raise NodeFailure("residual condition lost", node=v)
 
     output = ColoringOutput(tuple(partial.colors), tuple(sorted(partial.oriented)))
-    report = validate_ldc(graph, inst, output)
-    if not report.valid:
-        raise NodeFailure(f"framework output invalid at {report.violating_nodes()}")
-    trace = concat_traces(traces)
-    trace.outputs = list(output.colors)
-    return output, trace, rows
+    require_valid(graph, inst, output, "framework output invalid at")
+    return output, concat_traces(traces, output.colors), rows
 
 
 def _check_partial_safety(inst, partial):
@@ -556,10 +549,10 @@ def congest_pipeline(
     space = len(inst.color_space)
     if space > max(4, delta + 1) ** SPACE_EXPONENT:
         raise InvalidInstance(f"color space of {space} exceeds degree^{SPACE_EXPONENT}")
-    r = config.r or 2 * SPACE_EXPONENT
+    r = 2 * SPACE_EXPONENT if config.r is None else config.r
+    chunk = message_preset_p(space, r)  # rejects r < 1 before any run
     budget = config.bits_budget
     if budget is None:
-        chunk = message_preset_p(space, r)
         budget = 8 * (
             chunk * max(1, math.ceil(math.log2(max(2, space))))
             + max(1, math.ceil(math.log2(max(2, graph.n))))
@@ -588,9 +581,5 @@ def congest_pipeline(
     if arb is not inst:
         # the framework solved the arbdefective g = 0 copy, which need not
         # bound the conflicts this instance counts
-        report = validate_ldc(graph, inst, out)
-        if not report.valid:
-            raise NodeFailure(f"pipeline output invalid at {report.violating_nodes()}")
-    full_trace = concat_traces([trace0, trace])
-    full_trace.outputs = list(out.colors)
-    return out, full_trace, rows
+        require_valid(graph, inst, out, "pipeline output invalid at")
+    return out, concat_traces([trace0, trace], out.colors), rows

@@ -185,9 +185,10 @@ class RoundTrace:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def concat_traces(traces: Sequence[RoundTrace]) -> RoundTrace:
-    """Sequential composition of phased runs: rounds add up."""
-    merged = RoundTrace()
+def concat_traces(traces: Sequence[RoundTrace], outputs: Sequence[Any] = ()) -> RoundTrace:
+    """Sequential composition of phased runs: rounds add up, and the
+    composed run's outputs are ``outputs``."""
+    merged = RoundTrace(outputs=list(outputs))
     offset = 0
     for t in traces:
         merged.max_message_bits.extend(t.max_message_bits)

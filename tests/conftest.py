@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from listdefect import ColoredGraph, LdcInstance
+from listdefect.conflict import TypeTable, color_mask, masks_conflict, shifted_masks
 
 
 def count_validations(monkeypatch) -> list[LdcInstance]:
@@ -71,3 +72,39 @@ def blockspread_instance(graph: ColoredGraph, seed: int) -> LdcInstance:
     return LdcInstance.build(
         space, lists, [{x: 7 for x in l} for l in lists], flavor="oriented", g=0
     )
+
+
+# -- audit references for the type table ------------------------------------------
+
+
+def psi_g_member(k1, k2, tau_prime: int, tau: int, g: int) -> bool:
+    """Directed family-level conflict (K_1, K_2) in Psi_g(tau', tau).
+
+    True iff at least tau' distinct members of K_1 each tau&g-conflict
+    with some member of K_2.  Not symmetric.
+    """
+    masks2 = [color_mask(c2) for c2 in k2]
+    hits = 0
+    for c1 in k1:
+        shifted = shifted_masks(color_mask(c1), g)
+        if any(masks_conflict(shifted, m2, tau) for m2 in masks2):
+            hits += 1
+            if hits >= tau_prime:
+                return True
+    return False
+
+
+def verify_table(table: TypeTable) -> bool:
+    """The TypeTable invariant, checked exhaustively: no assigned type's
+    family is in Psi_g(tau', tau) against the family of another type of
+    the same or a lower class."""
+    tau, tp, g = table.params.tau, table.params.tau_prime, table.params.g
+    for i, ti in enumerate(table.types):
+        for j, tj in enumerate(table.types):
+            if i == j:
+                continue
+            if tj.gamma_class <= ti.gamma_class and psi_g_member(
+                table.families[i], table.families[j], tp, tau, g
+            ):
+                return False
+    return True

@@ -12,14 +12,13 @@ from listdefect import (
     GreedyExhausted,
     InvalidInstance,
     NodeType,
-    bound_d1_d2,
     build_or_load_type_table,
     build_type_table,
-    psi_g_member,
     residue_restrict,
     tau_g_conflict,
 )
 from listdefect.conflict import (
+    CACHE_ENV,
     TypeTable,
     color_mask,
     colex_combinations,
@@ -30,6 +29,8 @@ from listdefect.conflict import (
     tau_of,
     tau_prime_of,
 )
+
+from conftest import psi_g_member, verify_table
 
 
 # -- pairwise references for the mask kernel --------------------------------------
@@ -159,6 +160,25 @@ def test_residue_restrict_examples():
     assert len(kept) >= 17 // 5
 
 
+def _comb0(n, k):
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def bound_d1_d2(k, ell, k_prime, tau, tau_prime):
+    """Exact conflict-degree bounds d1 and d2 as big integers.
+
+        d1 = C(k, tau) * C(ell - tau, k - tau)
+        d2 = 4 * C(k' * d1, tau') * C(C(ell, k) - tau', k' - tau')
+
+    Binomials with out-of-range arguments count as 0.
+    """
+    d1 = _comb0(k, tau) * _comb0(ell - tau, k - tau)
+    d2 = 4 * _comb0(k_prime * d1, tau_prime) * _comb0(_comb0(ell, k) - tau_prime, k_prime - tau_prime)
+    return d1, d2
+
+
 def test_bound_d1_d2_examples():
     assert bound_d1_d2(k=2, ell=4, k_prime=1, tau=1, tau_prime=1) == (6, 24)
     assert bound_d1_d2(k=2, ell=4, k_prime=1, tau=3, tau_prime=1)[0] == 0
@@ -211,7 +231,7 @@ def test_candidate_sets_larger_than_the_recursion_limit():
     table = build_type_table(params, [NodeType(0, tuple(range(1025)), 1)], {1: 1024}, 2)
     assert table.families[0][0] == tuple(range(1024))
     assert all(len(c) == 1024 for c in table.families[0])
-    assert table.verify()
+    assert verify_table(table)
 
 
 def _table_params(g=0):
@@ -225,7 +245,7 @@ def test_single_type_gets_first_family():
     # colex: members (1,3),(1,5),(3,5),... first 2-member family is the
     # first colex pair of members
     assert table.families[0] == ((1, 3), (1, 5))
-    assert table.verify()
+    assert verify_table(table)
 
 
 def test_family_larger_than_the_recursion_limit():
@@ -243,7 +263,7 @@ def test_disjoint_types_never_conflict():
     t1 = NodeType(0, (0, 2, 4, 6), 1)
     t2 = NodeType(1, (1, 3, 5, 7), 1)
     table = build_type_table(params, [t1, t2], {1: 2}, 2)
-    assert table.verify()
+    assert verify_table(table)
     assert not psi_g_member(table.families[0], table.families[1], 2, 2, 0)
 
 
@@ -253,7 +273,7 @@ def test_two_element_lists_single_member_families():
     types = [NodeType(c, (a, a + 2), 1) for c, a in [(0, 0), (1, 4), (0, 6), (1, 1)]]
     table = build_type_table(params, types, {1: 2}, 2)
     assert all(len(f) == 1 for f in table.families)
-    assert table.verify()
+    assert verify_table(table)
 
 
 def test_greedy_exhausts_when_family_impossible():
@@ -282,22 +302,21 @@ def test_table_determinism_and_order_independence():
         rng.shuffle(shuffled)
         again = build_type_table(params, shuffled, {1: 2}, 2)
         assert again.to_bytes() == table.to_bytes()
-    assert table.verify()
+    assert verify_table(table)
 
 
-def test_table_cache_round_trip(tmp_path):
+def test_table_cache_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     params = _table_params()
     types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
-    t1 = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    t1 = build_or_load_type_table(params, types, {1: 2}, 2)
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    t2 = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    t2 = build_or_load_type_table(params, types, {1: 2}, 2)
     assert t2.to_bytes() == t1.to_bytes()
 
 
 def test_table_cache_env_var(tmp_path, monkeypatch):
-    from listdefect.conflict import CACHE_ENV
-
     monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     params = _table_params()
     types = [NodeType(0, (0, 2, 4, 6), 1)]
@@ -405,7 +424,7 @@ def test_pruned_search_matches_flat_scan(case):
     if isinstance(want, tuple):
         assert isinstance(got, TypeTable)
         assert got.to_bytes() == want[0].to_bytes()
-        assert got.verify()
+        assert verify_table(got)
     else:
         assert got is want
 
@@ -433,44 +452,35 @@ def test_repeated_color_in_restricted_list_rejected():
 # -- type-table cache -------------------------------------------------------------
 
 
-def test_table_cache_corrupt_file_is_a_miss(tmp_path):
+def test_table_cache_corrupt_file_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     params = _table_params()
     types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
     want = build_type_table(params, types, {1: 2}, 2)
-    build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    build_or_load_type_table(params, types, {1: 2}, 2)
     (path,) = tmp_path.iterdir()
     for junk in (b"", b"\xff\xfe not json", b'{"params": {}}', b"[1, 2]"):
         path.write_bytes(junk)
-        got = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+        got = build_or_load_type_table(params, types, {1: 2}, 2)
         assert got.to_bytes() == want.to_bytes()
         assert path.read_bytes() == want.to_bytes()
 
 
-def test_table_cache_write_uses_a_private_temp_file(tmp_path):
+def test_table_cache_write_uses_a_private_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     # a leftover at the old shared temp path must not block the write, and
     # the write leaves no temp file of its own behind
     params = _table_params()
     types = [NodeType(0, (0, 2, 4, 6), 1)]
     path = tmp_path / (table_cache_key(params, types, {1: 2}, 2) + ".tt")
     (tmp_path / (path.name + ".tmp")).mkdir()
-    table = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+    table = build_or_load_type_table(params, types, {1: 2}, 2)
     assert path.read_bytes() == table.to_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".tmp"])
 
 
-def test_table_cache_key_covers_the_cap(tmp_path):
-    # a table cached at the default cap is not returned for a cap it exceeds
-    params = _table_params()
-    types = [NodeType(0, (0, 2, 4, 6), 1)]
-    assert table_cache_key(params, types, {1: 2}, 2, 1) != table_cache_key(params, types, {1: 2}, 2)
-    build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
-    with pytest.raises(CapExceeded):
-        build_type_table(params, types, {1: 2}, 2, candidate_cap=1)
-    with pytest.raises(CapExceeded):
-        build_or_load_type_table(params, types, {1: 2}, 2, candidate_cap=1, cache_dir=str(tmp_path))
-
-
-def test_table_cache_mismatched_table_is_a_miss(tmp_path):
+def test_table_cache_mismatched_table_is_a_miss(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     # a decodable table stored under the key of another request is rebuilt
     params = _table_params()
     types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
@@ -483,6 +493,6 @@ def test_table_cache_mismatched_table_is_a_miss(tmp_path):
     for other in others:
         assert other.to_bytes() != want.to_bytes()
         path.write_bytes(other.to_bytes())
-        got = build_or_load_type_table(params, types, {1: 2}, 2, cache_dir=str(tmp_path))
+        got = build_or_load_type_table(params, types, {1: 2}, 2)
         assert got.to_bytes() == want.to_bytes()
         assert path.read_bytes() == want.to_bytes()

@@ -236,6 +236,25 @@ def test_cli_space_reduced_and_main(tmp_path):
     assert report["valid"]
 
 
+@pytest.mark.parametrize("algorithm", ["space-reduced", "congest-pipeline"])
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_cli_message_preset_depth_below_one_is_invalid(tmp_path, capsys, algorithm, r):
+    # --r 0 is a depth, not "unset", and no depth below 1 exists
+    inst_path = tmp_path / "ring.json"
+    assert cli_main([
+        "generate", "--family", "ring", "--n", "8", "--list-model", "degree-plus-one",
+        "--space", "6", "--seed", "1", "--out", str(inst_path),
+    ]) == 0
+    capsys.readouterr()
+    rc = cli_main([
+        "run", "--algorithm", algorithm, "--instance", str(inst_path), "--r", r,
+        "--out-dir", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: InvalidInstance: r must be at least 1\n"
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
 def test_cli_sweep(tmp_path):
     cfg = tmp_path / "matrix.json"
     cfg.write_text(json.dumps({

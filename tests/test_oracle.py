@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from listdefect import (
     ConditionViolated,
     InvalidInstance,
     LdcInstance,
-    PotentialState,
     check_existence_condition,
     exhaustive_solve,
     sequential_arbdefective,
@@ -24,6 +24,32 @@ from listdefect import oracle
 from listdefect.generate import make_graph, make_instance
 
 from conftest import complete_graph, count_validations
+
+
+@dataclass
+class PotentialState:
+    """Snapshot of the recoloring walk, for auditing the potential."""
+
+    colors: list[int]
+    monochromatic_edges: int
+    potential: int
+    unhappy: list[int]
+
+    @staticmethod
+    def recompute(graph: ColoredGraph, inst: LdcInstance, colors: list[int]) -> "PotentialState":
+        mono = sum(
+            1 for u, v in graph.edges() if colors[u] == colors[v]
+        )
+        pot = mono + sum(
+            graph.degree(v) - inst.defects[v][colors[v]] for v in range(graph.n)
+        )
+        unhappy = [
+            v
+            for v in range(graph.n)
+            if sum(1 for u in graph.adjacency[v] if colors[u] == colors[v])
+            > inst.defects[v][colors[v]]
+        ]
+        return PotentialState(list(colors), mono, pot, unhappy)
 
 
 def test_single_edge_defect_absorbs():

@@ -56,19 +56,14 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions, classes and constants (one leading
-    underscore) that no module reads.  A read is a loaded name, an
-    attribute or an imported name, outside the definition's own body, so
-    a function that only calls itself still counts as unread."""
-    defined: dict[str, str] = {}
+def _names_read(sources: dict[str, str]) -> set[str]:
+    """Every name the modules read.  A read is a loaded name, an attribute
+    or an imported name, outside the module-level statement that defines
+    it, so a function that only calls itself does not read its own name."""
     read: set[str] = set()
-    for module, source in sources.items():
+    for source in sources.values():
         for stmt in ast.parse(source).body:
             names = _defined_names(stmt)
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = module
             for n in ast.walk(stmt):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                     seen = n.id
@@ -81,6 +76,19 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                     continue
                 if seen not in names:
                     read.add(seen)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants (one leading
+    underscore) that no module reads."""
+    defined: dict[str, str] = {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            for name in _defined_names(stmt):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = module
+    read = _names_read(sources)
     return sorted(f"{module}: {name}" for name, module in defined.items() if name not in read)
 
 
@@ -104,3 +112,53 @@ def test_unread_private_name_check_finds_leftovers():
         "b.py": "from .a import _shared as shared\nimport a\nx = a._Helper\n",
     }
     assert unread_private_names(sources) == ["a.py: _UNUSED", "a.py: _walk"]
+
+
+# Exported names that no module of the package reads, each kept for the
+# callers outside it named here
+PUBLIC_ONLY = {
+    "tau_g_conflict": "demo 05",
+    "defective_linial": "the bench tracer's spans, demo 04",
+    "single_defect_oldc": "the oldc-scaled bench workload, demo 05",
+}
+
+
+def unread_exports(sources: dict[str, str]) -> list[str]:
+    """Names that ``__init__.py`` imports to re-export and that no other
+    module reads."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(sources["__init__.py"]).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    read = _names_read({m: s for m, s in sources.items() if m != "__init__.py"})
+    return sorted(name for name in exported if name not in read)
+
+
+def test_every_export_has_a_caller_or_is_public_only():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_exports(sources) == sorted(PUBLIC_ONLY)
+
+
+def test_unread_export_check_finds_leftovers():
+    sources = {
+        "__init__.py": "from .a import count, helper, spare\nfrom .b import Box\n",
+        "a.py": (
+            "def count(n):\n"
+            "    return count(n - 1) if n else 0\n"
+            "def helper():\n"
+            "    pass\n"
+            "def spare():\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "from .a import helper\n"
+            "import a\n"
+            "class Box:\n"
+            "    def again(self):\n"
+            "        return Box()\n"
+            "x = a.spare\n"
+        ),
+    }
+    assert unread_exports(sources) == ["Box", "count"]
