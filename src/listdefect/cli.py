@@ -9,6 +9,7 @@ not support the run; nothing invalid was emitted), 1 = genuine error
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -412,6 +413,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     sp.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
+    # a command builds acyclic data, which reference counting frees
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except FailFast as exc:
@@ -423,6 +427,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -112,8 +112,9 @@ class _LinialProgram:
     trivial_color: Optional[int]  # everyone outputs this at init (degenerate graphs)
     # bit width of the color sent in round r+1, for every round r that sends
     widths: list[int] = field(init=False, repr=False, compare=False)
-    # p_color(a) of the current reduction step, keyed by color * q + a; a
-    # cache of a pure function of public quantities, shared by all nodes
+    # p_color(a) for a >= 1 of the current reduction step, keyed by
+    # color * q + a; a cache of a pure function of public quantities,
+    # shared by all nodes
     _memo: dict[int, int] = field(init=False, repr=False, compare=False)
     _memo_step: int = field(default=-1, init=False, repr=False, compare=False)
 
@@ -129,42 +130,50 @@ class _LinialProgram:
         relevant = view.out_neighbors if self.oriented else view.neighbors
         return {"color": view.node, "relevant": relevant}, None
 
-    def _memo_for(self, step_idx: int) -> dict[int, int]:
-        """The memo of reduction step ``step_idx``, started afresh on a new step."""
+    def _point_from_one(self, step_idx: int, mine: int, others: list[int]) -> int:
+        """The chosen color a*q + p_mine(a) of the first point a >= 1 with
+        at most d collisions, through the memo of reduction step ``step_idx``."""
+        q, e, d = self.schedule[step_idx]
         if step_idx != self._memo_step:
             self._memo = {}
             self._memo_step = step_idx
-        return self._memo
+        memo = self._memo
+        for a in range(1, q):
+            key = mine * q + a
+            val = memo.get(key)
+            if val is None:
+                val = memo[key] = _poly_eval(mine, q, e, a)
+            collisions = 0
+            for c in others:
+                key = c * q + a
+                other = memo.get(key)
+                if other is None:
+                    other = memo[key] = _poly_eval(c, q, e, a)
+                if other == val:
+                    collisions += 1
+                    if collisions > d:
+                        break
+            if collisions <= d:
+                return a * q + val
+        raise AssertionError("prime choice guarantees a good point")
 
     def step(self, state, inbox, round_no: int):
         if round_no > 1:
             # apply reduction round_no-2 using last round's colors
-            q, e, d = self.schedule[round_no - 2]
-            memo = self._memo_for(round_no - 2)
+            q, _, d = self.schedule[round_no - 2]
             mine = state["color"]
             others = [
                 inbox[u]["color"].value for u in state["relevant"] if u in inbox
             ]
-            chosen = None
-            for a in range(q):
-                key = mine * q + a
-                val = memo.get(key)
-                if val is None:
-                    val = memo[key] = _poly_eval(mine, q, e, a)
-                collisions = 0
-                for c in others:
-                    key = c * q + a
-                    other = memo.get(key)
-                    if other is None:
-                        other = memo[key] = _poly_eval(c, q, e, a)
-                    if other == val:
-                        collisions += 1
-                        if collisions > d:
-                            break
-                if collisions <= d:
-                    chosen = a * q + val
-                    break
-            assert chosen is not None, "prime choice guarantees a good point"
+            # at a = 0 a color's polynomial takes its constant coefficient,
+            # p_c(0) = c mod q, so the first point needs no evaluation
+            chosen = mine % q
+            collisions = 0
+            for c in others:
+                if c % q == chosen:
+                    collisions += 1
+            if collisions > d:
+                chosen = self._point_from_one(round_no - 2, mine, others)
             state["color"] = chosen
             if round_no - 1 == len(self.schedule):
                 return state, None, chosen

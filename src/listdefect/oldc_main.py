@@ -498,6 +498,11 @@ def main_oldc(
     buckets to the two-phase algorithm.  Every stage is fail-fast.
     """
     config = config or MainConfig()
+    # an override is unset only when None; 0 is a value, and out of range
+    for name in ("tau_override", "taubar_override"):
+        value = getattr(config, name)
+        if value is not None and value < 1:
+            raise InvalidInstance(f"{name} must be at least 1, got {value}")
     if graph.out_neighbors is None:
         raise MissingOrientation("main OLDC needs an orientation")
     if inst.flavor != FLAVOR_ORIENTED or inst.g != 0:
@@ -508,8 +513,9 @@ def main_oldc(
     h = max(1, beta_hat_all.bit_length() - 1)
     hprime = _pow4_ceil(max(1.0, math.log2(8 * h)))
     alpha = _pow4_ceil(config.alpha)
-    tau = _pow4_ceil(config.tau_override or tau_of(h, len(inst.color_space), graph.m))
-    taubar = _pow4_ceil(config.taubar_override or tau_of(hprime, h, graph.m))
+    tau, taubar = config.tau_override, config.taubar_override
+    tau = _pow4_ceil(tau_of(h, len(inst.color_space), graph.m) if tau is None else tau)
+    taubar = _pow4_ceil(tau_of(hprime, h, graph.m) if taubar is None else taubar)
     q = min(h, tau)
     g1 = max(0, h.bit_length() - 1)
 

@@ -373,29 +373,45 @@ def exhaustive_solve(
             oriented.extend(res)
         return ColoringOutput(tuple(colors), tuple(sorted(oriented)))
 
-    def dfs(v: int) -> Optional[ColoringOutput]:
-        if v == n:
-            return final_check()
-        for x in inst.lists[v]:
-            if inst.flavor != FLAVOR_ARBDEFECTIVE:
-                if count_at(v, x) > inst.defects[v][x]:
-                    continue
-                ok = True
-                for u in range(v):
-                    if (
-                        affects(u, v)
-                        and abs(colors[u] - x) <= inst.g
-                        and count_at(u, colors[u]) + 1 > inst.defects[u][colors[u]]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            colors[v] = x
-            res = dfs(v + 1)
-            if res is not None:
-                return res
-            colors[v] = None
-        return None
+    def fits(v: int, x: int) -> bool:
+        """May v take x, given the colors of the nodes before it?"""
+        if inst.flavor == FLAVOR_ARBDEFECTIVE:
+            return True
+        if count_at(v, x) > inst.defects[v][x]:
+            return False
+        for u in range(v):
+            if (
+                affects(u, v)
+                and abs(colors[u] - x) <= inst.g
+                and count_at(u, colors[u]) + 1 > inst.defects[u][colors[u]]
+            ):
+                return False
+        return True
 
-    return dfs(0)
+    # Depth-first in id order with an explicit cursor per node, so the
+    # depth is not bounded by the recursion limit and no recursive closure
+    # (a reference cycle) is left for the cyclic collector: next_pick[v]
+    # indexes the next color of v's list to try; nodes after v are uncolored.
+    next_pick = [0] * n
+    v = 0
+    while v >= 0:
+        if v == n:
+            out = final_check()
+            if out is not None:
+                return out
+            v -= 1
+            continue
+        lst = inst.lists[v]
+        colors[v] = None
+        while next_pick[v] < len(lst):
+            x = lst[next_pick[v]]
+            next_pick[v] += 1
+            if fits(v, x):
+                colors[v] = x
+                break
+        if colors[v] is None:
+            next_pick[v] = 0
+            v -= 1
+        else:
+            v += 1
+    return None

@@ -180,6 +180,28 @@ def test_cli_pipeline_on_oriented_instance_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "r" / "coloring.json").exists()
 
 
+@pytest.mark.parametrize("override", [
+    ["--tau-override", "0,1"],
+    ["--tau-override", "1,1", "--taubar-override", "0,2"],
+], ids=["tau-0", "taubar-0"])
+def test_cli_main_oldc_rejects_a_zero_override(tmp_path, capsys, override):
+    # a zero override is a value out of range, not "use the paper's value"
+    inst_path = tmp_path / "dag.json"
+    assert cli_main([
+        "generate", "--family", "random-dag", "--n", "10", "--seed", "2",
+        "--list-model", "uniform-k", "--k", "3", "--space", "16", "--flavor", "oriented",
+        "--out", str(inst_path),
+    ]) == 0
+    rc = cli_main([
+        "run", "--algorithm", "oldc-main", "--instance", str(inst_path), "--alpha", "1.0",
+        *override, "--out-dir", str(tmp_path / "r"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidInstance: ") and "must be at least 1" in err
+    assert not (tmp_path / "r" / "coloring.json").exists()
+
+
 def test_cli_budget_violation_exit_code(tmp_path):
     inst_path = tmp_path / "ring.json"
     cli_main([

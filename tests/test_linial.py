@@ -14,7 +14,7 @@ from listdefect import (
     linial_schedule,
     run,
 )
-from listdefect.linial import _poly_eval
+from listdefect.linial import _LinialProgram, _poly_eval
 
 from conftest import random_dag, ring_graph
 
@@ -171,3 +171,31 @@ def test_memoised_defective_linial_matches_per_pair_reference(seed, n, p, d):
     out, trace = defective_linial(graph, d)
     program = defective_linial_program(graph, d)
     _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))
+
+
+def test_polynomial_at_zero_is_the_constant_coefficient():
+    for q in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 5):
+            for c in range(q ** (e + 1)):
+                assert _poly_eval(c, q, e, 0) == c % q
+
+
+def test_linial_past_a_colliding_first_point_matches_per_pair_reference(monkeypatch):
+    # n = 64 and max degree 2 give q = 5 in the first round; nodes 0, 5
+    # and 10 all have 0 mod 5, so every one of them collides at a = 0 and
+    # chooses through the memoised points a >= 1
+    graph = ColoredGraph.build(64, [(0, 5), (5, 10), (10, 11), (20, 21)])
+    assert linial_schedule(64, 2)[0][0][0] == 5
+    calls = []
+    real = _LinialProgram._point_from_one
+
+    def counted(self, step_idx, mine, others):
+        calls.append((step_idx, mine))
+        return real(self, step_idx, mine, others)
+
+    monkeypatch.setattr(_LinialProgram, "_point_from_one", counted)
+    out, trace = linial_coloring(graph)
+    program = linial_program(graph)
+    _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))
+    assert {(0, 0), (0, 5), (0, 10)} <= set(calls)
+    assert _proper(graph, out.colors)

@@ -210,3 +210,19 @@ def test_main_determinism():
     b = main_oldc(g, inst, MAIN_SCALED)
     assert a[0] == b[0]
     assert a[1].to_json(verbose=True) == b[1].to_json(verbose=True)
+
+
+@pytest.mark.parametrize(
+    "override", [{"tau_override": 0}, {"taubar_override": 0}, {"tau_override": -4}],
+    ids=["tau-0", "taubar-0", "tau-negative"],
+)
+def test_main_rejects_an_override_below_one(override):
+    # only None means "use the paper's value"; 0 is an out-of-range value,
+    # not a request for the derived one
+    g, lists = _blocky_graph_and_lists(seed=4)
+    inst = LdcInstance.build(
+        list(range(256)), lists, [{x: 3 for x in l} for l in lists], flavor="oriented"
+    )
+    config = MainConfig(**{**vars(MAIN_SCALED), **override})
+    with pytest.raises(InvalidInstance, match="must be at least 1"):
+        main_oldc(g, inst, config)

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -432,3 +433,94 @@ def test_sequential_ldc_matches_the_closure_loop(case):
     if not isinstance(got, type):
         undirected = LdcInstance(inst.color_space, inst.lists, inst.defects, "defective", 0)
         assert validate_ldc(graph, undirected, got[0]).valid
+
+
+def _recursive_exhaustive_solve(graph, inst, cap):
+    """Reference: the exhaustive search as one recursive call per node,
+    after the same guards as ``exhaustive_solve``."""
+    space = 1
+    for lst in inst.lists:
+        space *= max(1, len(lst))
+        if space > cap:
+            raise CapExceeded(f"assignment space exceeds {cap}")
+    if inst.flavor == "arbdefective" and inst.g != 0:
+        raise InvalidInstance("arbdefective exhaustive search requires g = 0")
+    if inst.flavor == "oriented" and graph.out_neighbors is None:
+        raise InvalidInstance("oriented instance on an unoriented graph")
+    n, g = graph.n, inst.g
+    relevant = graph.out_neighbors if inst.flavor == "oriented" else graph.adjacency
+    colors = [None] * n
+
+    def count_at(v, x):
+        return sum(1 for u in relevant[v] if colors[u] is not None and abs(colors[u] - x) <= g)
+
+    def final_check():
+        if inst.flavor != "arbdefective":
+            return ColoringOutput(tuple(colors))
+        oriented = [(u, v) for u, v in graph.edges() if colors[u] != colors[v]]
+        for x in sorted(set(colors)):
+            nodes = [v for v in range(n) if colors[v] == x]
+            class_edges = [(u, v) for u, v in graph.edges() if colors[u] == colors[v] == x]
+            res = oracle._orient_class(nodes, class_edges, {v: inst.defects[v][x] for v in nodes})
+            if res is None:
+                return None
+            oriented.extend(res)
+        return ColoringOutput(tuple(colors), tuple(sorted(oriented)))
+
+    def dfs(v):
+        if v == n:
+            return final_check()
+        for x in inst.lists[v]:
+            if inst.flavor != "arbdefective" and (
+                count_at(v, x) > inst.defects[v][x]
+                or any(
+                    v in relevant[u]
+                    and abs(colors[u] - x) <= g
+                    and count_at(u, colors[u]) + 1 > inst.defects[u][colors[u]]
+                    for u in range(v)
+                )
+            ):
+                continue
+            colors[v] = x
+            res = dfs(v + 1)
+            if res is not None:
+                return res
+            colors[v] = None
+        return None
+
+    return dfs(0)
+
+
+def _solve_outcome(solver, graph, inst):
+    try:
+        return solver(graph, inst, cap=20_000)
+    except Exception as exc:  # the exception class is the outcome
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ldc_instances(), st.booleans())
+def test_iterative_exhaustive_search_matches_the_recursive_one(case, reverse):
+    graph, inst = case
+    if inst.flavor == "oriented":
+        # orient every edge one way, so the oriented search runs
+        edges = graph.edges()
+        orientation = [(v, u) for u, v in edges] if reverse else edges
+        graph = ColoredGraph.build(graph.n, edges, orientation=orientation)
+    got = _solve_outcome(exhaustive_solve, graph, inst)
+    assert got == _solve_outcome(_recursive_exhaustive_solve, graph, inst)
+
+
+def test_exhaustive_search_deeper_than_the_recursion_limit():
+    # a path of alternating singleton lists, longer than the recursion
+    # limit: one assignment, as deep as the graph is long
+    n = sys.getrecursionlimit() + 100
+    graph = ColoredGraph.build(n, [(v, v + 1) for v in range(n - 1)])
+    inst = LdcInstance((0, 1), tuple((v % 2,) for v in range(n)),
+                       tuple({v % 2: 0} for v in range(n)))
+    assert exhaustive_solve(graph, inst) == ColoringOutput(tuple(v % 2 for v in range(n)))
+    # the last node's only color clashes with its neighbor's: UNSAT after
+    # backtracking through every node
+    clash = LdcInstance((0, 1), inst.lists[:-1] + ((n % 2,),),
+                        inst.defects[:-1] + ({n % 2: 0},))
+    assert exhaustive_solve(graph, clash) is None

@@ -162,3 +162,34 @@ def test_unread_export_check_finds_leftovers():
         ),
     }
     assert unread_exports(sources) == ["Box", "count"]
+
+
+def gc_importers(sources: dict[str, str]) -> list[str]:
+    """Modules that import the ``gc`` module, at any depth."""
+    found = []
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            names = [a.name for a in n.names] if isinstance(n, ast.Import) else []
+            if isinstance(n, ast.ImportFrom) and n.module == "gc" and not n.level:
+                names = ["gc"]
+            if any(name.split(".")[0] == "gc" for name in names):
+                found.append(module)
+                break
+    return sorted(found)
+
+
+def test_only_the_entry_point_touches_the_collector():
+    # `cli.main` pauses the cyclic collector around a command; a library
+    # module that tuned it would change every caller's process
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert [m for m in gc_importers(sources) if m != "cli.py"] == []
+
+
+def test_gc_import_check_finds_leftovers():
+    sources = {
+        "a.py": "import os, gc\n",
+        "b.py": "from gc import collect\n",
+        "c.py": "def f():\n    import gc as collector\n    collector.disable()\n",
+        "d.py": "import gcx\nfrom . import gc_tools\nfrom .gc import x\nname = 'gc'\n",
+    }
+    assert gc_importers(sources) == ["a.py", "b.py", "c.py"]
