@@ -13,9 +13,11 @@ recoloring and starts at most 3|E|, which bounds the recoloring count.
 orients each color class along an Euler tour (after evening out odd
 degrees with virtual matching edges), giving per-color outdegree at most
 ceil(class_degree/2) <= d_v(x).  All classes are oriented in a single
-O(n + m) Euler pass over their union.
+O(n + m) Euler pass over their union; nodes that share a defect map
+share its doubled map and one existence sum.
 
-``exhaustive_solve`` is the brute-force oracle for tiny instances; for
+``exhaustive_solve`` is the brute-force oracle for tiny instances (a
+candidate is checked only against the earlier nodes that count it); for
 arbdefective instances it checks orientation feasibility per color class
 with a unit-capacity flow.
 
@@ -58,6 +60,9 @@ def sequential_ldc(
     """
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
+    for v, dv in enumerate(inst.defects[: graph.n]):
+        if sum(dv.values()) + len(dv) <= graph.degree(v):
+            raise ConditionViolated(f"existence condition fails at node {v}")
     return _recolor(graph, inst.lists, inst.defects)
 
 
@@ -68,14 +73,10 @@ def _recolor(
 ) -> tuple[ColoringOutput, RecoloringStats]:
     """The recoloring walk of ``sequential_ldc`` on bare lists and defect
     maps, so that ``sequential_arbdefective`` solves its doubled defects
-    without building and validating an instance for them."""
+    without building and validating an instance for them.  The caller has
+    checked the existence condition."""
     n = graph.n
     adjacency = graph.adjacency
-    cond = [sum(defects[v].values()) + len(defects[v]) > len(adjacency[v]) for v in range(n)]
-    if not all(cond):
-        bad = cond.index(False)
-        raise ConditionViolated(f"existence condition fails at node {bad}")
-
     colors = [lists[v][0] for v in range(n)]
     # per-node counter of neighbor colors
     nbr_count: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -153,12 +154,14 @@ def _euler_orient(n: int, multi_edges: list[tuple[int, int]]) -> list[tuple[int,
     for eid, (u, v) in enumerate(multi_edges):
         adj[u].append((eid, v))
         adj[v].append((eid, u))
-    for lst in adj:
-        lst.sort(reverse=True)  # pop() yields the smallest (eid, w)
+    # a walk from a node without edges is empty: only the others start one
+    starts = [v for v in range(n) if adj[v]]
+    for v in starts:
+        adj[v].sort(reverse=True)  # pop() yields the smallest (eid, w)
     used = [False] * len(multi_edges)
     directed: list[Optional[tuple[int, int]]] = [None] * len(multi_edges)
 
-    for start in range(n):
+    for start in starts:
         stack = [start]
         while stack:
             v = stack[-1]
@@ -194,12 +197,16 @@ def sequential_arbdefective(
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
     n = graph.n
-    for v in range(n):
-        dv = inst.defects[v]
-        if 2 * sum(dv.values()) + len(dv) <= graph.degree(v):
+    # nodes that share a defect map share its doubled map and its sum
+    shared: dict[int, tuple[dict[int, int], int]] = {}
+    doubled = []
+    for v, dv in enumerate(inst.defects[:n]):
+        if id(dv) not in shared:
+            shared[id(dv)] = ({x: 2 * d for x, d in dv.items()}, 2 * sum(dv.values()) + len(dv))
+        twice, budget = shared[id(dv)]
+        if budget <= graph.degree(v):
             raise ConditionViolated(f"existence condition fails at node {v}")
-
-    doubled = [{x: 2 * d for x, d in dv.items()} for dv in inst.defects]
+        doubled.append(twice)
     out, stats = _recolor(graph, inst.lists, doubled)
     colors = out.colors
 
@@ -346,9 +353,12 @@ def exhaustive_solve(
             1 for u in relevant[v] if colors[u] is not None and abs(colors[u] - x) <= inst.g
         )
 
-    def affects(u: int, v: int) -> bool:
-        # does v's color count toward u's conflicts?
-        return v in relevant[u]
+    # per node, the earlier nodes whose conflict count includes it
+    counted_by: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in relevant[u]:
+            if u < v:
+                counted_by[v].append(u)
 
     edges = graph.edges()
 
@@ -379,10 +389,9 @@ def exhaustive_solve(
             return True
         if count_at(v, x) > inst.defects[v][x]:
             return False
-        for u in range(v):
+        for u in counted_by[v]:
             if (
-                affects(u, v)
-                and abs(colors[u] - x) <= inst.g
+                abs(colors[u] - x) <= inst.g
                 and count_at(u, colors[u]) + 1 > inst.defects[u][colors[u]]
             ):
                 return False

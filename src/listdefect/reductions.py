@@ -369,7 +369,8 @@ def degree_halving_framework(
     Each node's uncolored degree is a counter (``PartialColoring``) that
     drops by one whenever a neighbor is colored.  No graph is rebuilt: the
     stage graph is sliced from the input, given the decomposition's
-    orientation once, and each batch graph is sliced from it in turn.
+    intra-class pairs once, and a batch graph is sliced from it only for a
+    class with such a pair (at arbdefect 0, no class has one).
     """
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
@@ -430,13 +431,17 @@ def degree_halving_framework(
         q = delta_s // (delta + 1) + 1
         dec_out, dec_trace = arbdefective_subroutine(stage_graph, q, delta)
         traces.append(dec_trace)
-        # the decomposition's pairs come sorted, so each out-list is sorted
+        # only intra-class pairs reach a batch graph; each out-list is sorted
+        dec_colors = dec_out.colors
         dec_outn: list[list[int]] = [[] for _ in keep]
+        edged_classes = set()
         for a, b in dec_out.orientation_out:
-            dec_outn[a].append(b)
+            if dec_colors[a] == dec_colors[b]:
+                dec_outn[a].append(b)
+                edged_classes.add(dec_colors[a])
         stage_graph = replace(stage_graph, out_neighbors=tuple(map(tuple, dec_outn)))
         by_class: dict[int, list[int]] = {}
-        for i, c in enumerate(dec_out.colors):
+        for i, c in enumerate(dec_colors):
             by_class.setdefault(c, []).append(i)
 
         def is_active(v: int) -> bool:
@@ -453,9 +458,9 @@ def degree_halving_framework(
                 rows.append(StageRow(stage, cls, 0, delta_s, 0, 0))
                 continue
             batch_nodes = [keep[i] for i in active]
-            batch_graph, _ = stage_graph.subgraph(active)
             residuals = [batch_residual(v) for v in batch_nodes]
-            edged = batch_graph.edge_count() > 0
+            batch_graph = stage_graph.subgraph(active)[0] if cls in edged_classes else None
+            edged = batch_graph is not None and batch_graph.edge_count() > 0
             if edged:
                 inst_b = LdcInstance.build(
                     {x for dd in residuals for x in dd}, residuals, residuals, flavor=FLAVOR_ORIENTED
@@ -469,13 +474,10 @@ def degree_halving_framework(
                 # of its residual list, as the oracle would, in 0 rounds
                 out_b, tr_b = ColoringOutput(tuple(map(min, residuals))), RoundTrace()
             traces.append(tr_b)
-            # edges to earlier-colored nodes point at them; batch-internal
-            # edges follow the decomposition
+            # edges to earlier-colored nodes point at them
             done = partial.colors
             for v in batch_nodes:
                 partial.oriented.extend((v, u) for u in graph.adjacency[v] if done[u] is not None)
-            for a, b in batch_graph.oriented_edges():
-                partial.oriented.append((batch_nodes[a], batch_nodes[b]))
             for j, v in enumerate(batch_nodes):
                 partial.assign(graph, v, out_b.colors[j])
             uncolored.difference_update(batch_nodes)
@@ -483,7 +485,10 @@ def degree_halving_framework(
                 StageRow(stage, cls, len(batch_nodes), delta_s, tr_b.rounds_elapsed, tr_b.max_bits())
             )
             if edged:
-                # safety: a colored node never exceeds its defect later on
+                # batch-internal edges follow the decomposition; safety: a
+                # colored node never exceeds its defect later on
+                for a, b in batch_graph.oriented_edges():
+                    partial.oriented.append((batch_nodes[a], batch_nodes[b]))
                 _check_partial_safety(inst, partial)
 
         for v in uncolored:

@@ -524,3 +524,81 @@ def test_exhaustive_search_deeper_than_the_recursion_limit():
     clash = LdcInstance((0, 1), inst.lists[:-1] + ((n % 2,),),
                         inst.defects[:-1] + ({n % 2: 0},))
     assert exhaustive_solve(graph, clash) is None
+
+
+@st.composite
+def _flavor_g_instances(draw):
+    """Every flavor at g = 0 and g = 1; oriented instances get a drawn
+    direction per edge, so in-neighbors and out-neighbors differ."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    flavor = draw(st.sampled_from(["defective", "oriented", "arbdefective"]))
+    orientation = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    graph = ColoredGraph.build(n, edges, orientation if flavor == "oriented" else None)
+    space = list(range(draw(st.integers(1, 6))))
+    lists, defects = [], []
+    for v in range(n):
+        lst = rng.sample(space, rng.randrange(1, len(space) + 1))
+        lists.append(tuple(lst))
+        defects.append({x: rng.randrange(0, 3) for x in lst})
+    g = draw(st.sampled_from([0, 1]))
+    return graph, LdcInstance(tuple(space), tuple(lists), tuple(defects), flavor, g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flavor_g_instances())
+def test_exhaustive_search_matches_the_per_pair_search(case):
+    # the search checks only the earlier nodes that count the candidate;
+    # the reference checks every earlier node in turn
+    graph, inst = case
+    got = _solve_outcome(exhaustive_solve, graph, inst)
+    assert got == _solve_outcome(_recursive_exhaustive_solve, graph, inst)
+
+
+def test_exhaustive_search_on_a_long_path_checks_only_neighbors():
+    # a path with alternating singleton lists: the search never branches,
+    # and each candidate is checked against its one earlier neighbor
+    n = 4000
+    graph = ColoredGraph.build(n, [(v, v + 1) for v in range(n - 1)])
+    inst = LdcInstance((0, 1), tuple((v % 2,) for v in range(n)),
+                       tuple({v % 2: 0} for v in range(n)))
+    assert exhaustive_solve(graph, inst) == ColoringOutput(tuple(v % 2 for v in range(n)))
+
+
+@st.composite
+def _shared_map_instances(draw):
+    """Arbdefective instances in which every node holds one of at most three
+    defect maps (one list each), drawn in any order along the node ids."""
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    graph = ColoredGraph.build(n, edges)
+    space = tuple(range(draw(st.integers(1, 6))))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        lst = tuple(sorted(rng.sample(space, rng.randrange(1, len(space) + 1))))
+        maps.append((lst, {x: rng.randrange(0, 4) for x in lst}))
+    picks = [rng.randrange(len(maps)) for _ in range(n)]
+    return graph, space, [maps[i] for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_map_instances())
+def test_shared_defect_maps_solve_like_per_node_copies(case):
+    graph, space, held = case
+    shared = LdcInstance(space, tuple(lst for lst, _ in held), tuple(dv for _, dv in held),
+                         "arbdefective", 0)
+    copies = LdcInstance(space, shared.lists, tuple(dict(dv) for _, dv in held),
+                         "arbdefective", 0)
+    got = _outcome(sequential_arbdefective, graph, shared)
+    assert got == _outcome(sequential_arbdefective, graph, copies)
+    if isinstance(got, type):
+        # the same first failing node and the same message
+        with pytest.raises(got) as on_shared:
+            sequential_arbdefective(graph, shared)
+        with pytest.raises(got) as on_copies:
+            sequential_arbdefective(graph, copies)
+        assert str(on_shared.value) == str(on_copies.value)

@@ -540,6 +540,50 @@ def test_framework_local_batches_match_the_inner_call_loop(case, inner):
     assert trace.rounds_elapsed == 0
 
 
+# pipeline-workload shapes: degree+1 lists, zero defects, max degree <= 16
+_PIPELINE_SHAPES = [("random-gnp", 200, 8, 0), ("random-gnp", 200, 8, 2), ("ring", 200, 2, 1)]
+
+
+def _pipeline_shape(family, n, degree, seed):
+    made = make_graph(family, n, degree, seed=seed, oriented=False)
+    assert 1 <= made.max_degree() <= 16
+    space = min(64, (made.max_degree() + 1) ** 2)
+    return made, make_instance(made, "degree-plus-one", seed=seed, space_size=space,
+                               flavor="arbdefective")
+
+
+@pytest.mark.parametrize("shape", _PIPELINE_SHAPES)
+def test_framework_matches_the_inner_call_loop_on_pipeline_instances(shape):
+    # under the distributed inner's (nu, kappa) every stage has arbdefect
+    # 0 here, so every batch is colored locally
+    graph, inst = _pipeline_shape(*shape)
+    counting = _EdgeBatchInner(_SmallClassOracle())
+    out, trace, rows = degree_halving_framework(graph, inst, counting)
+    assert counting.graphs == [] and len([r for r in rows if r.colored]) > 1
+    assert (out.colors, out.orientation_out) == _reference_framework(graph, inst, _SmallClassOracle())
+    assert trace.rounds_elapsed == 0
+
+
+@pytest.mark.parametrize("shape", _PIPELINE_SHAPES)
+def test_pipeline_slices_only_the_stage_graphs(monkeypatch, shape):
+    # no decomposition class has an internal edge, so no batch graph is
+    # sliced: one slice per stage, of the uncolored subgraph
+    graph, inst = _pipeline_shape(*shape)
+    slices = []
+    real = ColoredGraph.subgraph
+
+    def counting(self, nodes):
+        slices.append(self.n)
+        return real(self, nodes)
+
+    monkeypatch.setattr(ColoredGraph, "subgraph", counting)
+    out, _, rows = congest_pipeline(graph, inst)
+    assert validate_ldc(graph, inst, out).valid
+    stages = len({r.stage for r in rows})
+    assert len([r for r in rows if r.colored]) > stages
+    assert slices == [graph.n] * stages
+
+
 def test_pipeline_budget_violation_fail_fast():
     ring = ring_graph(32)
     inst = LdcInstance.build(
