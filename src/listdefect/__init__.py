@@ -69,7 +69,6 @@ from .reductions import (
 from .runtime import (
     ColorListField,
     IndexField,
-    InitColorField,
     Message,
     NodeView,
     Pow2DefectField,

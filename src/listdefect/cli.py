@@ -52,10 +52,8 @@ RUN_OPTIONS = {
     "alpha": (float, 1.0, None),
     "tau_override": (str, None, None),
     "taubar_override": (str, None, None),
-    "p": (int, None, None),
     "r": (int, None, None),
     "bits_budget": (int, None, None),
-    "max_rounds": (int, 10_000, None),
     "inner": (str, "oracle", ("oracle", "basic")),
 }
 # flags of `generate` that a sweep matrix takes as keys, the same way
@@ -106,7 +104,6 @@ def _basic_config(opts: dict) -> OldcConfig:
         alpha=opts["alpha"],
         scale_override=opts["tau_override"],
         bits_per_message=opts["bits_budget"],
-        max_rounds=opts["max_rounds"],
         record_messages=opts["verbose"],
     )
 
@@ -162,9 +159,7 @@ def _oldc_main(graph, inst, opts, report) -> Result:
 
 
 def _space_reduced(graph, inst, opts, report) -> Result:
-    p = opts["p"]
-    if p is None:
-        p = message_preset_p(len(inst.color_space), 1 if opts["r"] is None else opts["r"])
+    p = message_preset_p(len(inst.color_space), 1 if opts["r"] is None else opts["r"])
     report["p"] = p
     return *space_reduced_oldc(graph, inst, p, _inner(opts)), []
 

@@ -119,12 +119,11 @@ def make_instance(
     flavor: str = "defective",
     g: int = 0,
     target: str = "eq1",
-    max_defect: int = 3,
     alpha: float = 1.0,
 ) -> LdcInstance:
     """Draw lists (and defects, for the defect-budget model) per node.
 
-    defect-budget draws defects in [0, max_defect] and then raises them
+    defect-budget draws defects in [0, 3] and then raises them
     round-robin until the target condition holds at every node.
     """
     rng = random.Random(("inst", list_model, seed, space_size, k, flavor, g, target).__repr__())
@@ -154,7 +153,7 @@ def make_instance(
         else:
             size = min(space_size, max(1, k))
             lst = sorted(rng.sample(space, size))
-            dv = {x: rng.randint(0, max_defect) for x in lst}
+            dv = {x: rng.randint(0, 3) for x in lst}
             exponent, need = _target_threshold(target, graph, v, space_size, g, alpha)
             double = 2 if target == "eq2" else 1
 

@@ -55,7 +55,6 @@ from .graphs import (
 from .runtime import (
     ColorListField,
     IndexField,
-    InitColorField,
     Pow2DefectField,
     RawField,
     RoundTrace,
@@ -73,7 +72,6 @@ class OldcConfig:
 
     alpha: float = 6.0
     scale_override: Optional[tuple[int, int]] = None
-    max_rounds: int = 10_000
     bits_per_message: Optional[int] = None
     record_messages: bool = False
 
@@ -162,7 +160,7 @@ class _SingleDefectProgram:
                 msg = {"decided": ColorListField((st.skip_color,), self.space_size)}
                 return state, msg, st.skip_color
             msg = {
-                "init": InitColorField(view.init_color, view.m),
+                "init": IndexField(view.init_color, view.m),
                 "list": ColorListField(st.restricted, self.space_size),
                 "defect": Pow2DefectField(st.defect, self.beta_max),
                 "class": RawField(st.gamma, max(1, self.h.bit_length())),
@@ -320,7 +318,6 @@ def _run_single_defect(
     trace = run(
         graph,
         program,
-        max_rounds=config.max_rounds,
         bits_per_message=config.bits_per_message,
         record_messages=config.record_messages,
     )

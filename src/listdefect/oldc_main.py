@@ -54,7 +54,6 @@ from .oldc_basic import (
 from .runtime import (
     ColorListField,
     IndexField,
-    InitColorField,
     Pow2DefectField,
     RawField,
     RoundTrace,
@@ -249,7 +248,7 @@ def two_phase_oldc(
         # in-class P2: broadcast types, then assign via a fresh table
         type_msgs = {
             v: {
-                "init": InitColorField(graph.init_colors[v], graph.m),
+                "init": IndexField(graph.init_colors[v], graph.m),
                 "list": ColorListField(pruned[v], space_size),
                 "defect": Pow2DefectField(nodes[v].defect, beta_max),
                 "class": RawField(i, max(1, h.bit_length())),
@@ -260,7 +259,7 @@ def two_phase_oldc(
         traces.append(tr)
         for v in machinery:
             for u, msg in delivered[v].items():
-                nodes[v].known_types[u] = (msg["class"].value, msg["list"].colors, msg["init"].color)
+                nodes[v].known_types[u] = (msg["class"].value, msg["list"].colors, msg["init"].index)
 
         class_types = {v: NodeType(graph.init_colors[v], pruned[v], i) for v in members}
         table = build_or_load_type_table(
@@ -574,19 +573,9 @@ def main_oldc(
     defects2: dict[int, int] = {}
     for v in machinery:
         prof = profiles[v]
-        i_v = classes[v]
-        mu_v = prof.mu_of_class[i_v]
+        mu_v = prof.mu_of_class[classes[v]]
         lists2[v] = prof.buckets[mu_v]
-        d1 = math.isqrt(prof.r_big >> (2 * mu_v))
-        defects2[v] = d1 - 1
-        b_same = sum(
-            1 for u in graph.out_neighbors[v] if classes.get(u) == i_v
-        )
-        beta_v = graph.beta(v)
-        if 4 * max(b_same * q, beta_v) > d1 * (1 << i_v) * q:
-            raise NodeFailure(
-                f"stage-1 classes break the class budget: beta_same={b_same}", node=v
-            )
+        defects2[v] = math.isqrt(prof.r_big >> (2 * mu_v)) - 1
     for v, c in predecided.items():
         lists2[v] = (c,)
 

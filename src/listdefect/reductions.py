@@ -295,37 +295,6 @@ def arbdefective_subroutine(
 
 
 @dataclass
-class PartialColoring:
-    """Colors assigned so far plus the bookkeeping the framework relies on.
-
-    ``taken[v]`` maps a color to the number of v's colored neighbors that
-    hold it, and ``uncolored_degree[v]`` is the number of v's neighbors
-    still uncolored.  ``assign`` updates both for the neighbors of the
-    node it colors, so neither is ever recounted from the adjacency.
-    """
-
-    colors: list[Optional[int]]
-    taken: list[dict[int, int]]  # per node: color -> colored neighbors with it
-    uncolored_degree: list[int]
-    oriented: list[tuple[int, int]]
-
-    @staticmethod
-    def empty(graph: ColoredGraph) -> "PartialColoring":
-        n = graph.n
-        return PartialColoring(
-            [None] * n, [{} for _ in range(n)], [len(a) for a in graph.adjacency], []
-        )
-
-    def assign(self, graph: ColoredGraph, v: int, x: int) -> None:
-        self.colors[v] = x
-        taken, udeg = self.taken, self.uncolored_degree
-        for u in graph.adjacency[v]:
-            t = taken[u]
-            t[x] = t.get(x, 0) + 1
-            udeg[u] -= 1
-
-
-@dataclass
 class StageRow:
     stage: int
     class_index: int
@@ -366,8 +335,10 @@ def degree_halving_framework(
     to earlier-colored (so finished nodes never gain same-color
     out-neighbors).
 
-    Each node's uncolored degree is a counter (``PartialColoring``) that
-    drops by one whenever a neighbor is colored.  No graph is rebuilt: the
+    ``udeg[v]`` counts v's uncolored neighbors and ``taken[v]`` the colors
+    of its colored ones; both change as a neighbor is colored, never
+    recounted.  The coloring is checked once, on the output: a node's
+    out-neighbors are fixed when it is colored.  No graph is rebuilt: the
     stage graph is sliced from the input, given the decomposition's
     intra-class pairs once, and a batch graph is sliced from it only for a
     class with such a pair (at arbdefect 0, no class has one).
@@ -382,8 +353,10 @@ def degree_halving_framework(
         if sum(d + 1 for d in defects[v].values()) <= graph.degree(v):
             raise ConditionViolated(f"node {v}: sum(d+1) <= deg")
 
-    partial = PartialColoring.empty(graph)
-    taken, udeg = partial.taken, partial.uncolored_degree
+    colors: list[Optional[int]] = [None] * n
+    taken: list[dict[int, int]] = [{} for _ in range(n)]
+    udeg = [len(a) for a in graph.adjacency]
+    oriented: list[tuple[int, int]] = []
     uncolored = set(range(n))
     traces: list[RoundTrace] = []
     rows: list[StageRow] = []
@@ -396,9 +369,9 @@ def degree_halving_framework(
         * inner.kappa ** (1 / (1 + inner.nu)),
     )
 
-    def residual(v: int) -> tuple[dict[int, int], int]:
+    def residual(v: int) -> dict[int, int]:
         """v's residual defects, cut to the shortest list prefix whose
-        budget sum(d+1) exceeds v's uncolored degree, and that budget."""
+        budget sum(d+1) exceeds v's uncolored degree."""
         t = taken[v]
         d_v = defects[v]
         deg_u = udeg[v]
@@ -410,16 +383,10 @@ def degree_halving_framework(
                 dd[x] = left
                 budget += left + 1
                 if budget > deg_u:
-                    break
-        return dd, budget
-
-    def batch_residual(v: int) -> dict[int, int]:
-        dd, total = residual(v)
+                    return dd
         if not dd:
             raise NodeFailure("empty residual list", node=v)
-        if total <= udeg[v]:
-            raise NodeFailure(f"residual budget {total} at uncolored degree {udeg[v]}", node=v)
-        return dd
+        raise NodeFailure(f"residual budget {budget} at uncolored degree {deg_u}", node=v)
 
     while uncolored:
         stage += 1
@@ -458,7 +425,7 @@ def degree_halving_framework(
                 rows.append(StageRow(stage, cls, 0, delta_s, 0, 0))
                 continue
             batch_nodes = [keep[i] for i in active]
-            residuals = [batch_residual(v) for v in batch_nodes]
+            residuals = [residual(v) for v in batch_nodes]
             batch_graph = stage_graph.subgraph(active)[0] if cls in edged_classes else None
             edged = batch_graph is not None and batch_graph.edge_count() > 0
             if edged:
@@ -469,53 +436,31 @@ def degree_halving_framework(
                     out_b, tr_b = inner.solve(batch_graph, inst_b)
                 except FailFast:
                     out_b, tr_b = OracleInner().solve(batch_graph, inst_b)
+                # batch-internal edges follow the decomposition
+                for a, b in batch_graph.oriented_edges():
+                    oriented.append((batch_nodes[a], batch_nodes[b]))
             else:
                 # no two nodes are adjacent: each takes the smallest color
                 # of its residual list, as the oracle would, in 0 rounds
                 out_b, tr_b = ColoringOutput(tuple(map(min, residuals))), RoundTrace()
             traces.append(tr_b)
             # edges to earlier-colored nodes point at them
-            done = partial.colors
             for v in batch_nodes:
-                partial.oriented.extend((v, u) for u in graph.adjacency[v] if done[u] is not None)
-            for j, v in enumerate(batch_nodes):
-                partial.assign(graph, v, out_b.colors[j])
+                oriented.extend((v, u) for u in graph.adjacency[v] if colors[u] is not None)
+            for v, x in zip(batch_nodes, out_b.colors):
+                colors[v] = x
+                for u in graph.adjacency[v]:
+                    t = taken[u]
+                    t[x] = t.get(x, 0) + 1
+                    udeg[u] -= 1
             uncolored.difference_update(batch_nodes)
             rows.append(
                 StageRow(stage, cls, len(batch_nodes), delta_s, tr_b.rounds_elapsed, tr_b.max_bits())
             )
-            if edged:
-                # batch-internal edges follow the decomposition; safety: a
-                # colored node never exceeds its defect later on
-                for a, b in batch_graph.oriented_edges():
-                    partial.oriented.append((batch_nodes[a], batch_nodes[b]))
-                _check_partial_safety(inst, partial)
 
-        for v in uncolored:
-            deg_u = udeg[v]
-            if 2 * deg_u > delta_s:
-                raise NodeFailure(
-                    f"degree halving failed: uncolored degree {deg_u} of {delta_s}", node=v
-                )
-            _, total = residual(v)
-            if total <= deg_u:
-                raise NodeFailure("residual condition lost", node=v)
-
-    output = ColoringOutput(tuple(partial.colors), tuple(sorted(partial.oriented)))
+    output = ColoringOutput(tuple(colors), tuple(sorted(oriented)))
     require_valid(graph, inst, output, "framework output invalid at")
     return output, concat_traces(traces, output.colors), rows
-
-
-def _check_partial_safety(inst, partial):
-    outn: dict[int, list[int]] = {}
-    for a, b in partial.oriented:
-        outn.setdefault(a, []).append(b)
-    for v, x in enumerate(partial.colors):
-        if x is None:
-            continue
-        same = sum(1 for u in outn.get(v, ()) if partial.colors[u] == x)
-        if same > inst.defects[v][x]:
-            raise NodeFailure(f"partial safety violated: {same} > d", node=v)
 
 
 # -- the CONGEST pipeline ----------------------------------------------------------
@@ -544,8 +489,10 @@ def congest_pipeline(
     space-reduced main OLDC as the framework inner solver (with the
     oracle fallback the down-scaled parameters usually force), and the
     degree-halving framework.  Every message of every distributed phase
-    is checked against the bit budget.  The framework solves the
-    arbdefective g = 0 copy of the instance; when the instance differs
+    is checked against the bit budget: the initial coloring's here, the
+    inner's by the round engine (an over-budget batch fails fast and
+    falls back to the oracle, which sends nothing).  The framework solves
+    the arbdefective g = 0 copy of the instance; when the instance differs
     from that copy (another flavor, or g > 0), the output is checked
     against the instance itself and a violation fails fast.
     """
@@ -580,9 +527,6 @@ def congest_pipeline(
         bits_per_message=budget,
     )
     out, trace, rows = degree_halving_framework(colored, arb, OldcInner(main_cfg, r=r))
-    for r_bits in trace.max_message_bits:
-        if r_bits > budget:
-            raise NodeFailure(f"pipeline message of {r_bits} bits over budget {budget}")
     if arb is not inst:
         # the framework solved the arbdefective g = 0 copy, which need not
         # bound the conflicts this instance counts

@@ -7,8 +7,7 @@ execution order:
 
     color list      min(|C|, len * ceil(log2 |C|))   bitmask vs enumeration
     pow-2 defect    ceil(log2 log2 beta) + 1
-    K-table index   ceil(log2 size)
-    initial color   ceil(log2 m)
+    table index     ceil(log2 size)   a K-family member, an initial color in [m]
     raw field       explicit bit width
 
 Node programs are pure state machines.  ``init`` may already produce an
@@ -65,21 +64,13 @@ class Pow2DefectField(NamedTuple):
 
 
 class IndexField(NamedTuple):
-    """An index into a table of known size (e.g. a K-family)."""
+    """An index into a table of known size: a K-family, or the colors [m]."""
 
     index: int
     table_size: int
 
     def bit_cost(self) -> int:
         return _log2ceil(self.table_size)
-
-
-class InitColorField(NamedTuple):
-    color: int
-    m: int
-
-    def bit_cost(self) -> int:
-        return _log2ceil(self.m)
 
 
 class RawField(NamedTuple):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from listdefect import (
     ColoredGraph,
+    ColoringOutput,
     ConditionViolated,
     LdcInstance,
     OldcConfig,
     OldcInner,
     OracleInner,
     PipelineConfig,
+    RoundTrace,
     arbdefective_subroutine,
     congest_pipeline,
     degree_halving_framework,
@@ -591,6 +593,44 @@ def test_pipeline_budget_violation_fail_fast():
     )
     with pytest.raises(FailFast):
         congest_pipeline(ring, inst, PipelineConfig(bits_budget=1))
+
+
+class _ConflictBlindInner:
+    """Gives every batch node the first color of its residual list,
+    whatever its neighbors take."""
+
+    nu = 0
+    kappa = 1
+
+    def solve(self, graph, inst):
+        return ColoringOutput(tuple(l[0] for l in inst.lists)), RoundTrace()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_framework_output_check_catches_a_conflict_blind_inner(seed):
+    # the one check on the framework's coloring is its output gate
+    made = make_graph("random-gnp", 60, 6, seed=seed, oriented=False)
+    inst = make_instance(made, "degree-plus-one", seed=seed, space_size=49, flavor="arbdefective")
+    with pytest.raises(NodeFailure, match="framework output invalid"):
+        degree_halving_framework(made, inst, _ConflictBlindInner())
+
+
+@pytest.mark.parametrize("budget, rounds", [(None, 4), (10, 4), (0, 0)])
+def test_pipeline_messages_stay_within_the_budget(budget, rounds):
+    # Delta = 68 and lists of exactly degree + 1 colors: the inner runs
+    # distributed batches at budget 10, and at budget 0 every batch fails
+    # fast and the oracle, which sends nothing, colors it
+    graph = make_graph("random-gnp", 200, 48, seed=1, oriented=False)
+    space = graph.max_degree() + 1
+    inst = make_instance(graph, "degree-plus-one", seed=1, space_size=space, flavor="arbdefective")
+    out, trace, _ = congest_pipeline(graph, inst, PipelineConfig(r=2, bits_budget=budget))
+    assert validate_ldc(graph, inst, out).valid
+    if budget is None:
+        # the pipeline's default: 8 (p ceil(log2 |C|) + ceil(log2 n) + 16)
+        log_c, log_n = math.ceil(math.log2(space)), math.ceil(math.log2(graph.n))
+        budget = 8 * (message_preset_p(space, 2) * log_c + log_n + 16)
+    assert all(bits <= budget for bits in trace.max_message_bits)
+    assert trace.rounds_elapsed == rounds
 
 
 def test_framework_determinism():

@@ -5,7 +5,6 @@ from listdefect import (
     ColoredGraph,
     ColorListField,
     IndexField,
-    InitColorField,
     Pow2DefectField,
     RawField,
     RoundLimitExceeded,
@@ -111,7 +110,7 @@ def test_bit_costs_additive():
         "list": ColorListField((3, 5, 9), 256),
         "defect": Pow2DefectField(4, 16),
         "idx": IndexField(2, 8),
-        "init": InitColorField(1, 12),
+        "init": IndexField(1, 12),
         "raw": RawField("x", 5),
     }
     expected = min(256, 3 * 8) + (2 + 1) + 3 + 4 + 5

@@ -1,11 +1,16 @@
-"""Source checks that need no third-party linter: stdlib ``ast`` only."""
+"""Source and README checks that need no third-party linter: stdlib only."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import pytest
 
+from listdefect import cli
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "listdefect"
+README = SRC.parent.parent / "README.md"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -193,3 +198,61 @@ def test_gc_import_check_finds_leftovers():
         "d.py": "import gcx\nfrom . import gc_tools\nfrom .gc import x\nname = 'gc'\n",
     }
     assert gc_importers(sources) == ["a.py", "b.py", "c.py"]
+
+
+def sweep_key_table(readme: str) -> dict[str, str]:
+    """The README's sweep-key table: key -> the first backquoted value of
+    its default cell.  Each row holds two (key, default) pairs."""
+    lines = readme.splitlines()
+    start = lines.index("| key | default | key | default |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        for key, default in zip(cells[::2], cells[1::2]):
+            if key:
+                table[key.strip("`")] = re.match(r"`([^`]*)`", default).group(1)
+    return table
+
+
+def sweep_table_mismatches(readme: str, options: dict) -> list[str]:
+    """Keys whose README default is missing, extra or not the JSON form
+    of the option's default."""
+    documented = sweep_key_table(readme)
+    wanted = {name: json.dumps(default) for name, (_, default, _) in options.items()}
+    return sorted(
+        f"{key}: README {documented.get(key, 'missing')}, CLI {wanted.get(key, 'missing')}"
+        for key in documented.keys() | wanted.keys()
+        if documented.get(key) != wanted.get(key)
+    )
+
+
+def test_readme_sweep_table_matches_the_cli_options():
+    options = {**cli.RUN_OPTIONS, **cli.INSTANCE_OPTIONS}
+    assert sweep_table_mismatches(README.read_text(), options) == []
+
+
+def test_sweep_table_check_finds_leftovers():
+    readme = (
+        "A sweep matrix:\n\n"
+        "| key | default | key | default |\n"
+        "|---|---|---|---|\n"
+        "| `alpha` | `1.0` | `degree` | `4` |\n"
+        "| `max_rounds` | `10000` | `flavor` | `\"oriented\"` (or more) |\n"
+        "| `inner` | `\"oracle\"` | | |\n"
+        "\n"
+        "| `ignored` | `0` |\n"
+    )
+    options = {
+        "alpha": (float, 1.0, None),
+        "degree": (int, 4, None),
+        "flavor": (str, "defective", ("defective", "oriented")),
+        "inner": (str, "oracle", None),
+        "r": (int, None, None),
+    }
+    assert sweep_table_mismatches(readme, options) == [
+        'flavor: README "oriented", CLI "defective"',
+        "max_rounds: README 10000, CLI missing",
+        "r: README missing, CLI null",
+    ]
