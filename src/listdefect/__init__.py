@@ -58,7 +58,6 @@ from .oracle import exhaustive_solve, sequential_arbdefective, sequential_ldc
 from .reductions import (
     OldcInner,
     OracleInner,
-    PipelineConfig,
     StageRow,
     arbdefective_subroutine,
     congest_pipeline,

@@ -36,7 +36,6 @@ from .reductions import (
     InnerSolver,
     OldcInner,
     OracleInner,
-    PipelineConfig,
     StageRow,
     congest_pipeline,
     degree_halving_framework,
@@ -108,6 +107,21 @@ def _basic_config(opts: dict) -> OldcConfig:
     )
 
 
+def _main_config(opts: dict) -> MainConfig:
+    """The full algorithm's config, for oldc-main and the pipeline's inner."""
+    scale = opts["tau_override"]
+    scale_bar = opts["taubar_override"] or scale
+    return MainConfig(
+        alpha=opts["alpha"],
+        tau_override=scale[0] if scale else None,
+        taubar_override=scale_bar[0] if scale_bar else None,
+        stage1_scale=scale_bar,
+        stage2_scale=scale,
+        bits_per_message=opts["bits_budget"],
+        record_messages=opts["verbose"],
+    )
+
+
 def _inner(opts: dict) -> InnerSolver:
     return OldcInner(_basic_config(opts)) if opts["inner"] == "basic" else OracleInner()
 
@@ -144,18 +158,7 @@ def _oldc_basic(graph, inst, opts, report) -> Result:
 
 
 def _oldc_main(graph, inst, opts, report) -> Result:
-    scale = opts["tau_override"]
-    scale_bar = opts["taubar_override"] or scale
-    cfg = MainConfig(
-        alpha=opts["alpha"],
-        tau_override=scale[0] if scale else None,
-        taubar_override=scale_bar[0] if scale_bar else None,
-        stage1_scale=scale_bar,
-        stage2_scale=scale,
-        bits_per_message=opts["bits_budget"],
-        record_messages=opts["verbose"],
-    )
-    return *main_oldc(graph, inst, cfg), []
+    return *main_oldc(graph, inst, _main_config(opts)), []
 
 
 def _space_reduced(graph, inst, opts, report) -> Result:
@@ -169,13 +172,7 @@ def _framework(graph, inst, opts, report) -> Result:
 
 
 def _congest_pipeline(graph, inst, opts, report) -> Result:
-    cfg = PipelineConfig(
-        r=opts["r"],
-        bits_budget=opts["bits_budget"],
-        inner_scale=opts["tau_override"],
-        alpha=opts["alpha"],
-    )
-    return congest_pipeline(graph, inst, cfg)
+    return congest_pipeline(graph, inst, _main_config(opts), r=opts["r"])
 
 
 ALGORITHM_TABLE = {

@@ -470,18 +470,11 @@ def degree_halving_framework(
 SPACE_EXPONENT = 2
 
 
-@dataclass
-class PipelineConfig:
-    r: Optional[int] = None
-    bits_budget: Optional[int] = None
-    inner_scale: Optional[tuple[int, int]] = None
-    alpha: float = 16.0
-
-
 def congest_pipeline(
     graph: ColoredGraph,
     inst: LdcInstance,
-    config: Optional[PipelineConfig] = None,
+    config: Optional[MainConfig] = None,
+    r: Optional[int] = None,
 ) -> tuple[ColoringOutput, RoundTrace, list[StageRow]]:
     """degree+1 list coloring under a CONGEST bit budget.
 
@@ -491,19 +484,22 @@ def congest_pipeline(
     degree-halving framework.  Every message of every distributed phase
     is checked against the bit budget: the initial coloring's here, the
     inner's by the round engine (an over-budget batch fails fast and
-    falls back to the oracle, which sends nothing).  The framework solves
-    the arbdefective g = 0 copy of the instance; when the instance differs
-    from that copy (another flavor, or g > 0), the output is checked
-    against the instance itself and a violation fails fast.
+    falls back to the oracle, which sends nothing).  The inner runs
+    ``config`` (default ``MainConfig()``) at r levels of space reduction
+    (default 4); its ``bits_per_message`` is the budget, derived from
+    |C|, r and n when None.  The framework solves the arbdefective g = 0
+    copy of the instance; when the instance differs from that copy
+    (another flavor, or g > 0), the output is checked against the
+    instance itself and a violation fails fast.
     """
-    config = config or PipelineConfig()
+    config = config or MainConfig()
     delta = graph.max_degree()
     space = len(inst.color_space)
     if space > max(4, delta + 1) ** SPACE_EXPONENT:
         raise InvalidInstance(f"color space of {space} exceeds degree^{SPACE_EXPONENT}")
-    r = 2 * SPACE_EXPONENT if config.r is None else config.r
+    r = 2 * SPACE_EXPONENT if r is None else r
     chunk = message_preset_p(space, r)  # rejects r < 1 before any run
-    budget = config.bits_budget
+    budget = config.bits_per_message
     if budget is None:
         budget = 8 * (
             chunk * max(1, math.ceil(math.log2(max(2, space))))
@@ -520,13 +516,8 @@ def congest_pipeline(
     arb = inst
     if inst.flavor != FLAVOR_ARBDEFECTIVE or inst.g != 0:
         arb = LdcInstance(inst.color_space, inst.lists, inst.defects, FLAVOR_ARBDEFECTIVE, 0)
-    main_cfg = MainConfig(
-        alpha=config.alpha,
-        stage1_scale=config.inner_scale,
-        stage2_scale=config.inner_scale,
-        bits_per_message=budget,
-    )
-    out, trace, rows = degree_halving_framework(colored, arb, OldcInner(main_cfg, r=r))
+    inner = OldcInner(replace(config, bits_per_message=budget), r=r)
+    out, trace, rows = degree_halving_framework(colored, arb, inner)
     if arb is not inst:
         # the framework solved the arbdefective g = 0 copy, which need not
         # bound the conflicts this instance counts

@@ -1,11 +1,14 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from listdefect import check_existence_condition, instance_to_json
 from listdefect.cli import main as cli_main
-from listdefect.errors import InfeasibleParams
+from listdefect.errors import InfeasibleParams, NodeFailure
 from listdefect.generate import make_graph, make_instance
+from listdefect.reductions import message_preset_p
 
 
 def test_ring_degree_plus_one_lists():
@@ -178,6 +181,78 @@ def test_cli_pipeline_on_oriented_instance_fails_fast(tmp_path, capsys):
     assert report["outcome"] == "fail-fast"
     assert report["error"] == "NodeFailure"
     assert not (tmp_path / "r" / "coloring.json").exists()
+
+
+def _pipeline_instance(path):
+    # Delta = 63 and |C| = 4096: at alpha 1 and r 2 some batches of the
+    # pipeline reach the inner distributed
+    graph = make_graph("random-gnp", 120, 48, seed=1, oriented=False)
+    inst = make_instance(
+        graph, "degree-plus-one", seed=1, space_size=4096, flavor="arbdefective"
+    )
+    path.write_text(instance_to_json(graph, inst))
+    return graph
+
+
+@pytest.mark.parametrize("override", [
+    ["--tau-override", "1,2"],
+    ["--tau-override", "1,2", "--taubar-override", "4,3"],
+], ids=["tau", "tau-taubar"])
+def test_cli_overrides_reach_main_oldc_alike_on_both_paths(tmp_path, monkeypatch, override):
+    from listdefect import cli, reductions
+
+    seen = []
+
+    def record(graph, inst, config):
+        seen.append(config)
+        raise NodeFailure("config recorded")
+
+    monkeypatch.setattr(cli, "main_oldc", record)
+    monkeypatch.setattr(reductions, "main_oldc", record)
+    inst_path = tmp_path / "inst.json"
+    _pipeline_instance(inst_path)
+    flags = ["--instance", str(inst_path), "--alpha", "1", *override]
+    assert cli_main(["run", "--algorithm", "oldc-main", *flags, "--out-dir", str(tmp_path / "m")]) == 2
+    (direct,) = seen
+    assert cli_main([
+        "run", "--algorithm", "congest-pipeline", *flags, "--r", "2",
+        "--out-dir", str(tmp_path / "p"),
+    ]) == 0  # every inner call failed fast, and the oracle colored its batch
+    inner = seen[1:]
+    assert inner and direct.tau_override == 1 and direct.bits_per_message is None
+    # the pipeline adds only its bit budget
+    assert all(replace(c, bits_per_message=None) == direct for c in inner)
+
+
+def test_cli_pipeline_tau_override_runs_more_batches_distributed(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    _pipeline_instance(inst_path)
+    distributed = []
+    for override in ([], ["--tau-override", "1,1"]):
+        out_dir = tmp_path / str(len(override))
+        assert cli_main([
+            "run", "--algorithm", "congest-pipeline", "--instance", str(inst_path),
+            "--alpha", "1.0", "--r", "2", *override, "--out-dir", str(out_dir),
+        ]) == 0
+        rows = (out_dir / "stages.csv").read_text().splitlines()[1:]
+        distributed.append(sum(int(row.split(",")[4]) > 0 for row in rows))
+    # a smaller tau lowers main_oldc's alpha*tau*R bar, so more batches
+    # pass it instead of falling back to the oracle in 0 rounds
+    assert distributed[1] > distributed[0] > 0
+
+
+def test_cli_pipeline_verbose_records_messages_within_budget(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    graph = _pipeline_instance(inst_path)
+    out_dir = tmp_path / "r"
+    assert cli_main([
+        "run", "--algorithm", "congest-pipeline", "--instance", str(inst_path),
+        "--alpha", "1.0", "--r", "2", "--verbose", "--out-dir", str(out_dir),
+    ]) == 0
+    messages = json.loads((out_dir / "trace.json").read_text())["messages"]
+    # the pipeline's default budget: 8 (p ceil(log2 |C|) + ceil(log2 n) + 16)
+    budget = 8 * (message_preset_p(4096, 2) * 12 + math.ceil(math.log2(graph.n)) + 16)
+    assert messages and all(bits <= budget for _, _, _, bits in messages)
 
 
 @pytest.mark.parametrize("override", [

@@ -11,10 +11,10 @@ from listdefect import (
     ColoringOutput,
     ConditionViolated,
     LdcInstance,
+    MainConfig,
     OldcConfig,
     OldcInner,
     OracleInner,
-    PipelineConfig,
     RoundTrace,
     arbdefective_subroutine,
     congest_pipeline,
@@ -592,7 +592,7 @@ def test_pipeline_budget_violation_fail_fast():
         [0, 1, 2], [[0, 1, 2]] * 32, [{0: 0, 1: 0, 2: 0}] * 32, flavor="defective"
     )
     with pytest.raises(FailFast):
-        congest_pipeline(ring, inst, PipelineConfig(bits_budget=1))
+        congest_pipeline(ring, inst, MainConfig(bits_per_message=1))
 
 
 class _ConflictBlindInner:
@@ -623,7 +623,7 @@ def test_pipeline_messages_stay_within_the_budget(budget, rounds):
     graph = make_graph("random-gnp", 200, 48, seed=1, oriented=False)
     space = graph.max_degree() + 1
     inst = make_instance(graph, "degree-plus-one", seed=1, space_size=space, flavor="arbdefective")
-    out, trace, _ = congest_pipeline(graph, inst, PipelineConfig(r=2, bits_budget=budget))
+    out, trace, _ = congest_pipeline(graph, inst, MainConfig(bits_per_message=budget), r=2)
     assert validate_ldc(graph, inst, out).valid
     if budget is None:
         # the pipeline's default: 8 (p ceil(log2 |C|) + ceil(log2 n) + 16)

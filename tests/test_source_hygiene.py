@@ -200,6 +200,47 @@ def test_gc_import_check_finds_leftovers():
     assert gc_importers(sources) == ["a.py", "b.py", "c.py"]
 
 
+def config_builders(source: str, config: str) -> list[str]:
+    """One entry per call of ``config`` with arguments: the name of the
+    module-level def or class that makes it, or "<module>".  A bare
+    ``config()`` is the default and sets no value, so it is not counted."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for n in ast.walk(stmt):
+            if not isinstance(n, ast.Call) or not (n.args or n.keywords):
+                continue
+            func = n.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == config:
+                found.append(owner)
+    return sorted(found)
+
+
+def test_the_full_algorithm_is_configured_in_one_place():
+    # oldc-main and the pipeline's inner read the same flags into the same
+    # MainConfig; a second mapping would let one flag mean two things
+    assert config_builders((SRC / "reductions.py").read_text(), "MainConfig") == []
+    assert config_builders((SRC / "cli.py").read_text(), "MainConfig") == ["_main_config"]
+
+
+def test_config_builder_check_finds_leftovers():
+    source = (
+        "from . import oldc_main\n"
+        "DEFAULT = Config(alpha=1)\n"
+        "def build(opts):\n"
+        "    if opts:\n"
+        "        return Config(opts['alpha'])\n"
+        "    return oldc_main.Config(alpha=2)\n"
+        "def default(config=None):\n"
+        "    return config or Config()\n"
+        "class Holder:\n"
+        "    def make(self):\n"
+        "        return Config(tau=1), Other(tau=1)\n"
+    )
+    assert config_builders(source, "Config") == ["<module>", "Holder", "build", "build"]
+
+
 def sweep_key_table(readme: str) -> dict[str, str]:
     """The README's sweep-key table: key -> the first backquoted value of
     its default cell.  Each row holds two (key, default) pairs."""
