@@ -3,11 +3,11 @@
 Node programs are pure state machines.  Each round a node returns one
 message, which goes to every neighbor (None means silence); a message is
 a dict of typed fields and its cost is the sum of field costs.  A CONGEST
-run passes a per-message budget; any oversize message aborts the run
-with the edge, round and size.
+run sets a per-message budget with ``with network(bits_per_message=b)``;
+any oversize message aborts the run with the edge, round and size.
 """
 
-from listdefect import BudgetViolation, ColoredGraph, RawField, run
+from listdefect import BudgetViolation, ColoredGraph, RawField, network, run
 
 ring = ColoredGraph.build(6, [(i, (i + 1) % 6) for i in range(6)])
 
@@ -32,6 +32,7 @@ print("per-round max bits:", trace.max_message_bits)
 print(trace.to_csv())
 
 try:
-    run(ring, FloodIds(), bits_per_message=8)
+    with network(bits_per_message=8):
+        run(ring, FloodIds())
 except BudgetViolation as exc:
     print("budget 8 bits:", exc)

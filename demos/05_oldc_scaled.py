@@ -12,6 +12,7 @@ from listdefect import (
     ColoredGraph,
     FailFast,
     OldcConfig,
+    network,
     single_defect_oldc,
     tau_g_conflict,
 )
@@ -32,12 +33,14 @@ for u in range(n):
 graph = ColoredGraph.build(n, edges, orientation=edges)
 space = list(range(48))
 lists = [sorted(rng.sample(space, 8)) for _ in range(n)]
-config = OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True)
+config = OldcConfig(alpha=1.0, scale_override=(2, 2))
 
 try:
-    out, trace = single_defect_oldc(graph, space, lists, [1] * graph.n, 0, config)
+    with network(record_messages=True):
+        out, trace = single_defect_oldc(graph, space, lists, [1] * graph.n, 0, config)
     print("\ncolors:", out.colors)
     print("rounds:", trace.rounds_elapsed, " max bits per round:", trace.max_message_bits)
+    print("messages delivered:", len(trace.messages))
     worst = max(
         sum(1 for u in graph.out_neighbors[v] if out.colors[u] == out.colors[v])
         for v in range(graph.n)

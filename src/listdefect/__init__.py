@@ -74,6 +74,7 @@ from .runtime import (
     RawField,
     RoundTrace,
     message_bits,
+    network,
     run,
 )
 

@@ -42,7 +42,7 @@ from .reductions import (
     message_preset_p,
     space_reduced_oldc,
 )
-from .runtime import RoundTrace
+from .runtime import RoundTrace, network
 
 # Flags of `run`, which a sweep matrix takes as keys with the same
 # defaults: name -> (type, default, choices).  The overrides are
@@ -99,12 +99,7 @@ def _run_options(values: dict, verbose: bool) -> dict:
 
 
 def _basic_config(opts: dict) -> OldcConfig:
-    return OldcConfig(
-        alpha=opts["alpha"],
-        scale_override=opts["tau_override"],
-        bits_per_message=opts["bits_budget"],
-        record_messages=opts["verbose"],
-    )
+    return OldcConfig(alpha=opts["alpha"], scale_override=opts["tau_override"])
 
 
 def _main_config(opts: dict) -> MainConfig:
@@ -117,8 +112,6 @@ def _main_config(opts: dict) -> MainConfig:
         taubar_override=scale_bar[0] if scale_bar else None,
         stage1_scale=scale_bar,
         stage2_scale=scale,
-        bits_per_message=opts["bits_budget"],
-        record_messages=opts["verbose"],
     )
 
 
@@ -194,12 +187,14 @@ def run_algorithm(
 ) -> tuple[ColoringOutput | None, RoundTrace, dict, list[StageRow]]:
     """Run one algorithm and check its output.
 
-    Returns (output or None, trace, report, stage rows).  Unless the
-    output is None (an UNSAT verdict), ``report["valid"]`` says whether
-    it passed the validator, or for linial whether it is proper.
+    Its engine runs take ``bits_budget`` and ``verbose`` as the network
+    setting.  Returns (output or None, trace, report, stage rows).  Unless
+    the output is None (an UNSAT verdict), ``report["valid"]`` says
+    whether it passed the validator, or for linial whether it is proper.
     """
     report: dict = {"algorithm": algorithm}
-    out, trace, rows = ALGORITHM_TABLE[algorithm](graph, inst, opts, report)
+    with network(bits_per_message=opts["bits_budget"], record_messages=opts["verbose"]):
+        out, trace, rows = ALGORITHM_TABLE[algorithm](graph, inst, opts, report)
     if out is not None and algorithm == "linial":
         report["valid"] = all(out.colors[u] != out.colors[v] for u, v in graph.edges())
     elif out is not None:

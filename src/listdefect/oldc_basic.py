@@ -72,8 +72,6 @@ class OldcConfig:
 
     alpha: float = 6.0
     scale_override: Optional[tuple[int, int]] = None
-    bits_per_message: Optional[int] = None
-    record_messages: bool = False
 
 
 def gamma_class_of(beta_v: int, d_v: int) -> int:
@@ -315,12 +313,7 @@ def _run_single_defect(
         beta_max=beta_max,
     )
     inst = _single_defect_instance(graph, color_space, lists, defects, predecided, g)
-    trace = run(
-        graph,
-        program,
-        bits_per_message=config.bits_per_message,
-        record_messages=config.record_messages,
-    )
+    trace = run(graph, program)
     output = ColoringOutput(tuple(trace.outputs))
     require_valid(graph, inst, output, "output failed validation at nodes")
     return output, trace

@@ -81,17 +81,11 @@ class _SegmentProgram:
 
 
 def _broadcast_segment(
-    graph: ColoredGraph, senders: dict[int, Mapping], config: OldcConfig
+    graph: ColoredGraph, senders: dict[int, Mapping]
 ) -> tuple[RoundTrace, list[dict[int, Mapping]]]:
     if not senders:
         return RoundTrace(), [{} for _ in range(graph.n)]
-    trace = run(
-        graph,
-        _SegmentProgram(senders),
-        max_rounds=4,
-        bits_per_message=config.bits_per_message,
-        record_messages=config.record_messages,
-    )
+    trace = run(graph, _SegmentProgram(senders), max_rounds=4)
     return trace, list(trace.outputs)
 
 
@@ -205,7 +199,7 @@ def two_phase_oldc(
     decided_msgs = {
         v: {"decided": ColorListField((c,), space_size)} for v, c in predecided.items()
     }
-    tr, delivered = _broadcast_segment(graph, decided_msgs, config)
+    tr, delivered = _broadcast_segment(graph, decided_msgs)
     traces.append(tr)
     for v in machinery:
         for u, msg in delivered[v].items():
@@ -255,7 +249,7 @@ def two_phase_oldc(
             }
             for v in members
         }
-        tr, delivered = _broadcast_segment(graph, type_msgs, config)
+        tr, delivered = _broadcast_segment(graph, type_msgs)
         traces.append(tr)
         for v in machinery:
             for u, msg in delivered[v].items():
@@ -294,7 +288,7 @@ def two_phase_oldc(
                 raise NodeFailure(f"phase-I selection exceeds d/4: {best_d}", node=v)
             node.cset = fam[best_idx]
             cset_msgs[v] = {"cset": IndexField(best_idx, len(fam))}
-        tr, delivered = _broadcast_segment(graph, cset_msgs, config)
+        tr, delivered = _broadcast_segment(graph, cset_msgs)
         traces.append(tr)
         for v in machinery:
             for u, msg in delivered[v].items():
@@ -348,7 +342,7 @@ def two_phase_oldc(
             node.audit = (lower_hits, ignored, best_f)
             colors[v] = best_x
             color_msgs[v] = {"color": ColorListField((best_x,), space_size)}
-        tr, delivered = _broadcast_segment(graph, color_msgs, config)
+        tr, delivered = _broadcast_segment(graph, color_msgs)
         traces.append(tr)
         for v in machinery:
             for u, msg in delivered[v].items():
@@ -479,8 +473,6 @@ class MainConfig:
     taubar_override: Optional[int] = None
     stage1_scale: Optional[tuple[int, int]] = None  # (tau, tau') of the class assignment
     stage2_scale: Optional[tuple[int, int]] = None  # (tau, tau') of the two-phase run
-    bits_per_message: Optional[int] = None
-    record_messages: bool = False
 
 
 def main_oldc(
@@ -558,12 +550,7 @@ def main_oldc(
             flavor=FLAVOR_ORIENTED,
             g=g1,
         )
-        stage1_cfg = OldcConfig(
-            alpha=1.0,
-            scale_override=config.stage1_scale,
-            bits_per_message=config.bits_per_message,
-            record_messages=config.record_messages,
-        )
+        stage1_cfg = OldcConfig(alpha=1.0, scale_override=config.stage1_scale)
         out1, tr1 = multi_defect_oldc(sub, stage1_inst, h=hprime, config=stage1_cfg)
         traces.append(tr1)
         classes = {keep[i]: out1.colors[i] for i in range(len(keep))}
@@ -585,12 +572,7 @@ def main_oldc(
         h=h_eff,
         q=q,
     )
-    cfg2 = OldcConfig(
-        alpha=config.alpha / 16,
-        scale_override=config.stage2_scale,
-        bits_per_message=config.bits_per_message,
-        record_messages=config.record_messages,
-    )
+    cfg2 = OldcConfig(alpha=config.alpha / 16, scale_override=config.stage2_scale)
     out2, tr2 = two_phase_oldc(
         graph, inst.color_space, lists2, budget, cfg2, predecided=predecided
     )

@@ -43,7 +43,7 @@ from .linial import linial_coloring
 from .oldc_basic import OldcConfig, multi_defect_oldc
 from .oldc_main import MainConfig, main_oldc
 from .oracle import sequential_arbdefective, sequential_ldc
-from .runtime import RoundTrace, concat_traces, merge_parallel
+from .runtime import RoundTrace, concat_traces, current_network, merge_parallel, network
 
 
 # -- inner solvers ---------------------------------------------------------------
@@ -481,16 +481,15 @@ def congest_pipeline(
     Composes the initial-coloring subroutine, the message-preset
     space-reduced main OLDC as the framework inner solver (with the
     oracle fallback the down-scaled parameters usually force), and the
-    degree-halving framework.  Every message of every distributed phase
-    is checked against the bit budget: the initial coloring's here, the
-    inner's by the round engine (an over-budget batch fails fast and
-    falls back to the oracle, which sends nothing).  The inner runs
-    ``config`` (default ``MainConfig()``) at r levels of space reduction
-    (default 4); its ``bits_per_message`` is the budget, derived from
-    |C|, r and n when None.  The framework solves the arbdefective g = 0
-    copy of the instance; when the instance differs from that copy
-    (another flavor, or g > 0), the output is checked against the
-    instance itself and a violation fails fast.
+    degree-halving framework.  The initial coloring and the inner run
+    under the current network's budget, or one derived from |C|, r and n
+    when that is None (an over-budget inner batch fails fast and falls
+    back to the oracle, which sends nothing).  The inner runs ``config`` (default
+    ``MainConfig()``) at r levels of space reduction (default 4).  The
+    framework solves the arbdefective g = 0 copy of the instance; when
+    the instance differs from that copy (another flavor, or g > 0), the
+    output is checked against the instance itself and a violation fails
+    fast.
     """
     config = config or MainConfig()
     delta = graph.max_degree()
@@ -499,7 +498,7 @@ def congest_pipeline(
         raise InvalidInstance(f"color space of {space} exceeds degree^{SPACE_EXPONENT}")
     r = 2 * SPACE_EXPONENT if r is None else r
     chunk = message_preset_p(space, r)  # rejects r < 1 before any run
-    budget = config.bits_per_message
+    budget = current_network().bits_per_message
     if budget is None:
         budget = 8 * (
             chunk * max(1, math.ceil(math.log2(max(2, space))))
@@ -507,17 +506,13 @@ def congest_pipeline(
             + 16
         )
 
-    out0, trace0 = linial_coloring(graph)
-    for r_bits in trace0.max_message_bits:
-        if r_bits > budget:
-            raise NodeFailure(f"initial coloring message of {r_bits} bits over budget {budget}")
-    colored = replace(graph, init_colors=out0.colors, m=max(out0.colors, default=0) + 1)
-
     arb = inst
     if inst.flavor != FLAVOR_ARBDEFECTIVE or inst.g != 0:
         arb = LdcInstance(inst.color_space, inst.lists, inst.defects, FLAVOR_ARBDEFECTIVE, 0)
-    inner = OldcInner(replace(config, bits_per_message=budget), r=r)
-    out, trace, rows = degree_halving_framework(colored, arb, inner)
+    with network(bits_per_message=budget):
+        out0, trace0 = linial_coloring(graph)
+        colored = replace(graph, init_colors=out0.colors, m=max(out0.colors, default=0) + 1)
+        out, trace, rows = degree_halving_framework(colored, arb, OldcInner(config, r=r))
     if arb is not inst:
         # the framework solved the arbdefective g = 0 copy, which need not
         # bound the conflicts this instance counts

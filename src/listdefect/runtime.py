@@ -19,6 +19,8 @@ Once a node has produced its output it no longer steps; the message of
 its final step is still delivered.  Rounds are counted until the last
 output is produced; trailing silent rounds are not counted.
 
+Every run obeys the ``Network`` setting of its context, set by a
+``with network(...)`` block: the bit budget and the message record.
 The engine sizes each sending node's message once per round and checks
 it against the budget once, naming the edge to the node's first
 neighbor; the message record still has one row per delivered message,
@@ -28,9 +30,11 @@ in adjacency order.  A node with no neighbors sends nothing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Any, Mapping, NamedTuple, Optional, Protocol, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import BudgetViolation, NodeFailure, RoundLimitExceeded
 from .graphs import ColoredGraph
@@ -211,23 +215,52 @@ def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
     return merged
 
 
+# -- the network ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Network:
+    """The network model: the per-message bit budget (None is LOCAL
+    mode) and whether the trace records every delivered message."""
+
+    bits_per_message: Optional[int] = None
+    record_messages: bool = False
+
+
+_NETWORK: ContextVar[Network] = ContextVar("network", default=Network())
+
+
+def current_network() -> Network:
+    """The network setting in force in this context."""
+    return _NETWORK.get()
+
+
+@contextmanager
+def network(**changes: Any) -> Iterator[None]:
+    """Apply ``changes`` to the current setting for the block; unnamed
+    fields are inherited, and the old setting returns on any exit."""
+    token = _NETWORK.set(replace(_NETWORK.get(), **changes))
+    try:
+        yield
+    finally:
+        _NETWORK.reset(token)
+
+
 # -- the engine ---------------------------------------------------------------
 
 
-def run(
-    graph: ColoredGraph,
-    program: NodeProgram,
-    max_rounds: int = 10_000,
-    bits_per_message: Optional[int] = None,
-    record_messages: bool = False,
-) -> RoundTrace:
+def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> RoundTrace:
     """Execute a node program on every node until all outputs are in.
 
     Nodes step in id order inside a round; messages sent in round r are
     readable only in round r+1 (communication is bidirectional even on
-    oriented graphs).  In budgeted mode any over-size message aborts the
-    run with a BudgetViolation naming edge, round and size.
+    oriented graphs).  The run obeys ``current_network()``, read once at
+    the start: under a budget any over-size message aborts the run with
+    a BudgetViolation naming edge, round and size, and with
+    ``record_messages`` the trace lists every delivered message.
     """
+    setting = current_network()
+    bits_per_message = setting.bits_per_message
     n = graph.n
     outs = repeat(None) if graph.out_neighbors is None else graph.out_neighbors
     views = list(map(NodeView._make, zip(
@@ -251,7 +284,7 @@ def run(
             pending.append(v)
 
     trace = RoundTrace(outputs=outputs, output_rounds=output_round)
-    messages = trace.messages = [] if record_messages else None
+    messages = trace.messages = [] if setting.record_messages else None
     inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
     step = program.step
     adjacency = graph.adjacency

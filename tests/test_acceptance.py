@@ -28,6 +28,7 @@ from listdefect import (
     multi_defect_oldc,
     make_graph,
     make_instance,
+    network,
     preset_message,
     sequential_arbdefective,
     sequential_ldc,
@@ -301,7 +302,7 @@ def test_criterion_06_oldc_fail_safe():
 def test_criterion_07_message_accounting():
     """Space reduction with r=4 never beats r=1 on max bits; per-message
     sizes respect the list-encoding bound of the active sub-instance."""
-    cfg = OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True)
+    cfg = OldcConfig(alpha=1.0, scale_override=(2, 2))
     inner = OldcInner(config=cfg)
 
     def shape_bound(space, lam, beta, m, h):
@@ -314,8 +315,9 @@ def test_criterion_07_message_accounting():
         g = random_dag(8 + seed % 7, 2, 0.3, seed=700 + seed)
         inst = blockspread_instance(g, seed=seed)
         try:
-            out1, tr1 = preset_message(g, inst, inner, r=1)
-            out4, tr4 = preset_message(g, inst, inner, r=4)
+            with network(record_messages=True):
+                out1, tr1 = preset_message(g, inst, inner, r=1)
+                out4, tr4 = preset_message(g, inst, inner, r=4)
         except FailFast:
             continue
         conforming += 1
@@ -422,14 +424,15 @@ def test_criterion_10_determinism():
                   == linial_coloring(ring)[1].to_json(verbose=True))
 
     dag = random_dag(16, 2, 0.3, seed=4)
-    cfg = OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True)
+    cfg = OldcConfig(alpha=1.0, scale_override=(2, 2))
     rng = random.Random(4)
     space = list(range(48))
     lists = [sorted(rng.sample(space, 8)) for _ in range(dag.n)]
 
     def run_basic():
         try:
-            out, tr = single_defect_oldc(dag, space, lists, [1] * dag.n, 0, cfg)
+            with network(record_messages=True):
+                out, tr = single_defect_oldc(dag, space, lists, [1] * dag.n, 0, cfg)
             return out.colors, tr.to_json(verbose=True)
         except FailFast as exc:
             return type(exc).__name__, str(exc)
@@ -453,7 +456,8 @@ def test_criterion_10_determinism():
 
     def run_reduced():
         try:
-            out, tr = preset_message(dag, binst, inner, r=4)
+            with network(record_messages=True):
+                out, tr = preset_message(dag, binst, inner, r=4)
             return out.colors, tr.to_json(verbose=True)
         except FailFast as exc:
             return type(exc).__name__, str(exc)

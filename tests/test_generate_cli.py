@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -219,9 +218,8 @@ def test_cli_overrides_reach_main_oldc_alike_on_both_paths(tmp_path, monkeypatch
         "--out-dir", str(tmp_path / "p"),
     ]) == 0  # every inner call failed fast, and the oracle colored its batch
     inner = seen[1:]
-    assert inner and direct.tau_override == 1 and direct.bits_per_message is None
-    # the pipeline adds only its bit budget
-    assert all(replace(c, bits_per_message=None) == direct for c in inner)
+    assert inner and direct.tau_override == 1
+    assert all(c == direct for c in inner)
 
 
 def test_cli_pipeline_tau_override_runs_more_batches_distributed(tmp_path):
@@ -290,6 +288,45 @@ def test_cli_budget_violation_exit_code(tmp_path):
         "--bits-budget", "1", "--out-dir", str(tmp_path / "r"),
     ])
     assert rc == 2
+
+
+def _ring_instance(path):
+    assert cli_main([
+        "generate", "--family", "ring", "--n", "300", "--list-model", "degree-plus-one",
+        "--space", "9", "--flavor", "arbdefective", "--seed", "1", "--out", str(path),
+    ]) == 0
+
+
+def test_cli_linial_verbose_records_every_message(tmp_path):
+    inst_path = tmp_path / "ring.json"
+    _ring_instance(inst_path)
+    out_dir = tmp_path / "r"
+    assert cli_main([
+        "run", "--algorithm", "linial", "--instance", str(inst_path),
+        "--verbose", "--out-dir", str(out_dir),
+    ]) == 0
+    trace = json.loads((out_dir / "trace.json").read_text())
+    # two sending rounds, each node to both ring neighbors
+    assert len(trace["messages"]) == 1200
+    assert trace["max_message_bits"] == [9, 6, 0]
+
+
+@pytest.mark.parametrize("algorithm", ["linial", "congest-pipeline"])
+def test_cli_bits_budget_binds_linial_rounds(tmp_path, capsys, algorithm):
+    # Linial's first message is 9 bits: the engine stops it, alone or as
+    # the pipeline's initial coloring
+    inst_path = tmp_path / "ring.json"
+    _ring_instance(inst_path)
+    rc = cli_main([
+        "run", "--algorithm", algorithm, "--instance", str(inst_path),
+        "--bits-budget", "5", "--out-dir", str(tmp_path / "r"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "fail-fast: BudgetViolation: message on edge (0, 1) in round 1 needs 9 bits, budget 5\n"
+    )
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert report["error"] == "BudgetViolation"
 
 
 def test_cli_space_reduced_and_main(tmp_path):

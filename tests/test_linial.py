@@ -12,6 +12,7 @@ from listdefect import (
     linial_palette,
     linial_program,
     linial_schedule,
+    network,
     run,
 )
 from listdefect.linial import _LinialProgram, _poly_eval
@@ -150,8 +151,9 @@ def _same_run(graph, program, trace, colors, reference):
     assert colors == tuple(reference.outputs)
     assert trace.to_json() == reference.to_json()
     assert trace.to_csv() == reference.to_csv()
-    recorded = run(graph, program, record_messages=True)
-    recorded_reference = run(graph, _PerPairLinial(program), record_messages=True)
+    with network(record_messages=True):
+        recorded = run(graph, program)
+        recorded_reference = run(graph, _PerPairLinial(program))
     assert recorded.to_json(verbose=True) == recorded_reference.to_json(verbose=True)
 
 

@@ -1,8 +1,9 @@
 """Golden digest of seeded OLDC runs.
 
-Every run below is recorded as its colors, ``trace.audit`` and verbose
-trace JSON when it succeeds, or as its failure class and message (which
-carry the counts behind the failed bound) when it fails fast.  The sha256
+Every run below records its messages, and is recorded as its colors,
+``trace.audit`` and verbose trace JSON when it succeeds, or as its
+failure class and message (which carry the counts behind the failed
+bound) when it fails fast.  The sha256
 of all records is pinned, so any change to the conflict counting of
 ``main_oldc``, ``two_phase_oldc`` or the basic algorithm shows up as a
 changed digest.  After an intended output change, print the new digest
@@ -27,6 +28,7 @@ from listdefect import (
     OldcConfig,
     main_oldc,
     multi_defect_oldc,
+    network,
     two_phase_oldc,
 )
 
@@ -53,7 +55,6 @@ def _main_case(seed: int):
         taubar_override=1,
         stage1_scale=(rng.choice([1, 2]), 2),
         stage2_scale=rng.choice([(1, 1), (1, 2), (2, 2)]),
-        record_messages=True,
     )
     return graph, inst, config
 
@@ -75,9 +76,7 @@ def _two_phase_case(seed: int):
             classes[v] = rng.randint(1, h)
             defects[v] = rng.choice([3, 7, 15])
     budget = ClassBudget(classes=classes, defects=defects, h=h, q=q)
-    config = OldcConfig(
-        alpha=0.25, scale_override=rng.choice([(1, 2), (2, 2), (2, 4)]), record_messages=True
-    )
+    config = OldcConfig(alpha=0.25, scale_override=rng.choice([(1, 2), (2, 2), (2, 4)]))
     return graph, space, lists, budget, config, predecided
 
 
@@ -100,7 +99,7 @@ def _shared_pool_case(seed: int):
         h=1,
         q=1,
     )
-    config = OldcConfig(alpha=0.1, scale_override=rng.choice([(1, 2), (2, 2)]), record_messages=True)
+    config = OldcConfig(alpha=0.1, scale_override=rng.choice([(1, 2), (2, 2)]))
     return graph, space, lists, budget, config, {}
 
 
@@ -115,13 +114,14 @@ def _basic_case(seed: int):
         space, lists, [{x: rng.choice([1, 2, 4]) for x in l} for l in lists],
         flavor="oriented", g=g,
     )
-    config = OldcConfig(alpha=0.1, scale_override=(rng.choice([1, 2]), 2), record_messages=True)
+    config = OldcConfig(alpha=0.1, scale_override=(rng.choice([1, 2]), 2))
     return graph, inst, config
 
 
 def _record(run) -> dict:
     try:
-        out, trace = run()
+        with network(record_messages=True):
+            out, trace = run()
     except FailFast as exc:
         return {"failure": type(exc).__name__, "message": str(exc)}
     return {

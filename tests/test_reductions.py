@@ -11,7 +11,6 @@ from listdefect import (
     ColoringOutput,
     ConditionViolated,
     LdcInstance,
-    MainConfig,
     OldcConfig,
     OldcInner,
     OracleInner,
@@ -20,6 +19,7 @@ from listdefect import (
     congest_pipeline,
     degree_halving_framework,
     linial_schedule,
+    network,
     preset_message,
     space_reduced_oldc,
     validate_ldc,
@@ -183,16 +183,17 @@ def test_reduction_formula_example():
 
 def test_space_reduction_distributed_messages_shrink():
     """Max message bits are non-increasing in the recursion depth r."""
-    cfg = OldcConfig(alpha=1.0, scale_override=(2, 2), record_messages=True)
+    cfg = OldcConfig(alpha=1.0, scale_override=(2, 2))
     inner = OldcInner(config=cfg)
     done = 0
     for seed in range(8):
         g = random_dag(10, 2, 0.3, seed=100 + seed)
         inst = blockspread_instance(g, seed=seed)
         try:
-            bits = [
-                preset_message(g, inst, inner, r=r)[1].max_bits() for r in (1, 2, 4)
-            ]
+            with network(record_messages=True):
+                bits = [
+                    preset_message(g, inst, inner, r=r)[1].max_bits() for r in (1, 2, 4)
+                ]
         except FailFast:
             continue
         done += 1
@@ -591,8 +592,8 @@ def test_pipeline_budget_violation_fail_fast():
     inst = LdcInstance.build(
         [0, 1, 2], [[0, 1, 2]] * 32, [{0: 0, 1: 0, 2: 0}] * 32, flavor="defective"
     )
-    with pytest.raises(FailFast):
-        congest_pipeline(ring, inst, MainConfig(bits_per_message=1))
+    with network(bits_per_message=1), pytest.raises(FailFast):
+        congest_pipeline(ring, inst)
 
 
 class _ConflictBlindInner:
@@ -623,7 +624,8 @@ def test_pipeline_messages_stay_within_the_budget(budget, rounds):
     graph = make_graph("random-gnp", 200, 48, seed=1, oriented=False)
     space = graph.max_degree() + 1
     inst = make_instance(graph, "degree-plus-one", seed=1, space_size=space, flavor="arbdefective")
-    out, trace, _ = congest_pipeline(graph, inst, MainConfig(bits_per_message=budget), r=2)
+    with network(bits_per_message=budget):
+        out, trace, _ = congest_pipeline(graph, inst, r=2)
     assert validate_ldc(graph, inst, out).valid
     if budget is None:
         # the pipeline's default: 8 (p ceil(log2 |C|) + ceil(log2 n) + 16)

@@ -9,6 +9,7 @@ from listdefect import (
     RawField,
     RoundLimitExceeded,
     message_bits,
+    network,
     run,
 )
 from listdefect import runtime
@@ -51,14 +52,15 @@ def test_zero_round_program():
 
 
 def test_flood_budget_violation():
-    with pytest.raises(BudgetViolation) as exc:
-        run(PATH3, FloodIds(64), bits_per_message=32)
+    with network(bits_per_message=32), pytest.raises(BudgetViolation) as exc:
+        run(PATH3, FloodIds(64))
     assert exc.value.round_no == 1
     assert exc.value.size == 64
 
 
 def test_flood_within_budget():
-    tr = run(PATH3, FloodIds(64), bits_per_message=64)
+    with network(bits_per_message=64):
+        tr = run(PATH3, FloodIds(64))
     assert all(out == (0, 1, 2) for out in tr.outputs)
 
 
@@ -157,8 +159,8 @@ class SendOnce:
 
 def test_shared_message_over_budget_names_first_edge():
     program = SendOnce(lambda v: {"p": RawField(0, 40)} if v == 0 else None)
-    with pytest.raises(BudgetViolation) as exc:
-        run(STAR, program, bits_per_message=32)
+    with network(bits_per_message=32), pytest.raises(BudgetViolation) as exc:
+        run(STAR, program)
     assert exc.value.edge == (0, 1)
     assert exc.value.round_no == 1 and exc.value.size == 40
 
@@ -187,7 +189,8 @@ def test_node_without_neighbors_sends_nothing():
             return {"p": RawField(v, 99)}  # over the budget, but goes nowhere
         return {"p": RawField(v, 5)} if v == 1 else None
 
-    tr = run(STAR, SendOnce(message_of), bits_per_message=32, record_messages=True)
+    with network(bits_per_message=32, record_messages=True):
+        tr = run(STAR, SendOnce(message_of))
     assert tr.max_message_bits == [5, 0]
     assert tr.messages == [(1, 1, 0, 5)]
 
@@ -202,10 +205,27 @@ def test_record_messages_lists_every_delivered_message():
             return {}
         return {"p": RawField(v, v)}
 
-    tr = run(STAR, SendOnce(message_of), record_messages=True)
+    with network(record_messages=True):
+        tr = run(STAR, SendOnce(message_of))
     expected = [(1, 0, u, 7) for u in range(1, 13)] + [(1, v, 0, v) for v in range(1, 13)]
     assert tr.messages == expected
     assert tr.max_message_bits == [12, 0]
+
+
+def test_nested_network_blocks_inherit_and_restore():
+    over = SendOnce(lambda v: {"p": RawField(0, 40)} if v == 0 else None)
+    with network(bits_per_message=64, record_messages=True):
+        with pytest.raises(BudgetViolation):
+            with network(bits_per_message=32):
+                # the record is inherited from the outer block
+                assert runtime.current_network() == runtime.Network(32, True)
+                run(STAR, over)
+        # the failure left the outer setting in force
+        assert runtime.current_network() == runtime.Network(64, True)
+        tr = run(STAR, over)
+        assert tr.max_message_bits == [40, 0] and len(tr.messages) == 12
+    assert runtime.current_network() == runtime.Network()
+    assert run(STAR, over).messages is None
 
 
 def test_round_limit_message_counts_decided_nodes():

@@ -241,6 +241,83 @@ def test_config_builder_check_finds_leftovers():
     assert config_builders(source, "Config") == ["<module>", "Holder", "build", "build"]
 
 
+NETWORK_FIELDS = ("bits_per_message", "record_messages")
+
+
+def _name_of(node: ast.expr):
+    """The name a plain or dotted reference ends in, or None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def network_settings(sources: dict[str, str]) -> list[str]:
+    """Every place that declares or passes a network field: a dataclass
+    field of that name, or a keyword of that name in a call of ``run``."""
+    found = []
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.ClassDef) and _is_dataclass(n):
+                found.extend(
+                    f"{module}: {n.name}.{stmt.target.id}"
+                    for stmt in n.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id in NETWORK_FIELDS
+                )
+            elif isinstance(n, ast.Call) and _name_of(n.func) == "run":
+                found.extend(
+                    f"{module}: run({k.arg}=...) line {n.lineno}"
+                    for k in n.keywords if k.arg in NETWORK_FIELDS
+                )
+    return sorted(found)
+
+
+def test_only_the_network_setting_holds_the_budget_and_the_record():
+    # the budget and the message record belong to the network model: one
+    # setting that every engine run reads, not a field of some configs
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert network_settings(sources) == [
+        "runtime.py: Network.bits_per_message",
+        "runtime.py: Network.record_messages",
+    ]
+
+
+def test_network_setting_check_finds_leftovers():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass\n"
+            "class Config:\n"
+            "    alpha: float = 1.0\n"
+            "    bits_per_message: int = 0\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Other:\n"
+            "    record_messages: bool = False\n"
+            "class Plain:\n"
+            "    bits_per_message: int = 0\n"
+        ),
+        "b.py": (
+            "from . import runtime\n"
+            "def go(g, p, config):\n"
+            "    run(g, p, max_rounds=4, record_messages=True)\n"
+            "    runtime.run(g, p, bits_per_message=config.bits_per_message)\n"
+            "    other(g, bits_per_message=3)\n"
+        ),
+    }
+    assert network_settings(sources) == [
+        "a.py: Config.bits_per_message",
+        "a.py: Other.record_messages",
+        "b.py: run(bits_per_message=...) line 4",
+        "b.py: run(record_messages=...) line 3",
+    ]
+
+
 def sweep_key_table(readme: str) -> dict[str, str]:
     """The README's sweep-key table: key -> the first backquoted value of
     its default cell.  Each row holds two (key, default) pairs."""
