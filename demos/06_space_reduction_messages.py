@@ -44,5 +44,5 @@ for r in (1, 2, 4):
     print(
         f"r={r}: p={256 if r == 1 else round(256 ** (1 / r) + 0.5)}"
         f"  rounds={trace.rounds_elapsed}  max message bits={trace.max_bits()}"
-        f"  messages={len(trace.messages or ())}"
+        f"  messages={len(trace.messages)}"
     )

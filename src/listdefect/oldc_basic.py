@@ -131,7 +131,6 @@ class _SingleDefectProgram:
             "cset_masks": {},  # out-neighbor -> color_mask(C_u)
             "classes": {},     # out-neighbor -> gamma class
             "cset": None,
-            "p1_checked": False,
         }
         return state, None
 
@@ -189,8 +188,7 @@ class _SingleDefectProgram:
             state["cset_mask"] = st.masks[best_idx]
             return state, {"cset": IndexField(best_idx, len(fam))}, None
 
-        if round_no == 3 and not state["p1_checked"]:
-            state["p1_checked"] = True
+        if round_no == 3:
             shifted = shifted_masks(state["cset_mask"], self.g)
             conflicts = sum(
                 1

@@ -16,8 +16,10 @@ round and returns the new state, one message and optionally the final
 output.  Communication is broadcast: the message goes to every neighbor,
 and a falsy message (None or an empty dict) means the node is silent.
 Once a node has produced its output it no longer steps; the message of
-its final step is still delivered.  Rounds are counted until the last
-output is produced; trailing silent rounds are not counted.
+its final step is still delivered.  The engine stops in the round of the
+last output, so the round count is that round, silent rounds included
+(Linial on a 300-ring records ``[9, 6, 0]``); ROADMAP item 7 decides the
+honest count.
 
 Every run obeys the ``Network`` setting of its context, set by a
 ``with network(...)`` block: the bit budget and the message record.
@@ -33,7 +35,7 @@ import json
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import Any, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import BudgetViolation, NodeFailure, RoundLimitExceeded
@@ -139,15 +141,20 @@ class NodeProgram(Protocol):
 
 @dataclass
 class RoundTrace:
-    """Per-run record: round count, per-round max message bits, outputs."""
+    """Per-run record: per-round max message bits, outputs and, when the
+    network records them, every delivered message.  The round count is
+    the length of the per-round record."""
 
-    rounds_elapsed: int = 0
     max_message_bits: list[int] = field(default_factory=list)
     outputs: list[Any] = field(default_factory=list)
     output_rounds: Optional[list[int]] = None
     failure: Optional[str] = None
-    messages: Optional[list[tuple[int, int, int, int]]] = None  # (round, u, v, bits)
+    messages: list[tuple[int, int, int, int]] = field(default_factory=list)  # (round, u, v, bits)
     audit: Optional[list] = None  # algorithm-specific per-node budget rows
+
+    @property
+    def rounds_elapsed(self) -> int:
+        return len(self.max_message_bits)
 
     def max_bits(self) -> int:
         return max(self.max_message_bits, default=0)
@@ -175,7 +182,7 @@ class RoundTrace:
             doc["output_rounds"] = self.output_rounds
         if self.audit is not None:
             doc["audit"] = [list(row) for row in self.audit]
-        if verbose and self.messages is not None:
+        if verbose:
             doc["messages"] = self.messages
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -184,35 +191,21 @@ def concat_traces(traces: Sequence[RoundTrace], outputs: Sequence[Any] = ()) -> 
     """Sequential composition of phased runs: rounds add up, and the
     composed run's outputs are ``outputs``."""
     merged = RoundTrace(outputs=list(outputs))
-    offset = 0
     for t in traces:
+        offset = merged.rounds_elapsed
+        merged.messages.extend((r + offset, u, v, b) for (r, u, v, b) in t.messages)
         merged.max_message_bits.extend(t.max_message_bits)
-        if t.messages:
-            merged.messages = (merged.messages or []) + [
-                (r + offset, u, v, b) for (r, u, v, b) in t.messages
-            ]
-        offset += t.rounds_elapsed
-    merged.rounds_elapsed = offset
     return merged
 
 
 def merge_parallel(traces: Sequence[RoundTrace]) -> RoundTrace:
     """Parallel composition of runs on disjoint node sets: rounds take the
     max, per-round bits the elementwise max."""
-    merged = RoundTrace()
-    merged.rounds_elapsed = max((t.rounds_elapsed for t in traces), default=0)
-    width = max((len(t.max_message_bits) for t in traces), default=0)
-    merged.max_message_bits = [
-        max((t.max_message_bits[i] for t in traces if i < len(t.max_message_bits)), default=0)
-        for i in range(width)
-    ]
-    msgs: list[tuple[int, int, int, int]] = []
-    for t in traces:
-        if t.messages:
-            msgs.extend(t.messages)
-    if msgs:
-        merged.messages = sorted(msgs)
-    return merged
+    per_round = zip_longest(*(t.max_message_bits for t in traces), fillvalue=0)
+    return RoundTrace(
+        max_message_bits=list(map(max, per_round)),
+        messages=sorted(m for t in traces for m in t.messages),
+    )
 
 
 # -- the network ----------------------------------------------------------------
@@ -284,7 +277,7 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
             pending.append(v)
 
     trace = RoundTrace(outputs=outputs, output_rounds=output_round)
-    messages = trace.messages = [] if setting.record_messages else None
+    messages = trace.messages if setting.record_messages else None
     inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
     step = program.step
     adjacency = graph.adjacency
@@ -326,7 +319,4 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
         inboxes = next_inboxes
         pending = still_pending
 
-    trace.rounds_elapsed = max(output_round, default=0)
-    # trailing silent rounds are not counted
-    del trace.max_message_bits[trace.rounds_elapsed:]
     return trace

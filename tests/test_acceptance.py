@@ -325,10 +325,10 @@ def test_criterion_07_message_accounting():
         assert validate_ldc(g, inst, out4).valid
         assert tr4.max_bits() <= tr1.max_bits(), (seed, tr4.max_bits(), tr1.max_bits())
         bound1 = shape_bound(256, 16, g.max_beta(), g.m, 1)
-        for _, _, _, bits in tr1.messages or ():
+        for _, _, _, bits in tr1.messages:
             assert bits <= bound1
         bound4 = shape_bound(4, 4, g.max_beta(), g.m, 1)
-        for _, _, _, bits in tr4.messages or ():
+        for _, _, _, bits in tr4.messages:
             assert bits <= bound4
     _report(7, conforming >= 12, f"{conforming}/20 conforming seeds, r=4 <= r=1 on all")
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from listdefect import check_existence_condition, instance_to_json
+from listdefect.cli import ALGORITHMS
 from listdefect.cli import main as cli_main
 from listdefect.errors import InfeasibleParams, NodeFailure
 from listdefect.generate import make_graph, make_instance
@@ -309,6 +310,27 @@ def test_cli_linial_verbose_records_every_message(tmp_path):
     # two sending rounds, each node to both ring neighbors
     assert len(trace["messages"]) == 1200
     assert trace["max_message_bits"] == [9, 6, 0]
+
+
+def test_cli_verbose_trace_always_has_messages(tmp_path, capsys):
+    # a run that sends nothing, alone or composed, still writes its record
+    inst_path = tmp_path / "gnp.json"
+    assert cli_main([
+        "generate", "--family", "random-gnp", "--n", "200", "--degree", "20",
+        "--list-model", "degree-plus-one", "--space", "441", "--flavor", "arbdefective",
+        "--seed", "1", "--undirected", "--out", str(inst_path),
+    ]) == 0
+    succeeded = []
+    for algorithm in ALGORITHMS:
+        out_dir = tmp_path / algorithm
+        if cli_main([
+            "run", "--algorithm", algorithm, "--instance", str(inst_path),
+            "--verbose", "--out-dir", str(out_dir),
+        ]) == 0:
+            trace = json.loads((out_dir / "trace.json").read_text())
+            assert trace["messages"] == [], algorithm
+            succeeded.append(algorithm)
+    assert succeeded == ["seq-arb", "linial", "framework", "congest-pipeline"]
 
 
 @pytest.mark.parametrize("algorithm", ["linial", "congest-pipeline"])

@@ -225,7 +225,7 @@ def test_nested_network_blocks_inherit_and_restore():
         tr = run(STAR, over)
         assert tr.max_message_bits == [40, 0] and len(tr.messages) == 12
     assert runtime.current_network() == runtime.Network()
-    assert run(STAR, over).messages is None
+    assert run(STAR, over).messages == []
 
 
 def test_round_limit_message_counts_decided_nodes():
@@ -238,3 +238,51 @@ def test_round_limit_message_counts_decided_nodes():
 
     with pytest.raises(RoundLimitExceeded, match=r"^2/3 nodes decided after 5 rounds$"):
         run(PATH3, HalfDecide(), max_rounds=5)
+
+
+# -- composition ----------------------------------------------------------------
+
+
+def test_concat_traces_offsets_rounds_and_message_rounds():
+    first = runtime.RoundTrace(max_message_bits=[5, 0], messages=[(1, 1, 0, 5)])
+    silent = runtime.RoundTrace(max_message_bits=[0])
+    last = runtime.RoundTrace(max_message_bits=[3], messages=[(1, 0, 2, 3), (1, 2, 0, 3)])
+    tr = runtime.concat_traces([first, silent, last], outputs=[7, 8, 9])
+    assert tr.max_message_bits == [5, 0, 0, 3]
+    assert tr.messages == [(1, 1, 0, 5), (4, 0, 2, 3), (4, 2, 0, 3)]
+    assert tr.rounds_elapsed == 4 and tr.outputs == [7, 8, 9]
+    # the parts are left as they were
+    assert last.messages == [(1, 0, 2, 3), (1, 2, 0, 3)]
+
+
+def test_merge_parallel_takes_elementwise_max_and_sorts_messages():
+    a = runtime.RoundTrace(max_message_bits=[4, 9], messages=[(2, 5, 6, 9), (1, 5, 6, 4)])
+    b = runtime.RoundTrace(max_message_bits=[6, 2, 0, 1], messages=[(1, 0, 1, 6), (4, 1, 0, 1)])
+    c = runtime.RoundTrace()
+    tr = runtime.merge_parallel([a, b, c])
+    assert tr.max_message_bits == [6, 9, 0, 1] and tr.rounds_elapsed == 4
+    assert tr.messages == [(1, 0, 1, 6), (1, 5, 6, 4), (2, 5, 6, 9), (4, 1, 0, 1)]
+    assert runtime.merge_parallel([]) == runtime.RoundTrace()
+
+
+def test_composing_silent_recorded_runs_gives_an_empty_message_list():
+    silent = SendOnce(lambda v: None)
+    with network(record_messages=True):
+        parts = [run(STAR, silent), run(PATH3, ZeroRound())]
+    for tr in (runtime.concat_traces(parts), runtime.merge_parallel(parts)):
+        assert tr.messages == []
+        assert '"messages":[]' in tr.to_json(verbose=True)
+    assert '"messages"' not in runtime.concat_traces(parts).to_json()
+
+
+def test_rounds_elapsed_is_the_length_of_the_per_round_record():
+    with network(record_messages=True):
+        engine = [run(STAR, SendOnce(lambda v: {"p": RawField(v, 5)})),
+                  run(ring_graph(8), FloodIds(16)), run(PATH3, ZeroRound())]
+    composed = [runtime.concat_traces(engine), runtime.merge_parallel(engine),
+                runtime.concat_traces([]), runtime.RoundTrace()]
+    for tr in engine + composed:
+        assert tr.rounds_elapsed == len(tr.max_message_bits)
+        assert all(1 <= rnd <= tr.rounds_elapsed for rnd, _, _, _ in tr.messages)
+    assert [tr.rounds_elapsed for tr in engine] == [2, 5, 0]
+    assert [tr.rounds_elapsed for tr in composed] == [7, 5, 0, 0]
