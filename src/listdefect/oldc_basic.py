@@ -44,7 +44,7 @@ from .conflict import (
     residue_restrict,
     shifted_masks,
 )
-from .errors import ListTooSmall, MissingOrientation, NodeFailure
+from .errors import InvalidInstance, ListTooSmall, MissingOrientation, NodeFailure
 from .graphs import (
     FLAVOR_ORIENTED,
     ColoredGraph,
@@ -368,7 +368,7 @@ def multi_defect_oldc(
     if graph.out_neighbors is None:
         raise MissingOrientation("oriented coloring needs an orientation")
     if inst.flavor != FLAVOR_ORIENTED:
-        raise MissingOrientation("multi_defect_oldc expects an oriented instance")
+        raise InvalidInstance("multi_defect_oldc expects an oriented instance")
     n = graph.n
     g = inst.g
 

@@ -85,7 +85,7 @@ def _broadcast_segment(
 ) -> tuple[RoundTrace, list[dict[int, Mapping]]]:
     if not senders:
         return RoundTrace(), [{} for _ in range(graph.n)]
-    trace = run(graph, _SegmentProgram(senders), max_rounds=4)
+    trace = run(graph, _SegmentProgram(senders))
     return trace, list(trace.outputs)
 
 

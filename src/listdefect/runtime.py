@@ -16,10 +16,11 @@ round and returns the new state, one message and optionally the final
 output.  Communication is broadcast: the message goes to every neighbor,
 and a falsy message (None or an empty dict) means the node is silent.
 Once a node has produced its output it no longer steps; the message of
-its final step is still delivered.  The engine stops in the round of the
-last output, so the round count is that round, silent rounds included
-(Linial on a 300-ring records ``[9, 6, 0]``); ROADMAP item 7 decides the
-honest count.
+its final step is still delivered.  A round is send, receive, compute, so
+the work after the last receive is not a round of its own: a run ends at
+the last round in which some node sent a message (a 0-bit message counts),
+and the silent rounds after it are not recorded (Linial on a 300-ring
+records ``[9, 6]``).
 
 Every run obeys the ``Network`` setting of its context, set by a
 ``with network(...)`` block: the bit budget and the message record.
@@ -147,8 +148,6 @@ class RoundTrace:
 
     max_message_bits: list[int] = field(default_factory=list)
     outputs: list[Any] = field(default_factory=list)
-    output_rounds: Optional[list[int]] = None
-    failure: Optional[str] = None
     messages: list[tuple[int, int, int, int]] = field(default_factory=list)  # (round, u, v, bits)
     audit: Optional[list] = None  # algorithm-specific per-node budget rows
 
@@ -160,26 +159,15 @@ class RoundTrace:
         return max(self.max_message_bits, default=0)
 
     def to_csv(self) -> str:
-        lines = ["round,max_bits,nodes_output_so_far"]
-        per_round_done: dict[int, int] = {}
-        for rnd in self.output_rounds or []:
-            per_round_done[rnd] = per_round_done.get(rnd, 0) + 1
-        done = per_round_done.get(0, 0)
-        lines.append(f"0,0,{done}")
-        for r in range(1, len(self.max_message_bits) + 1):
-            done += per_round_done.get(r, 0)
-            lines.append(f"{r},{self.max_message_bits[r - 1]},{done}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{rnd},{bits}" for rnd, bits in enumerate(self.max_message_bits, 1)]
+        return "\n".join(["round,max_bits", *rows]) + "\n"
 
     def to_json(self, verbose: bool = False) -> str:
         doc: dict[str, Any] = {
             "rounds_elapsed": self.rounds_elapsed,
             "max_message_bits": self.max_message_bits,
             "outputs": self.outputs,
-            "failure": self.failure,
         }
-        if self.output_rounds is not None:
-            doc["output_rounds"] = self.output_rounds
         if self.audit is not None:
             doc["audit"] = [list(row) for row in self.audit]
         if verbose:
@@ -243,7 +231,8 @@ def network(**changes: Any) -> Iterator[None]:
 
 
 def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> RoundTrace:
-    """Execute a node program on every node until all outputs are in.
+    """Execute a node program on every node until all outputs are in; the
+    trace ends at the last round in which a node sent a message.
 
     Nodes step in id order inside a round; messages sent in round r are
     readable only in round r+1 (communication is bidirectional even on
@@ -261,7 +250,6 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
     )))
     states: list[Any] = [None] * n
     outputs: list[Any] = [None] * n
-    output_round = [0] * n
     pending: list[int] = []
 
     for v in range(n):
@@ -276,13 +264,13 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
         else:
             pending.append(v)
 
-    trace = RoundTrace(outputs=outputs, output_rounds=output_round)
+    trace = RoundTrace(outputs=outputs)
     messages = trace.messages if setting.record_messages else None
     inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
     step = program.step
     adjacency = graph.adjacency
 
-    rnd = 0
+    rnd = last_sent = 0
     while pending:
         rnd += 1
         if rnd > max_rounds:
@@ -306,17 +294,18 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
                     raise BudgetViolation((v, neighbors[0]), rnd, size, bits_per_message)
                 if size > round_max:
                     round_max = size
+                last_sent = rnd
                 for u in neighbors:
                     next_inboxes[u][v] = msg
                 if messages is not None:
                     messages.extend([(rnd, v, u, size) for u in neighbors])
             if out is not None:
                 outputs[v] = out
-                output_round[v] = rnd
             else:
                 still_pending.append(v)
         trace.max_message_bits.append(round_max)
         inboxes = next_inboxes
         pending = still_pending
 
+    del trace.max_message_bits[last_sent:]
     return trace

@@ -309,7 +309,7 @@ def test_cli_linial_verbose_records_every_message(tmp_path):
     trace = json.loads((out_dir / "trace.json").read_text())
     # two sending rounds, each node to both ring neighbors
     assert len(trace["messages"]) == 1200
-    assert trace["max_message_bits"] == [9, 6, 0]
+    assert trace["max_message_bits"] == [9, 6]
 
 
 def test_cli_verbose_trace_always_has_messages(tmp_path, capsys):

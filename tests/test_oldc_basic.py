@@ -14,7 +14,7 @@ from listdefect import (
     validate_ldc,
 )
 from listdefect import oldc_basic
-from listdefect.errors import NodeFailure
+from listdefect.errors import InvalidInstance, NodeFailure
 
 from conftest import random_dag, uniform_instance
 from test_conflict import mu_g_ref, tau_g_ref
@@ -144,6 +144,14 @@ def test_empty_lists_fail_fast():
         single_defect_oldc(g, [0, 1], [[0], []], [0, 0], 0, SCALED)
     inst = LdcInstance.build([0, 1], [[0], []], [{0: 0}, {}], flavor="oriented")
     with pytest.raises(ListTooSmall):
+        multi_defect_oldc(g, inst, config=SCALED)
+
+
+def test_multi_defect_rejects_a_non_oriented_flavor():
+    # the graph is oriented; only the instance's flavor is wrong
+    g = ColoredGraph.build(2, [(0, 1)], orientation=[(0, 1)], init_colors=[0, 1], m=2)
+    inst = LdcInstance.build([0, 1, 2], [[0, 1], [1, 2]], [{0: 0, 1: 0}, {1: 0, 2: 0}])
+    with pytest.raises(InvalidInstance, match="expects an oriented instance"):
         multi_defect_oldc(g, inst, config=SCALED)
 
 

@@ -36,7 +36,7 @@ MAIN_RUNS = 120
 TWO_PHASE_RUNS = 40  # per two-phase generator
 BASIC_RUNS = 40
 
-GOLDEN_SHA256 = "e409e7dddd75fe888e226cfef39f3503a80483ca9683d350d4f28c9d01239871"
+GOLDEN_SHA256 = "3564f1b5c967e50fca724b94efec9b8a535ac06cca5fdba2b59865ca22081844"
 
 
 def _main_case(seed: int):

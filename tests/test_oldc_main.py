@@ -10,12 +10,14 @@ from listdefect import (
     LdcInstance,
     MainConfig,
     OldcConfig,
+    RawField,
     lambda_profile,
     main_oldc,
     two_phase_oldc,
     validate_ldc,
 )
 from listdefect.errors import InvalidInstance, NodeFailure
+from listdefect.oldc_main import _broadcast_segment
 
 from conftest import random_dag
 
@@ -61,6 +63,24 @@ def test_lambda_exact_powers():
             assert delta * delta <= lam * p.r_big
 
 
+def test_lambda_case1_gives_the_middle_buckets_their_classes():
+    # five buckets of equal energy 256 at R_v = 256: each holds a fifth,
+    # so every lambda is 1/16, below Case II's 1/4, and f(mu) = mu keeps
+    # the buckets mu = 1..3 as classes 1..3
+    sizes = [(256, 0), (64, 1), (16, 3), (4, 7), (1, 15)]
+    defs, color = {}, 0
+    for count, defect in sizes:
+        for _ in range(count):
+            defs[color] = defect
+            color += 1
+    p = lambda_profile(defs, beta_v=16, h=3, alpha=1, taubar=1, hprime=1)
+    assert not p.case2
+    assert p.class_list == (1, 2, 3)
+    assert p.deltas == {1: 4, 2: 4, 3: 4}
+    assert p.mu_of_class == {1: 1, 2: 2, 3: 3}
+    assert p.kept_lambda_sum() == Fraction(3, 16)
+
+
 def test_lambda_empty_list_rejected():
     with pytest.raises(InvalidInstance):
         lambda_profile({}, 1, 1, 1, 1, 1)
@@ -72,6 +92,14 @@ def _blocky_graph_and_lists(seed, n=12):
     rng = random.Random(seed)
     lists = [sorted(16 * b + rng.randrange(16) for b in range(16)) for _ in range(n)]
     return g, lists
+
+
+def test_broadcast_segment_costs_one_round():
+    path = ColoredGraph.build(3, [(0, 1), (1, 2)], init_colors=[0, 1, 0], m=2)
+    msg = {"p": RawField(0, 5)}
+    trace, inboxes = _broadcast_segment(path, {1: msg})
+    assert trace.max_message_bits == [5] and trace.rounds_elapsed == 1
+    assert inboxes == [{1: msg}, {}, {1: msg}]
 
 
 def test_two_phase_single_class():

@@ -616,7 +616,7 @@ def test_framework_output_check_catches_a_conflict_blind_inner(seed):
         degree_halving_framework(made, inst, _ConflictBlindInner())
 
 
-@pytest.mark.parametrize("budget, rounds", [(None, 4), (10, 4), (0, 0)])
+@pytest.mark.parametrize("budget, rounds", [(None, 1), (10, 1), (0, 0)])
 def test_pipeline_messages_stay_within_the_budget(budget, rounds):
     # Delta = 68 and lists of exactly degree + 1 colors: the inner runs
     # distributed batches at budget 10, and at budget 0 every batch fails

@@ -107,6 +107,21 @@ def test_node_failure_carries_context():
     assert exc.value.node == 1 and exc.value.round_no == 2
 
 
+def test_init_failure_names_the_node_and_round_zero():
+    class FailsAtInit:
+        def init(self, view):
+            if view.node == 2:
+                raise NodeFailure("bad view")
+            return view, None
+
+        def step(self, view, inbox, rnd):  # pragma: no cover
+            raise AssertionError("no node steps after a failed init")
+
+    with pytest.raises(NodeFailure) as exc:
+        run(PATH3, FailsAtInit())
+    assert exc.value.node == 2 and exc.value.round_no == 0
+
+
 def test_bit_costs_additive():
     msg = {
         "list": ColorListField((3, 5, 9), 256),
@@ -127,8 +142,8 @@ def test_determinism_and_trace_export():
     tr2 = run(PATH3, FloodIds(16))
     assert tr1.to_json(verbose=True) == tr2.to_json(verbose=True)
     csv = tr1.to_csv()
-    assert csv.splitlines()[0] == "round,max_bits,nodes_output_so_far"
-    assert csv.splitlines()[-1].endswith(",3")
+    assert csv.splitlines()[0] == "round,max_bits"
+    assert csv.splitlines()[1:] == ["1,16", "2,16", "3,16"]
 
 
 def test_ring_flood_rounds():
@@ -176,11 +191,11 @@ def test_each_sending_nodes_message_is_sized_once_per_round(monkeypatch):
     tr = run(STAR, SendOnce(lambda v: {"p": RawField(v, 3 + v % 5)}))
     # nodes 0..12 once each; node 13 has no neighbor to send to
     assert [msg["p"].value for msg in sized] == list(range(13))
-    assert tr.max_message_bits == [7, 0]
+    assert tr.max_message_bits == [7]
     sized.clear()
     # FloodIds sends in every round up to and including a node's output round
     tr = run(PATH3, FloodIds(16))
-    assert len(sized) == sum(tr.output_rounds) == 8
+    assert len(sized) == 8
 
 
 def test_node_without_neighbors_sends_nothing():
@@ -191,8 +206,35 @@ def test_node_without_neighbors_sends_nothing():
 
     with network(bits_per_message=32, record_messages=True):
         tr = run(STAR, SendOnce(message_of))
-    assert tr.max_message_bits == [5, 0]
+    assert tr.max_message_bits == [5]
     assert tr.messages == [(1, 1, 0, 5)]
+
+
+def test_a_run_ends_at_its_last_message():
+    # round 1: node 1 sends 5 bits; round 3: node 0 sends a 0-bit message
+    # and node 13, which has no neighbor, sends 9; every node outputs in
+    # round 5.  A silent round between messages is kept, a 0-bit message
+    # counts, and the silent rounds after the last one are not rounds
+    class Tail:
+        def init(self, view):
+            return view, None
+
+        def step(self, view, inbox, rnd):
+            if rnd == 1 and view.node == 1:
+                return view, {"p": RawField(0, 5)}, None
+            if rnd == 3 and view.node in (0, 13):
+                return view, {"p": RawField(0, 0 if view.node == 0 else 9)}, None
+            return view, None, (view.node if rnd == 5 else None)
+
+    with network(record_messages=True):
+        tr = run(STAR, Tail())
+    assert tr.max_message_bits == [5, 0, 0]
+    assert tr.messages == [(1, 1, 0, 5)] + [(3, 0, u, 0) for u in range(1, 13)]
+    assert tr.outputs == list(range(14))
+    # the neighborless node's message alone ends nothing
+    with network(record_messages=True):
+        tr = run(STAR, SendOnce(lambda v: {"p": RawField(v, 9)} if v == 13 else None))
+    assert tr.max_message_bits == [] and tr.messages == []
 
 
 def test_record_messages_lists_every_delivered_message():
@@ -209,7 +251,7 @@ def test_record_messages_lists_every_delivered_message():
         tr = run(STAR, SendOnce(message_of))
     expected = [(1, 0, u, 7) for u in range(1, 13)] + [(1, v, 0, v) for v in range(1, 13)]
     assert tr.messages == expected
-    assert tr.max_message_bits == [12, 0]
+    assert tr.max_message_bits == [12]
 
 
 def test_nested_network_blocks_inherit_and_restore():
@@ -223,7 +265,7 @@ def test_nested_network_blocks_inherit_and_restore():
         # the failure left the outer setting in force
         assert runtime.current_network() == runtime.Network(64, True)
         tr = run(STAR, over)
-        assert tr.max_message_bits == [40, 0] and len(tr.messages) == 12
+        assert tr.max_message_bits == [40] and len(tr.messages) == 12
     assert runtime.current_network() == runtime.Network()
     assert run(STAR, over).messages == []
 
@@ -284,5 +326,5 @@ def test_rounds_elapsed_is_the_length_of_the_per_round_record():
     for tr in engine + composed:
         assert tr.rounds_elapsed == len(tr.max_message_bits)
         assert all(1 <= rnd <= tr.rounds_elapsed for rnd, _, _, _ in tr.messages)
-    assert [tr.rounds_elapsed for tr in engine] == [2, 5, 0]
-    assert [tr.rounds_elapsed for tr in composed] == [7, 5, 0, 0]
+    assert [tr.rounds_elapsed for tr in engine] == [1, 5, 0]
+    assert [tr.rounds_elapsed for tr in composed] == [6, 5, 0, 0]

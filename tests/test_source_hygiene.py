@@ -318,6 +318,73 @@ def test_network_setting_check_finds_leftovers():
     ]
 
 
+def unset_fields(sources: dict[str, str], cls: str) -> list[str]:
+    """The fields of class ``cls`` that nothing sets outside the class: by
+    a keyword of a ``cls(...)`` call, an assignment to an attribute of the
+    field's name, or ``append``/``extend`` on such an attribute."""
+    fields: list[str] = []
+    set_names: set[str] = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        inside: set[int] = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ClassDef) and n.name == cls:
+                fields.extend(
+                    stmt.target.id for stmt in n.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+                inside.update(map(id, ast.walk(n)))
+        for n in ast.walk(tree):
+            if id(n) in inside:
+                continue
+            if isinstance(n, ast.Call) and _name_of(n.func) == cls:
+                set_names.update(k.arg for k in n.keywords)
+            elif isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                set_names.update(t.attr for t in targets if isinstance(t, ast.Attribute))
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in ("append", "extend")
+                  and isinstance(n.func.value, ast.Attribute)):
+                set_names.add(n.func.value.attr)
+    return [f for f in fields if f not in set_names]
+
+
+def test_every_trace_field_is_set_in_src():
+    # a trace field that nothing sets is written to every trace.json as
+    # its default, and reads as a measurement
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unset_fields(sources, "RoundTrace") == []
+
+
+def test_unset_field_check_finds_leftovers():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Rec:\n"
+            "    built: int = 0\n"
+            "    assigned: int = 0\n"
+            "    appended: list = None\n"
+            "    extended: list = None\n"
+            "    only_inside: int = 0\n"
+            "    never: int = 0\n"
+            "    def reset(self):\n"
+            "        self.only_inside = 0\n"
+            "        Rec(never=1)\n"
+        ),
+        "b.py": (
+            "def go(rec):\n"
+            "    Rec(built=1)\n"
+            "    Other(never=1)\n"
+            "    rec.assigned = 2\n"
+            "    rec.appended.append(3)\n"
+            "    rec.extended.extend([4])\n"
+            "    only_inside = 5\n"
+        ),
+    }
+    assert unset_fields(sources, "Rec") == ["only_inside", "never"]
+
+
 def sweep_key_table(readme: str) -> dict[str, str]:
     """The README's sweep-key table: key -> the first backquoted value of
     its default cell.  Each row holds two (key, default) pairs."""
