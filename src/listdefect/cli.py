@@ -204,6 +204,11 @@ def run_algorithm(
     return out, trace, report, rows
 
 
+def _write(text: str, *path: str) -> None:
+    with open(os.path.join(*path), "w") as fh:
+        fh.write(text)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     with open(args.instance) as fh:
         graph, inst = instance_from_json(fh.read())
@@ -218,8 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "error": type(exc).__name__,
             "detail": str(exc),
         }
-        with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
+        _write(json.dumps(report, sort_keys=True, indent=1), args.out_dir, "report.json")
         print(f"fail-fast: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
@@ -228,31 +232,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("invalid output produced", file=sys.stderr)
         return 1
 
-    with open(os.path.join(args.out_dir, "coloring.json"), "w") as fh:
-        # json.dumps, unlike json.dump, takes the C encoder: same bytes
-        fh.write(
-            json.dumps(
-                {
-                    "colors": list(out.colors) if out is not None else None,
-                    "orientation": [list(e) for e in out.orientation_out]
-                    if out is not None and out.orientation_out
-                    else None,
-                },
-                sort_keys=True,
-            )
-        )
-    with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-    with open(os.path.join(args.out_dir, "trace.csv"), "w") as fh:
-        fh.write(trace.to_csv())
+    _write(
+        json.dumps(
+            {
+                "colors": list(out.colors) if out is not None else None,
+                "orientation": [list(e) for e in out.orientation_out]
+                if out is not None and out.orientation_out
+                else None,
+            },
+            sort_keys=True,
+        ),
+        args.out_dir,
+        "coloring.json",
+    )
+    _write(json.dumps(report, sort_keys=True, indent=1), args.out_dir, "report.json")
+    _write(trace.to_csv(), args.out_dir, "trace.csv")
     if args.verbose:
-        with open(os.path.join(args.out_dir, "trace.json"), "w") as fh:
-            fh.write(trace.to_json(verbose=True))
+        _write(trace.to_json(verbose=True), args.out_dir, "trace.json")
     if rows:
-        with open(os.path.join(args.out_dir, "stages.csv"), "w") as fh:
-            fh.write(StageRow.header() + "\n")
-            for row in rows:
-                fh.write(row.csv() + "\n")
+        lines = [StageRow.header(), *(row.csv() for row in rows)]
+        _write("".join(f"{line}\n" for line in lines), args.out_dir, "stages.csv")
     verdict = report.get("verdict")
     print(f"ok: {args.algorithm} " + (f"verdict={verdict}" if verdict else "valid"))
     return 0
@@ -275,8 +274,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     text = instance_to_json(graph, inst)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(text, args.out)
     else:
         sys.stdout.write(text)
     return 0
@@ -345,8 +343,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append(f"{cell},,,False,error:{type(exc).__name__}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(text, args.out)
     else:
         sys.stdout.write(text)
     return 0
@@ -408,10 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FailFast as exc:
         print(f"fail-fast: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ListDefectError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ListDefectError, OSError, ValueError, KeyError) as exc:  # JSON errors are ValueErrors
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -25,7 +25,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, GreedyExhausted, InvalidInstance
 
@@ -242,46 +242,24 @@ class TypeTable:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _member_hits(
-    mask: int, assigned_masks: list[tuple[int, ...]], tau: int, g: int
-) -> list[tuple[int, int]]:
-    """Which members of each assigned family one candidate set tau&g-conflicts with.
-
-    Returns (j, bitmask over the members of family j) for every family j
-    with at least one hit.  Each conflict test is proximity_count, inlined:
-    this is the hot path of the type-table search.
-    """
-    shifted = shifted_masks(mask, g)
-    hits = []
-    for j, fam_masks in enumerate(assigned_masks):
-        r = 0
-        for b, m2 in enumerate(fam_masks):
-            if g == 0:
-                overlap = (mask & m2).bit_count()
-            else:
-                overlap = sum((s & m2).bit_count() for s in shifted)
-            if overlap >= tau:
-                r |= 1 << b
-        if r:
-            hits.append((j, r))
-    return hits
-
-
 def _first_free_family(
-    hits_of: Callable[[int], list[tuple[int, int]]],
+    candidates: Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]],
     fam_size: int,
     n_members: int,
     cap: int,
     fwd_limit: list[float],
     rev_limit: list[float],
-) -> Optional[list[int]]:
-    """Member indices of the colex-first family of rank < cap that stays
-    below every limit, largest index first; None when there is none.
+) -> Optional[list[tuple[int, ...]]]:
+    """The members of the colex-first family of rank < cap that stays below
+    every limit, in family order; None when there is none.
 
-    ``hits_of(i)`` gives member i's (j, bitmask) hits.  A prefix dies, with
-    its whole subtree, once it hits family j with fwd_limit[j] members or
-    its union of hit bitmasks reaches rev_limit[j] bits.
+    ``candidates`` yields each member with its (j, bitmask) hits, in member
+    order; they are drawn only as far as the search reaches.  A prefix
+    dies, with its whole subtree, once it hits family j with fwd_limit[j]
+    members or its union of hit bitmasks reaches rev_limit[j] bits.
     """
+    members: list[tuple[int, ...]] = []
+    hits: list[list[tuple[int, int]]] = []
     count = [0] * len(fwd_limit)
     union = [0] * len(rev_limit)
     comb = math.comb
@@ -297,8 +275,12 @@ def _first_free_family(
             start = base + comb(top, k)
             if start >= cap:
                 break
+            while top >= len(hits):
+                member, rows = next(candidates)
+                members.append(member)
+                hits.append(rows)
             undo = []
-            for j, mask in hits_of(top):
+            for j, mask in hits[top]:
                 c, u = count[j], union[j]
                 undo.append((j, c, u))
                 count[j] = c + 1
@@ -314,7 +296,7 @@ def _first_free_family(
         if found:
             chosen.append(top)
             if k == 1:
-                return chosen
+                return [members[i] for i in reversed(chosen)]
             frames.append((base, undo))
             k, lo, hi, base = k - 1, k - 2, top, start
             continue
@@ -327,6 +309,79 @@ def _first_free_family(
             count[j] = c
             union[j] = u
         k, lo, hi = k + 1, top + 1, chosen[-1] if chosen else n_members
+
+
+def _add_columns(planes: list[int], cols: Iterable[int]) -> list[int]:
+    """Add each column, a set of members, to a bit-sliced binary counter
+    (planes[i] holds bit i of every count); carries ripple up the planes."""
+    for c in cols:
+        for i, p in enumerate(planes):
+            planes[i] = p ^ c
+            c &= p
+            if not c:
+                break
+        else:
+            planes.append(c)
+    return planes
+
+
+class _MemberIndex:
+    """Every member of every assigned family, one bit each in a flat index
+    (families in assignment order, members in family order), and a column
+    per color: the bits of the members that hold it."""
+
+    def __init__(self):
+        self.columns: dict[int, int] = {}
+        self.owner: list[tuple[int, int, int]] = []  # bit -> (family, first bit, all-members mask)
+
+    def add_family(self, j: int, family: Sequence[Sequence[int]]) -> None:
+        first = len(self.owner)
+        self.owner += [(j, first, (1 << len(family)) - 1)] * len(family)
+        held: dict[int, int] = {}  # color -> the family's members holding it
+        for b, member in enumerate(family):
+            for c in member:
+                held[c] = held.get(c, 0) | 1 << b
+        for c, bits in held.items():
+            self.columns[c] = self.columns.get(c, 0) | bits << first
+
+    def candidate_rows(
+        self, lst: Sequence[int], k: int, g: int, tau: int
+    ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+        """Each k-subset of ``lst`` (list positions, colex order) with the
+        members it tau&g-conflicts with, as (j, bitmask over family j's
+        members) rows ascending in j.  A member's count is the number of
+        columns within g of the set's colors that hold it.  A set that
+        leaves out fewer than half as many colors as it holds takes their
+        columns from the whole list's count instead: ~(~n + 1) == n - 1."""
+        columns = self.columns
+        near = [[columns[y] for y in range(c - g, c + g + 1) if y in columns] for c in lst]
+        complement = 3 * k > 2 * len(lst)
+        if complement:
+            every = set(range(len(lst)))
+            whole = [~p for p in _add_columns([], [c for cols in near for c in cols])]
+        for idx in colex_combinations(len(lst), k):
+            if complement:
+                out = [c for x in every.difference(idx) for c in near[x]]
+                planes = [~p for p in _add_columns(whole.copy(), out)]
+            else:
+                planes = _add_columns([], [c for x in idx for c in near[x]])
+            # a count is >= tau iff it holds every 1-bit of tau, or a bit i
+            # where tau has a 0 and every 1-bit of tau above i
+            planes += [0] * (tau.bit_length() - len(planes))
+            ones, hit = -1, 0  # ones: the counts holding tau's 1-bits so far
+            for i in range(len(planes) - 1, -1, -1):
+                if tau >> i & 1:
+                    ones &= planes[i]
+                else:
+                    hit |= ones & planes[i]
+            hit |= ones
+            rows = []
+            while hit:
+                j, first, full = self.owner[(hit & -hit).bit_length() - 1]
+                r = hit >> first & full
+                rows.append((j, r))
+                hit ^= r << first
+            yield idx, rows
 
 
 def build_type_table(
@@ -347,13 +402,16 @@ def build_type_table(
     so degenerate scaled runs (e.g. k = |list|) still produce the single
     possible family.
 
-    Candidate sets are color bitmasks.  Each candidate set's conflicts
-    with the members of every assigned family are computed once, as a
-    bitmask over that family's members.  A family K conflicts with an
-    earlier family F iff at least tau' members of K hit F (forward
-    direction, checked when F's class is at most K's) or K hits at least
-    tau' distinct members of F (reverse direction, checked when K's class
-    is at most F's).
+    Every member of every assigned family owns one bit of a flat index,
+    and a column index maps each color to the bitset of the members that
+    hold it.  A candidate set's conflicts with all assigned members are
+    computed once, by adding the columns of its colors' g-neighbors into
+    a bit-sliced binary counter and keeping the members whose count
+    reaches tau, as a bitmask over each family's members.  A family K
+    conflicts with an earlier family F iff at least tau' members of K hit
+    F (forward direction, checked when F's class is at most K's) or K hits
+    at least tau' distinct members of F (reverse direction, checked when
+    K's class is at most F's).
 
     The families are searched depth first in colex order: the largest
     member index is fixed first, then the next largest, and so on.  Both
@@ -369,17 +427,21 @@ def build_type_table(
     configured parameters and CapExceeded when a type has more than
     ``candidate_cap`` candidate sets, or more than ``candidate_cap``
     candidate families none of the first ``candidate_cap`` of which is
-    conflict-free.  Raises InvalidInstance for a restricted list that
-    repeats a color.
+    conflict-free.  Raises InvalidInstance for a type whose class has no
+    size in ``k_by_class`` and for a restricted list that repeats a color
+    or holds a negative one.
     """
     tau, tp, g = params.tau, params.tau_prime, params.g
     order = sorted(set(types), key=NodeType.sort_key)
     for t in order:
+        if t.gamma_class not in k_by_class:
+            raise InvalidInstance(f"type {t} has a class with no candidate-set size")
         if len(set(t.restricted_list)) != len(t.restricted_list):
             raise InvalidInstance(f"restricted list of type {t} repeats a color")
-    base = min((min(t.restricted_list) for t in order if t.restricted_list), default=0)
+        if t.restricted_list and min(t.restricted_list) < 0:
+            raise InvalidInstance(f"restricted list of type {t} has a negative color")
     assigned: list[tuple[NodeType, tuple[tuple[int, ...], ...]]] = []
-    assigned_masks: list[tuple[int, ...]] = []
+    index = _MemberIndex()
     for t in order:
         k_i = k_by_class[t.gamma_class]
         lst = t.restricted_list
@@ -391,27 +453,10 @@ def build_type_table(
         fam_size = min(k_prime, n_members)
         if fam_size < 1:
             raise GreedyExhausted(f"type {t} admits no family")
-
-        # candidate sets are made, with their hits, only as far as the
-        # search reaches; it asks for member indices in increasing order
-        bits = [1 << (c - base) for c in lst]
-        member_iter = colex_combinations(len(lst), k_i)
-        members: list[tuple[int, ...]] = []
-        masks: list[int] = []
-        hits: list[list[tuple[int, int]]] = []
-
-        def hits_of(i: int) -> list[tuple[int, int]]:
-            while len(hits) <= i:
-                idx = next(member_iter)
-                mask = sum(bits[x] for x in idx)
-                members.append(idx)
-                masks.append(mask)
-                hits.append(_member_hits(mask, assigned_masks, tau, g))
-            return hits[i]
-
         fwd_limit = [tp if prev.gamma_class <= t.gamma_class else math.inf for prev, _ in assigned]
         rev_limit = [tp if t.gamma_class <= prev.gamma_class else math.inf for prev, _ in assigned]
-        chosen = _first_free_family(hits_of, fam_size, n_members, candidate_cap, fwd_limit, rev_limit)
+        chosen = _first_free_family(index.candidate_rows(lst, k_i, g, tau), fam_size,
+                                    n_members, candidate_cap, fwd_limit, rev_limit)
         if chosen is None:
             if math.comb(n_members, fam_size) > candidate_cap:
                 raise CapExceeded(
@@ -420,9 +465,9 @@ def build_type_table(
             raise GreedyExhausted(
                 f"no conflict-free family for type {t} at tau={tau}, tau'={tp}"
             )
-        chosen.reverse()
-        assigned.append((t, tuple(tuple(lst[x] for x in members[i]) for i in chosen)))
-        assigned_masks.append(tuple(masks[i] for i in chosen))
+        family = tuple(tuple(lst[x] for x in member) for member in chosen)
+        index.add_family(len(assigned), family)
+        assigned.append((t, family))
     return TypeTable(
         params=params,
         types=tuple(t for t, _ in assigned),

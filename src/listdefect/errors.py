@@ -74,13 +74,9 @@ class NodeFailure(FailFast):
         self.round_no = round_no
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        loc = []
-        if self.node is not None:
-            loc.append(f"node {self.node}")
-        if self.round_no is not None:
-            loc.append(f"round {self.round_no}")
-        suffix = f" [{', '.join(loc)}]" if loc else ""
-        return super().__str__() + suffix
+        at = [f"{what} {x}" for what, x in (("node", self.node), ("round", self.round_no))
+              if x is not None]
+        return super().__str__() + (f" [{', '.join(at)}]" if at else "")
 
 
 class BudgetViolation(FailFast):

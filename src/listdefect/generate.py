@@ -55,9 +55,8 @@ def make_graph(
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     elif family in ("random-gnp", "random-dag"):
         p = min(1.0, degree_target / max(1, n - 1))
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-        ]
+        draw = rng.random
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p]
     elif family == "power-law":
         # preferential attachment with degree_target//2 links per new node
         k = max(1, degree_target // 2)
@@ -142,18 +141,16 @@ def make_instance(
                     f"degree+1 = {size} exceeds the color space at node {v}"
                 )
             lst = sorted(rng.sample(space, size))
-            lists.append(lst)
-            defects.append({x: 0 for x in lst})
+            dv = dict.fromkeys(lst, 0)
         elif list_model == "uniform-k":
             if k > space_size:
                 raise InfeasibleParams("k exceeds the color space")
             lst = sorted(rng.sample(space, k))
-            lists.append(lst)
-            defects.append({x: 0 for x in lst})
+            dv = dict.fromkeys(lst, 0)
         else:
             size = min(space_size, max(1, k))
             lst = sorted(rng.sample(space, size))
-            dv = {x: rng.randint(0, 3) for x in lst}
+            dv = {x: rng.randrange(4) for x in lst}
             exponent, need = _target_threshold(target, graph, v, space_size, g, alpha)
             double = 2 if target == "eq2" else 1
 
@@ -167,6 +164,7 @@ def make_instance(
                 guard += 1
                 if guard > 10_000_000:
                     raise InfeasibleParams("defect budget did not converge")
-            lists.append(lst)
-            defects.append(dv)
-    return LdcInstance.build(space, lists, defects, flavor=flavor, g=g)
+        lists.append(lst)
+        defects.append(dv)
+    # the lists are sorted and free of repeats; each defect map follows its list
+    return LdcInstance(tuple(space), tuple(map(tuple, lists)), tuple(defects), flavor=flavor, g=g)

@@ -378,7 +378,7 @@ def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
         "m": graph.m,
         "color_space": list(inst.color_space),
         "lists": [list(l) for l in inst.lists],
-        "defects": [{str(c): d for c, d in sorted(dv.items())} for dv in inst.defects],
+        "defects": [{str(c): d for c, d in dv.items()} for dv in inst.defects],
         "flavor": inst.flavor,
         "g": inst.g,
     }

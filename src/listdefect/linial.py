@@ -16,6 +16,7 @@ or max outdegree, defect), so every node derives it locally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,18 +26,7 @@ from .runtime import NodeView, RawField, RoundTrace, run
 
 
 def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True
+    return x >= 2 and all(x % f for f in range(2, math.isqrt(x) + 1))
 
 
 def _e_min(q: int, palette: int) -> int:
@@ -77,29 +67,21 @@ def linial_schedule(
     """
     sched: list[tuple[int, int, int]] = []
     palette = palette0
-    while True:
-        step = _reduction_round(palette, base, 0)
-        if step is None:
-            break
-        q, e = step
-        sched.append((q, e, 0))
-        palette = q * q
-    if defect >= 1:
-        step = _reduction_round(palette, base, defect)
-        if step is not None:
-            q, e = step
-            sched.append((q, e, defect))
-            palette = q * q
+    while (step := _reduction_round(palette, base, 0)) is not None:
+        sched.append((*step, 0))
+        palette = step[0] ** 2
+    if defect >= 1 and (step := _reduction_round(palette, base, defect)) is not None:
+        sched.append((*step, defect))
+        palette = step[0] ** 2
     return sched, palette
 
 
 def _poly_eval(color: int, q: int, e: int, a: int) -> int:
     value = 0
-    c = color
     power = 1
     for _ in range(e + 1):
-        value = (value + (c % q) * power) % q
-        c //= q
+        value = (value + (color % q) * power) % q
+        color //= q
         power = (power * a) % q
     return value
 

@@ -124,7 +124,6 @@ class _SingleDefectProgram:
     beta_max: int
 
     def init(self, view):
-        st = self.statics[view.node]
         state = {
             "view": view,
             "decided": {},     # out-neighbor -> color
@@ -133,9 +132,6 @@ class _SingleDefectProgram:
             "cset": None,
         }
         return state, None
-
-    def _decision_round(self, gamma: int) -> int:
-        return 3 + self.h - gamma
 
     def step(self, state, inbox, round_no: int):
         view = state["view"]
@@ -202,7 +198,7 @@ class _SingleDefectProgram:
                     f"P1 violated: {conflicts} conflicting same-or-lower out-neighbors"
                 )
 
-        if round_no == self._decision_round(st.gamma):
+        if round_no == 3 + self.h - st.gamma:  # classes decide in descending order
             undecided = [
                 state["cset_masks"][u]
                 for u in view.out_neighbors
@@ -323,13 +319,13 @@ def _single_defect_instance(
 ) -> LdcInstance:
     """The instance a single-defect run is checked against: each node's
     list at its one defect ``defects[v]``, and a predecided node's color
-    at its outdegree."""
+    at its outdegree.  The lists are sorted and free of repeats already."""
     nodes = range(graph.n)
-    return LdcInstance.build(
-        color_space,
-        [(predecided[v],) if v in predecided else lists[v] for v in nodes],
-        [{predecided[v]: graph.outdegree(v)} if v in predecided
-         else dict.fromkeys(lists[v], defects[v]) for v in nodes],
+    return LdcInstance(
+        tuple(sorted(set(color_space))),
+        tuple((predecided[v],) if v in predecided else lists[v] for v in nodes),
+        tuple({predecided[v]: graph.outdegree(v)} if v in predecided
+              else dict.fromkeys(lists[v], defects[v]) for v in nodes),
         flavor=FLAVOR_ORIENTED, g=g,
     )
 
@@ -396,8 +392,7 @@ def multi_defect_oldc(
             _pow2_floor(inst.defects[v][x] + 1) ** 2 for x in inst.lists[v]
         )
         star = min(energy, key=lambda c: (-energy[c], c))
-        h_count = len(buckets)
-        assert energy[star] * h_count >= total, "best bucket must carry >= 1/h of the energy"
+        assert energy[star] * len(buckets) >= total, "best bucket must carry >= 1/h of the energy"
         xs = buckets[star]
         reduced_lists[v] = tuple(sorted(xs))
         reduced_defect[v] = _pow2_floor(inst.defects[v][xs[0]] + 1) - 1

@@ -245,7 +245,8 @@ def sequential_arbdefective(
 
 
 def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int):
-    """Tiny BFS (Edmonds-Karp) max flow; returns (value, flow per arc)."""
+    """Tiny BFS (Edmonds-Karp) max flow for unit capacities out of s;
+    returns (value, flow per arc)."""
     head: list[list[int]] = [[] for _ in range(n_nodes)]
     to: list[int] = []
     cap: list[int] = []
@@ -266,20 +267,14 @@ def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int):
                     queue.append(to[aid])
         if parent_arc[t] == -1:
             break
-        # unit capacities on the paths we care about: push 1
-        push = None
+        # every arc out of s has capacity 1, so each path carries 1
         v = t
         while v != s:
             aid = parent_arc[v]
-            push = cap[aid] if push is None else min(push, cap[aid])
+            cap[aid] -= 1
+            cap[aid ^ 1] += 1
             v = to[aid ^ 1]
-        v = t
-        while v != s:
-            aid = parent_arc[v]
-            cap[aid] -= push
-            cap[aid ^ 1] += push
-            v = to[aid ^ 1]
-        flow += push
+        flow += 1
     used = [arcs[i][2] - cap[2 * i] for i in range(len(arcs))]
     return flow, used
 
@@ -343,10 +338,7 @@ def exhaustive_solve(
 
     n = graph.n
     colors: list[Optional[int]] = [None] * n
-    if inst.flavor == FLAVOR_ORIENTED:
-        relevant = graph.out_neighbors
-    else:
-        relevant = graph.adjacency
+    relevant = graph.out_neighbors if inst.flavor == FLAVOR_ORIENTED else graph.adjacency
 
     def count_at(v: int, x: int) -> int:
         return sum(

@@ -158,10 +158,9 @@ def space_reduced_oldc(
         raise InvalidInstance("space reduction expects an oriented instance")
     colors, k = _padded_space(inst.color_space, p)
     e = 1 + inner.nu
-    kappa = inner.kappa
     for v in range(graph.n):
         total = sum((d + 1) ** e for d in inst.defects[v].values())
-        if total < graph.beta(v) ** e * kappa**k:
+        if total < graph.beta(v) ** e * inner.kappa**k:
             raise ConditionViolated(
                 f"node {v}: strengthened condition fails at p={p}, k={k}"
             )
@@ -226,7 +225,6 @@ def _reduce_level(
                 for v in keep
             ],
             flavor=FLAVOR_ORIENTED,
-            g=0,
         )
         # the chunk choice bounds the within-chunk outdegree by the defect
         for idx, v in enumerate(keep):

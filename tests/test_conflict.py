@@ -20,6 +20,7 @@ from listdefect import (
 from listdefect.conflict import (
     CACHE_ENV,
     TypeTable,
+    _MemberIndex,
     color_mask,
     colex_combinations,
     masks_conflict,
@@ -447,6 +448,80 @@ def test_cap_boundary_is_the_colex_rank():
 def test_repeated_color_in_restricted_list_rejected():
     with pytest.raises(InvalidInstance):
         build_type_table(_table_params(g=1), [NodeType(0, (1, 1, 4), 1)], {1: 2}, 2)
+
+
+def test_class_without_a_candidate_set_size_rejected():
+    params = ConflictParams(h=1, color_space_size=16, m=2, scale_override=(2, 2))
+    with pytest.raises(InvalidInstance):
+        build_type_table(params, [NodeType(0, (1, 2, 3), 2)], {1: 2}, 2)
+
+
+def test_negative_color_in_restricted_list_rejected():
+    with pytest.raises(InvalidInstance):
+        build_type_table(_table_params(), [NodeType(0, (-1, 2, 3), 1)], {1: 2}, 2)
+
+
+# -- the column-index kernel against the per-member loop ------------------------
+
+
+def _member_hits(mask, assigned_masks, tau, g):
+    """Reference: the per-member loop the column index replaced.  Tests one
+    candidate set, by color mask, against every member of every assigned
+    family and returns (j, bitmask over family j's members) for every
+    family j with a hit."""
+    shifted = shifted_masks(mask, g)
+    hits = []
+    for j, fam_masks in enumerate(assigned_masks):
+        r = 0
+        for b, m2 in enumerate(fam_masks):
+            if proximity_count(shifted, m2) >= tau:
+                r |= 1 << b
+        if r:
+            hits.append((j, r))
+    return hits
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """Colors up to 300 above a smallest color far from 0, a flat index of
+    70 to 120 members, and candidate sets whose colors lie within g of the
+    smallest one, among the assigned colors or beyond all of them."""
+    g = draw(st.integers(0, 2))
+    low = draw(st.integers(150, 200))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = [rng.randint(7, 12) for _ in range(10)]
+    while sum(sizes) > 120:
+        sizes.pop()
+    families = [
+        [sorted(rng.sample(range(low, low + 51), rng.randint(1, 6))) for _ in range(size)]
+        for size in sizes
+    ]
+    colors = st.one_of(
+        st.integers(low - g, low + g), st.integers(low, low + 50), st.integers(low + 51, 300)
+    )
+    lst = draw(st.lists(colors, min_size=1, max_size=7, unique=True).map(sorted))
+    k = draw(st.integers(1, len(lst)))
+    top = k * (2 * g + 1)
+    tau = draw(st.one_of(st.integers(1, min(top, 4)), st.integers(top + 1, top + 8)))
+    return families, lst, k, g, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_inputs())
+def test_column_index_rows_match_the_member_loop(case):
+    families, lst, k, g, tau = case
+    index = _MemberIndex()
+    for j, fam in enumerate(families):
+        index.add_family(j, fam)
+    assert len(index.owner) > 64
+    assigned_masks = [tuple(color_mask(m) for m in fam) for fam in families]
+    got = index.candidate_rows(lst, k, g, tau)
+    for want_idx, (idx, rows) in zip(colex_combinations(len(lst), k), itertools.islice(got, 40)):
+        assert idx == want_idx
+        mask = color_mask(lst[x] for x in idx)
+        assert rows == _member_hits(mask, assigned_masks, tau, g)
+        if tau > k * (2 * g + 1):
+            assert rows == []
 
 
 # -- type-table cache -------------------------------------------------------------
