@@ -317,7 +317,11 @@ def _read_matrix(matrix) -> tuple[list[list], dict]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
-        axes, values = _read_matrix(json.load(fh))
+        try:
+            matrix = json.load(fh)
+        except RecursionError:
+            raise ValueError("sweep config JSON nests too deeply") from None
+    axes, values = _read_matrix(matrix)
     opts = _run_options(values, verbose=False)
     rows = [SWEEP_HEADER]
     for family, n, list_model, algorithm, seed in itertools.product(*axes):

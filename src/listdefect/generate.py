@@ -167,4 +167,4 @@ def make_instance(
         lists.append(lst)
         defects.append(dv)
     # the lists are sorted and free of repeats; each defect map follows its list
-    return LdcInstance(tuple(space), tuple(map(tuple, lists)), tuple(defects), flavor=flavor, g=g)
+    return LdcInstance._trusted(tuple(space), tuple(map(tuple, lists)), tuple(defects), flavor, g)

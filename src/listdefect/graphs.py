@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -64,43 +66,53 @@ class ColoredGraph:
 
         ``orientation``, when given, must contain every undirected edge
         exactly once as a directed pair.  ``init_colors`` defaults to the
-        identity (unique ids treated as an n-coloring).
+        identity (unique ids treated as an n-coloring).  The checks run in
+        bulk over the edge columns; only a failed one walks the data to
+        name the first fault.
         """
         if n < 0:
             raise InvalidGraph("negative node count")
-        edge_set: set[tuple[int, int]] = set()
+        edges = list(edges)
+        us, vs = zip(*edges) if edges else ((), ())
+        ends = us + vs
+        ends_ok = not ends or (0 <= min(ends) and max(ends) < n and not any(map(eq, us, vs)))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraph(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise InvalidGraph(f"self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in edge_set:
-                raise InvalidGraph(f"multi-edge {key}")
-            edge_set.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        adjacency = tuple(tuple(sorted(x)) for x in adj)
+        if ends_ok:
+            # one append per edge end; a zero-length deque drains the map
+            deque(map(list.append, map(adj.__getitem__, ends), vs + us), maxlen=0)
+        adjacency = tuple(map(tuple, map(sorted, adj)))
+        if not ends_ok or sum(map(len, map(set, adjacency))) != len(ends):
+            # name the first faulty edge, out of range before self-loop before repeat
+            seen: set[tuple[int, int]] = set()
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidGraph(f"edge ({u},{v}) out of range")
+                if u == v:
+                    raise InvalidGraph(f"self-loop at {u}")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise InvalidGraph(f"multi-edge {key}")
+                seen.add(key)
 
         out = None
         if orientation is not None:
             out = _orientation_out_lists(adjacency, orientation, InvalidGraph)
 
-        if init_colors is None:
-            init_colors = tuple(range(n))
-            m_eff = n if m is None else m
-        else:
-            init_colors = tuple(init_colors)
-            if len(init_colors) != n:
-                raise InvalidGraph("init_colors length mismatch")
-            m_eff = (max(init_colors) + 1 if n else 0) if m is None else m
-        for u in range(n):
-            for v in adjacency[u]:
-                if u < v and init_colors[u] == init_colors[v]:
-                    raise InvalidGraph(f"init coloring not proper on edge ({u},{v})")
-            if n and not (0 <= init_colors[u] < m_eff):
-                raise InvalidGraph(f"init color of {u} outside [0,{m_eff})")
+        init_colors = tuple(range(n) if init_colors is None else init_colors)
+        if len(init_colors) != n:
+            raise InvalidGraph("init_colors length mismatch")
+        m_eff = (max(init_colors) + 1 if n else 0) if m is None else m
+        color = init_colors.__getitem__
+        if any(map(eq, map(color, us), map(color, vs))) or (
+            n and not (0 <= min(init_colors) and max(init_colors) < m_eff)
+        ):
+            # name the first bad node: a same-colored higher neighbor, then its color's range
+            for u in range(n):
+                for v in adjacency[u]:
+                    if u < v and init_colors[u] == init_colors[v]:
+                        raise InvalidGraph(f"init coloring not proper on edge ({u},{v})")
+                if not (0 <= init_colors[u] < m_eff):
+                    raise InvalidGraph(f"init color of {u} outside [0,{m_eff})")
 
         return ColoredGraph(
             n=n,
@@ -208,6 +220,15 @@ class LdcInstance:
                 raise InvalidInstance(f"defect domain of node {v} differs from its list")
             if min(dv.values(), default=0) < 0:
                 raise InvalidInstance(f"negative defect at node {v}")
+
+    @staticmethod
+    def _trusted(color_space: tuple, lists: tuple, defects: tuple, flavor, g) -> "LdcInstance":
+        """An instance of data its caller built as ``build`` would and
+        ``__post_init__`` would accept; only the flavor and g, checked on an
+        empty instance, are not taken on trust."""
+        inst = LdcInstance((), (), (), flavor, g)
+        inst.__dict__.update(color_space=color_space, lists=lists, defects=defects)
+        return inst
 
     @staticmethod
     def build(
@@ -403,8 +424,34 @@ def _check_rows(doc: dict, key: str, item: type, width: Optional[int] = None) ->
         raise InvalidInstance(f"{key} must be a list of {shape}")
 
 
+def _canonical_instance(doc: dict) -> Optional[LdcInstance]:
+    """The instance of a schema-checked document in the form that
+    ``instance_to_json`` writes, or None.  Each defect map is built once in
+    int order, its keys read as canonical spellings of the space's colors;
+    then one comparison of its keys with the list as written proves every
+    list sorted, repeat-free, in the space and equal to its map's domain."""
+    space = tuple(sorted(set(doc["color_space"])))
+    color = dict(zip(map(str, space), space)).__getitem__
+    try:
+        defects = [dict(sorted(zip(map(color, dv), dv.values()))) for dv in doc["defects"]]
+    except KeyError:
+        return None
+    values = list(chain.from_iterable(map(dict.values, defects)))
+    ok = list(map(list, defects)) == doc["lists"] and set(map(type, values)) <= {int}
+    if not ok or min(values, default=0) < 0 or (space and space[0] < 0):
+        return None
+    lists = tuple(map(tuple, doc["lists"]))
+    return LdcInstance._trusted(space, lists, tuple(defects), doc["flavor"], doc["g"])
+
+
 def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
-    doc = json.loads(text)
+    """Decode, check and build an instance in one pass; a document not in
+    the form ``instance_to_json`` writes is normalised by ``LdcInstance.build``
+    and checked by its constructor, which names the first fault."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise InvalidInstance("instance JSON nests too deeply") from None
     if type(doc) is not dict:
         raise InvalidInstance("an instance is a JSON object")
     # every key but the optional "orientation"
@@ -427,28 +474,20 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
     if len(doc["init_colors"]) != doc["n"]:
         raise InvalidInstance("init_colors length does not match node count")
     graph = ColoredGraph.build(
-        doc["n"],
-        [tuple(e) for e in doc["edges"]],
-        orientation=[tuple(e) for e in doc["orientation"]] if "orientation" in doc else None,
-        init_colors=doc["init_colors"],
-        m=doc["m"],
+        doc["n"], doc["edges"], doc.get("orientation"), doc["init_colors"], doc["m"]
     )
-    try:
-        defects = [{int(c): d for c, d in dv.items()} for dv in doc["defects"]]
-    except ValueError:
-        raise InvalidInstance("defect keys must be integers") from None
-    # two spellings of one color ("0", "00") would collapse into one key
-    if list(map(len, defects)) != list(map(len, doc["defects"])):
-        raise InvalidInstance("defect keys name a color twice")
-    if not set(map(type, chain.from_iterable(map(dict.values, defects)))) <= {int}:
-        raise InvalidInstance("defect values must be integers")
-    inst = LdcInstance.build(
-        doc["color_space"],
-        doc["lists"],
-        defects,
-        flavor=doc["flavor"],
-        g=doc["g"],
-    )
+    inst = _canonical_instance(doc)
+    if inst is None:
+        try:
+            defects = [{int(c): d for c, d in dv.items()} for dv in doc["defects"]]
+        except ValueError:
+            raise InvalidInstance("defect keys must be integers") from None
+        # two spellings of one color ("0", "00") would collapse into one key
+        if list(map(len, defects)) != list(map(len, doc["defects"])):
+            raise InvalidInstance("defect keys name a color twice")
+        if not set(map(type, chain.from_iterable(map(dict.values, defects)))) <= {int}:
+            raise InvalidInstance("defect values must be integers")
+        inst = LdcInstance.build(doc["color_space"], doc["lists"], defects, doc["flavor"], doc["g"])
     if inst.n() != graph.n:
         raise InvalidInstance("lists length does not match node count")
     return graph, inst

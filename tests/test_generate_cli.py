@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from listdefect import check_existence_condition, instance_to_json
+from listdefect import LdcInstance, check_existence_condition, instance_to_json
 from listdefect.cli import ALGORITHMS
 from listdefect.cli import main as cli_main
-from listdefect.errors import InfeasibleParams, NodeFailure
-from listdefect.generate import make_graph, make_instance
+from listdefect.errors import InfeasibleParams, InvalidInstance, NodeFailure
+from listdefect.generate import LIST_MODELS, make_graph, make_instance
+from listdefect.graphs import FLAVORS
 from listdefect.reductions import message_preset_p
 
 
@@ -620,3 +625,59 @@ def test_cli_run_rejects_malformed_instance(tmp_path, capsys, corrupt):
     assert rc == 1
     assert "error: InvalidInstance" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("list_model", LIST_MODELS)
+def test_generated_instances_pass_the_checked_constructor(list_model, flavor):
+    # make_instance builds through the trusted constructor: the checked
+    # one must accept the same data, and each defect map follows its
+    # sorted list as LdcInstance.build would order it
+    g = make_graph("random-gnp", 24, 5, seed=3)
+    inst = make_instance(g, list_model, seed=3, space_size=16, k=5, flavor=flavor, g=1)
+    checked = LdcInstance(inst.color_space, inst.lists, inst.defects, inst.flavor, inst.g)
+    assert checked == inst
+    assert all(list(l) == sorted(set(l)) == list(d) for l, d in zip(inst.lists, inst.defects))
+    assert inst == LdcInstance.build(inst.color_space, inst.lists, inst.defects, flavor, 1)
+
+
+def test_generated_instances_still_check_flavor_and_g():
+    g = make_graph("ring", 6, 2, seed=0)
+    with pytest.raises(InvalidInstance, match="negative proximity g"):
+        make_instance(g, "degree-plus-one", seed=0, space_size=8, g=-1)
+    with pytest.raises(InvalidInstance, match="unknown flavor 'plain'"):
+        make_instance(g, "uniform-k", seed=0, space_size=8, flavor="plain")
+
+
+def _cli_subprocess(*args: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "listdefect.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+# deeper than any recursion limit the JSON decoder could be run under
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def test_cli_run_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    proc = _cli_subprocess("run", "--algorithm", "seq", "--instance", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "error: InvalidInstance: instance JSON nests too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_sweep_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text('{"ns": ' + _DEEP + "}")
+    proc = _cli_subprocess("sweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv"))
+    assert proc.returncode == 1
+    assert "error: ValueError: sweep config JSON nests too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "sweep.csv").exists()

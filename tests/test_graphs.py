@@ -2,7 +2,7 @@ import json
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listdefect import (
@@ -18,7 +18,9 @@ from listdefect import (
     validate_ldc,
 )
 from listdefect.errors import ColorNotInList, InvalidInstance
+from listdefect.graphs import FLAVORS
 
+import reference_loader
 from conftest import complete_graph
 
 
@@ -358,3 +360,227 @@ def test_subgraph_matches_the_rebuilt_subgraph(case):
     for f in fields(ColoredGraph):
         assert getattr(sub, f.name) == getattr(ref, f.name), f.name
     assert keep == ref_keep
+
+
+# -- ColoredGraph.build and the loader against their frozen references -------
+
+
+@st.composite
+def faulty_graphs(draw):
+    """A random simple edge list, each edge in either direction, with up to
+    four faults inserted anywhere: an end out of range, a self-loop, an edge
+    repeated as it is or reversed.  The initial coloring is proper or
+    random, with colors that may leave [0, m)."""
+    n = draw(st.integers(0, 7))
+    edges = [(v, u) if draw(st.booleans()) else (u, v)
+             for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    edges = draw(st.permutations(edges))
+    if draw(st.booleans()):
+        init = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+    else:
+        init = [0] * n
+        for v in draw(st.permutations(range(n))):
+            used = {init[b if a == v else a] for a, b in edges if v in (a, b)}
+            init[v] = min(set(range(n + 1)) - used)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["range", "loop", "repeat", "reverse"]))
+        at = draw(st.integers(0, len(edges)))
+        if kind == "range":
+            inside = draw(st.integers(-1, n))
+            outside = draw(st.sampled_from([-2, -1, n, n + 1]))
+            edges.insert(at, (inside, outside) if draw(st.booleans()) else (outside, inside))
+        elif kind == "loop":
+            u = draw(st.integers(-1, n))
+            edges.insert(at, (u, u))
+        elif edges:
+            u, v = edges[draw(st.integers(0, len(edges) - 1))]
+            edges.insert(at, (u, v) if kind == "repeat" else (v, u))
+    m = draw(st.none() | st.integers(0, 5))
+    return n, edges, init, m
+
+
+@settings(max_examples=300, deadline=None)
+@example((3, [(0, 1), (2, 2), (1, 0), (3, 3)], [0, 1, 0], None))
+@example((3, [(0, 1), (1, 0), (2, 2)], [0, 1, 0], None))
+@example((3, [(3, 3), (1, 1)], [0, 1, 0], None))
+@example((3, [(0, 1), (1, 2)], [0, 0, 5], 3))
+@example((3, [(0, 1), (1, 2)], [0, 5, 5], 3))
+@given(faulty_graphs())
+def test_build_names_the_first_fault_like_the_edge_set_loop(case):
+    # the first faulty edge in input order is named, out of range before
+    # self-loop before multi-edge; then the first bad node in id order, an
+    # improper edge to a higher neighbor before its own color's range
+    n, edges, init, m = case
+    assert _outcome(ColoredGraph.build, n, edges, None, init, m) == _outcome(
+        reference_loader.build, n, edges, None, init, m
+    )
+
+
+def _loaded(load, text: str):
+    """A loader's graph, instance, defect map orders and JSON bytes, or the
+    class and message of what it raised."""
+    try:
+        graph, inst = load(text)
+    except Exception as exc:  # the two loaders must agree on every outcome
+        return type(exc), str(exc)
+    orders = [list(dv.items()) for dv in inst.defects]
+    return "ok", graph, inst, orders, instance_to_json(graph, inst)
+
+
+@st.composite
+def valid_instance_docs(draw):
+    """A decoded instance as ``instance_to_json`` writes it: a small graph
+    with a proper coloring and maybe an orientation, colors up to 24 so
+    that string and int key orders differ, and any flavor and g."""
+    n = draw(st.integers(0, 6))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    orientation = None
+    if draw(st.booleans()):
+        orientation = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    init = [0] * n
+    for v in draw(st.permutations(range(n))):
+        used = {init[b if a == v else a] for a, b in edges if v in (a, b)}
+        init[v] = draw(st.sampled_from(sorted(set(range(n + 1)) - used)))
+    m = max(init, default=0) + 1 + draw(st.integers(0, 2))
+    graph = ColoredGraph.build(n, edges, orientation=orientation, init_colors=init, m=m)
+    space = sorted(draw(st.sets(st.integers(0, 24), min_size=1, max_size=8)))
+    lists = [sorted(draw(st.sets(st.sampled_from(space), min_size=1, max_size=4))) for _ in range(n)]
+    defects = [{x: draw(st.integers(0, 3)) for x in lst} for lst in lists]
+    inst = LdcInstance.build(space, lists, defects, draw(st.sampled_from(FLAVORS)),
+                             draw(st.integers(0, 2)))
+    return json.loads(instance_to_json(graph, inst))
+
+
+_JUNK = ["x", 1.5, True, None, [], {}, -1, [[0, 1]], [{"0": 0}], {"0": 1}]
+
+
+_MUTATIONS = (
+    "schema", "repeat-color", "reorder", "reverse-edge", "self-loop", "out-of-range",
+    "improper", "small-m", "outside-space", "negative-color", "negative-defect", "bad-defect",
+    "key-spelling", "key-order", "orientation", "setting",
+)
+
+
+def _mutate(rnd, doc: dict, kind: str) -> None:
+    """One fault or normalisable change of the kind, made in place with
+    the positions and values ``rnd`` chooses."""
+    def field(key):
+        # a list field as the document now holds it; a fresh list if an
+        # earlier mutation dropped or retyped it
+        value = doc.get(key)
+        return value if type(value) is list else []
+
+    def insert(seq, item):
+        seq.insert(rnd.randint(0, len(seq)), item)
+
+    pick = rnd.choice
+    n = len(field("init_colors"))
+    edges = [e for e in field("edges") if type(e) is list and len(e) == 2]
+    rows = [r for r in field("lists") if type(r) is list and r]
+    maps = [dv for dv in field("defects") if type(dv) is dict and dv]
+    if kind == "schema":
+        kind = pick(["drop", "retype", "retype-entry"])
+    if kind == "drop" and doc:
+        del doc[pick(sorted(doc))]
+    elif kind == "retype" and doc:
+        doc[pick(sorted(doc))] = pick(_JUNK)
+    elif kind == "retype-entry":
+        seq = field(pick(["edges", "init_colors", "color_space", "lists", "defects", "orientation"]))
+        if seq:
+            i = rnd.randrange(len(seq))
+            if type(seq[i]) is list and seq[i] and rnd.random() < 0.5:
+                seq[i][rnd.randrange(len(seq[i]))] = pick(_JUNK)
+            else:
+                seq[i] = pick(_JUNK)
+    elif kind == "repeat-color" and rows:
+        row = pick(rows)
+        insert(row, pick(row))
+    elif kind == "reorder":
+        pick([r for r in rows if len(r) > 1] + [field("color_space")]).reverse()
+    elif kind == "reverse-edge" and edges:
+        u, v = pick(edges)
+        insert(field("edges"), [v, u])
+    elif kind == "self-loop":
+        u = rnd.randint(0, max(0, n - 1))
+        insert(field("edges"), [u, u])
+    elif kind == "out-of-range":
+        pair = [rnd.randint(0, max(0, n - 1)), pick([-1, n, n + 1])]
+        insert(field(pick(["orientation", "edges"])), pair[::pick([1, -1])])
+    elif kind == "improper" and edges:
+        u, v = pick(edges)
+        colors = field("init_colors")
+        if 0 <= min(u, v) and max(u, v) < len(colors):
+            colors[v] = colors[u]
+    elif kind == "small-m":
+        doc["m"] = rnd.randint(-1, max([c for c in field("init_colors") if type(c) is int], default=0))
+    elif kind == "outside-space" and rows:
+        c = pick([c for c in range(27) if c not in field("color_space")])
+        pick(rows).append(c)
+        if maps and rnd.random() < 0.5:
+            pick(maps)[str(c)] = 0
+    elif kind == "negative-color":
+        insert(field("color_space"), rnd.randint(-3, -1))
+    elif kind in ("negative-defect", "bad-defect") and maps:
+        dv = pick(maps)
+        bad = [-1, -3] if kind == "negative-defect" else [1.5, "1", True, None, [0]]
+        dv[pick(sorted(dv))] = pick(bad)
+    elif kind == "key-spelling" and maps:
+        dv = pick(maps)
+        key = pick(sorted(dv))
+        spelling = pick(["0", " ", "+", "x"]) + key if rnd.random() < 0.5 else key + " "
+        # a second spelling next to the first names one color twice
+        dv[spelling] = dv[key] if rnd.random() < 0.5 else dv.pop(key)
+    elif kind == "key-order" and maps:
+        dv = pick(maps)
+        items = list(dv.items())
+        rnd.shuffle(items)
+        dv.clear()
+        dv.update(items)
+    elif kind == "orientation":
+        pairs = field("orientation")
+        if pairs and rnd.random() < 0.5:
+            del pairs[rnd.randrange(len(pairs))]
+        elif pairs:
+            u, v = pick(pairs)
+            insert(pairs, pick([[v, u], [u, v]]))
+        elif edges:
+            doc["orientation"] = [pick(edges)]
+    elif kind == "setting":
+        key = pick(["flavor", "g", "n", "lists", "defects", "color_space", "node"])
+        if key == "flavor":
+            doc[key] = pick(["plain", "Defective", ""])
+        elif key == "g":
+            doc[key] = rnd.randint(-2, -1)
+        elif key == "n":
+            doc[key] = n + pick([-1, 1])
+        elif key == "node":
+            # one list and its map fewer than the graph has nodes
+            for seq in (field("lists"), field("defects")):
+                del seq[len(seq) - 1:]
+        elif field(key):
+            field(key).pop()
+
+
+@st.composite
+def mutated_instance_texts(draw, first: str):
+    """Valid instance JSON with a mutation of the kind ``first``, up to two
+    more of any kind, and perhaps one key written twice, junk in the
+    first or the last (the one kept)."""
+    doc = draw(valid_instance_docs())
+    rnd = draw(st.randoms())
+    for kind in [first] + [rnd.choice(_MUTATIONS) for _ in range(rnd.randint(0, 2))]:
+        _mutate(rnd, doc, kind)
+    text = json.dumps(doc)
+    if doc and rnd.random() < 0.25:
+        junk = f"{json.dumps(rnd.choice(sorted(doc)))}: {json.dumps(rnd.choice(_JUNK))}"
+        text = "{" + junk + ", " + text[1:] if rnd.random() < 0.5 else text[:-1] + ", " + junk + "}"
+    return text
+
+
+# one mutation kind per case, so each kind gets its share of the examples
+@pytest.mark.parametrize("first", _MUTATIONS)
+@settings(max_examples=16, deadline=None)
+@given(data=st.data())
+def test_loader_matches_the_frozen_reference(first, data):
+    text = data.draw(mutated_instance_texts(first), label="text")
+    assert _loaded(instance_from_json, text) == _loaded(reference_loader.instance_from_json, text)
