@@ -73,7 +73,7 @@ class NodeFailure(FailFast):
         self.node = node
         self.round_no = round_no
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         at = [f"{what} {x}" for what, x in (("node", self.node), ("round", self.round_no))
               if x is not None]
         return super().__str__() + (f" [{', '.join(at)}]" if at else "")

@@ -18,8 +18,8 @@ share its doubled map and one existence sum.
 
 ``exhaustive_solve`` is the brute-force oracle for tiny instances (a
 candidate is checked only against the earlier nodes that count it); for
-arbdefective instances it checks orientation feasibility per color class
-with a unit-capacity flow.
+arbdefective instances it orients the monochromatic edges by path reversal,
+exact by Hakimi's orientation theorem (see ``_orient_class``).
 
 All three are deterministic: ties always break toward the smallest id,
 color or candidate.  Proximity g > 0 is not supported here; the
@@ -244,74 +244,43 @@ def sequential_arbdefective(
 # -- exhaustive oracle ---------------------------------------------------------
 
 
-def _max_flow(n_nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int):
-    """Tiny BFS (Edmonds-Karp) max flow for unit capacities out of s;
-    returns (value, flow per arc)."""
-    head: list[list[int]] = [[] for _ in range(n_nodes)]
-    to: list[int] = []
-    cap: list[int] = []
-    for u, v, c in arcs:
-        head[u].append(len(to)); to.append(v); cap.append(c)
-        head[v].append(len(to)); to.append(u); cap.append(0)
-    flow = 0
-    while True:
-        parent_arc = [-1] * n_nodes
-        parent_arc[s] = -2
-        queue = [s]
-        for u in queue:
-            if u == t:
-                break
-            for aid in head[u]:
-                if cap[aid] > 0 and parent_arc[to[aid]] == -1:
-                    parent_arc[to[aid]] = aid
-                    queue.append(to[aid])
-        if parent_arc[t] == -1:
-            break
-        # every arc out of s has capacity 1, so each path carries 1
-        v = t
-        while v != s:
-            aid = parent_arc[v]
-            cap[aid] -= 1
-            cap[aid ^ 1] += 1
-            v = to[aid ^ 1]
-        flow += 1
-    used = [arcs[i][2] - cap[2 * i] for i in range(len(arcs))]
-    return flow, used
-
-
 def _orient_class(
-    nodes: list[int],
+    nodes: Sequence[int],
     class_edges: list[tuple[int, int]],
-    caps: dict[int, int],
+    caps: Sequence[int] | Mapping[int, int],
 ) -> Optional[list[tuple[int, int]]]:
     """Orientation of class_edges with outdeg(v) <= caps[v], or None.
 
-    Unit flow: source -> edge -> endpoint -> sink(cap caps[v]); feasible
-    iff the max flow saturates all edges; the endpoint absorbing an edge
-    pays for it, i.e. the edge points away from it.
+    Every edge starts out of its first end; while a node is over its cap,
+    a breadth-first search along out-edges finds the nearest node below
+    its cap and reverses the path to it (a node within its cap stays so).
+    If none is reachable, the reached set S keeps its out-edges inside:
+    sum_S outdeg = |E(S)| > sum_S cap, so no orientation fits.  Classes
+    share no node, so one call orients each as a per-class call would.
+    Returns one directed pair per edge, in class_edges order.
     """
-    if not class_edges:
-        return []
-    index = {v: i for i, v in enumerate(nodes)}
-    s = 0
-    e0 = 1
-    v0 = e0 + len(class_edges)
-    t = v0 + len(nodes)
-    arcs: list[tuple[int, int, int]] = []
-    for i, (u, v) in enumerate(class_edges):
-        arcs.append((s, e0 + i, 1))
-        arcs.append((e0 + i, v0 + index[u], 1))
-        arcs.append((e0 + i, v0 + index[v], 1))
+    out: dict[int, list[int]] = {v: [] for v in nodes}
+    for u, v in class_edges:
+        out[u].append(v)
     for v in nodes:
-        arcs.append((v0 + index[v], t, caps[v]))
-    value, used = _max_flow(t + 1, arcs, s, t)
-    if value < len(class_edges):
-        return None
-    oriented = []
-    for i, (u, v) in enumerate(class_edges):
-        to_u = used[3 * i + 1]
-        oriented.append((u, v) if to_u else (v, u))
-    return oriented
+        while len(out[v]) > caps[v]:
+            parent = {v: v}
+            queue = [v]
+            for u in queue:
+                if len(out[u]) < caps[u]:
+                    break
+                for w in out[u]:
+                    if w not in parent:
+                        parent[w] = u
+                        queue.append(w)
+            else:
+                return None
+            while u != v:
+                p = parent[u]
+                out[p].remove(u)
+                out[u].append(p)
+                u = p
+    return [(u, v) if v in out[u] else (v, u) for u, v in class_edges]
 
 
 def exhaustive_solve(
@@ -321,8 +290,9 @@ def exhaustive_solve(
 
     Enumerates list assignments depth-first in id order with monotone
     conflict pruning; for arbdefective instances every complete coloring is
-    additionally checked for a feasible bounded-outdegree orientation per
-    color class (flow-based).  Returns a valid output or None when no
+    additionally checked for a feasible bounded-outdegree orientation of
+    its monochromatic edges (by path reversal, exact by Hakimi's theorem:
+    see ``_orient_class``).  Returns a valid output or None when no
     valid coloring exists.  Refuses instances whose assignment space
     exceeds ``cap``.
     """
@@ -357,22 +327,12 @@ def exhaustive_solve(
     def final_check() -> Optional[ColoringOutput]:
         if inst.flavor != FLAVOR_ARBDEFECTIVE:
             return ColoringOutput(tuple(colors))
-        oriented: list[tuple[int, int]] = []
-        class_edges: dict[int, list[tuple[int, int]]] = {}
-        for u, v in edges:
-            if colors[u] == colors[v]:
-                class_edges.setdefault(colors[u], []).append((u, v))
-            else:
-                oriented.append((u, v))
-        by_color: dict[int, list[int]] = {}
-        for v in range(n):
-            by_color.setdefault(colors[v], []).append(v)
-        for x, nodes in sorted(by_color.items()):
-            caps = {v: inst.defects[v][x] for v in nodes}
-            res = _orient_class(nodes, class_edges.get(x, []), caps)
-            if res is None:
-                return None
-            oriented.extend(res)
+        mono = [(u, v) for u, v in edges if colors[u] == colors[v]]
+        caps = [inst.defects[v][x] for v, x in enumerate(colors)]
+        oriented = _orient_class(range(n), mono, caps)
+        if oriented is None:
+            return None
+        oriented += [(u, v) for u, v in edges if colors[u] != colors[v]]
         return ColoringOutput(tuple(colors), tuple(sorted(oriented)))
 
     def fits(v: int, x: int) -> bool:

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from listdefect import LdcInstance, check_existence_condition, instance_to_json
+from listdefect import (
+    ColoredGraph,
+    ColoringOutput,
+    LdcInstance,
+    check_existence_condition,
+    instance_to_json,
+)
 from listdefect.cli import ALGORITHMS
 from listdefect.cli import main as cli_main
 from listdefect.errors import InfeasibleParams, InvalidInstance, NodeFailure
@@ -185,6 +191,26 @@ def test_cli_pipeline_on_oriented_instance_fails_fast(tmp_path, capsys):
     report = json.loads((tmp_path / "r" / "report.json").read_text())
     assert report["outcome"] == "fail-fast"
     assert report["error"] == "NodeFailure"
+    assert not (tmp_path / "r" / "coloring.json").exists()
+
+
+def test_cli_writes_no_invalid_coloring(tmp_path, monkeypatch, capsys):
+    from listdefect import cli
+    from listdefect.runtime import RoundTrace
+
+    def conflicting(graph, inst, opts, report):
+        # every node takes its first color: node 0's two neighbors clash
+        return ColoringOutput(tuple(lst[0] for lst in inst.lists)), RoundTrace(), []
+
+    monkeypatch.setitem(cli.ALGORITHM_TABLE, "seq", conflicting)
+    graph = ColoredGraph.build(3, [(0, 1), (0, 2)])
+    inst = LdcInstance.build([0, 1], [[0, 1]] * 3, [{0: 0, 1: 0}] * 3)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(graph, inst))
+    rc = cli_main(["run", "--algorithm", "seq", "--instance", str(inst_path),
+                   "--out-dir", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err == "invalid output produced\n"
     assert not (tmp_path / "r" / "coloring.json").exists()
 
 

@@ -290,6 +290,25 @@ def test_init_colors_length_is_checked_before_build(monkeypatch):
         instance_from_json(json.dumps(doc))
 
 
+def test_lists_longer_than_the_graph_are_refused():
+    g = ColoredGraph.build(2, [(0, 1)])
+    inst = LdcInstance.build([0, 1], [[0, 1]] * 3, [{0: 0, 1: 0}] * 3)
+    with pytest.raises(InvalidInstance, match="^lists length does not match node count$"):
+        instance_from_json(instance_to_json(g, inst))
+
+
+def test_build_refuses_init_colors_of_the_wrong_length():
+    with pytest.raises(InvalidGraph, match="^init_colors length mismatch$"):
+        ColoredGraph.build(3, [(0, 1)], init_colors=[0, 1])
+
+
+def test_direct_construction_refuses_repeated_colors():
+    with pytest.raises(InvalidInstance, match="^color space has duplicates$"):
+        LdcInstance((0, 1, 0), ((0,),), ({0: 0},))
+    with pytest.raises(InvalidInstance, match="^list of node 1 has duplicates$"):
+        LdcInstance((0, 1), ((0,), (1, 1)), ({0: 0}, {1: 0}))
+
+
 def test_missing_keys_are_named_up_front():
     g = ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1), (1, 2)])
     inst = LdcInstance.build([0, 1], [[0, 1]] * 3, [{0: 0, 1: 0}] * 3, flavor="oriented")
@@ -538,12 +557,14 @@ def _mutate(rnd, doc: dict, kind: str) -> None:
         dv.update(items)
     elif kind == "orientation":
         pairs = field("orientation")
+        # an earlier retype may have left entries that are not pairs
+        whole = [p for p in pairs if type(p) is list and len(p) == 2]
         if pairs and rnd.random() < 0.5:
             del pairs[rnd.randrange(len(pairs))]
-        elif pairs:
-            u, v = pick(pairs)
+        elif whole:
+            u, v = pick(whole)
             insert(pairs, pick([[v, u], [u, v]]))
-        elif edges:
+        elif not pairs and edges:
             doc["orientation"] = [pick(edges)]
     elif kind == "setting":
         key = pick(["flavor", "g", "n", "lists", "defects", "color_space", "node"])

@@ -24,6 +24,7 @@ from listdefect import (
 from listdefect import oracle
 from listdefect.generate import make_graph, make_instance
 
+import reference_orientation
 from conftest import complete_graph, count_validations
 
 
@@ -461,7 +462,8 @@ def _recursive_exhaustive_solve(graph, inst, cap):
         for x in sorted(set(colors)):
             nodes = [v for v in range(n) if colors[v] == x]
             class_edges = [(u, v) for u, v in graph.edges() if colors[u] == colors[v] == x]
-            res = oracle._orient_class(nodes, class_edges, {v: inst.defects[v][x] for v in nodes})
+            res = reference_orientation.orient_class(
+                nodes, class_edges, {v: inst.defects[v][x] for v in nodes})
             if res is None:
                 return None
             oriented.extend(res)
@@ -492,10 +494,18 @@ def _recursive_exhaustive_solve(graph, inst, cap):
 
 
 def _solve_outcome(solver, graph, inst):
+    """The colors found, None or the exception class.  The two searches
+    orient arbdefective classes by different routines, which may choose
+    different valid orientations, so an orientation is validated instead
+    of compared."""
     try:
-        return solver(graph, inst, cap=20_000)
+        out = solver(graph, inst, cap=20_000)
     except Exception as exc:  # the exception class is the outcome
         return type(exc)
+    if out is None:
+        return None
+    assert validate_ldc(graph, inst, out).valid
+    return out.colors
 
 
 @settings(max_examples=300, deadline=None)
@@ -602,3 +612,88 @@ def test_shared_defect_maps_solve_like_per_node_copies(case):
         with pytest.raises(got) as on_copies:
             sequential_arbdefective(graph, copies)
         assert str(on_shared.value) == str(on_copies.value)
+
+
+# -- path reversal against the frozen flow and every orientation ------------------
+
+
+@st.composite
+def _orientation_cases(draw):
+    """A graph on n <= 8 nodes with any edge subset, each edge written in
+    a drawn direction and order, and a cap of 0-3 per node."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ways = draw(st.lists(st.sampled_from([None, False, True]),
+                         min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, ways) if flip is not None]
+    edges = draw(st.permutations(edges))
+    caps = {v: draw(st.integers(0, 3)) for v in range(n)}
+    return n, edges, caps
+
+
+def _fits(n, directed, caps):
+    outdeg = [0] * n
+    for u, _ in directed:
+        outdeg[u] += 1
+    return all(outdeg[v] <= caps[v] for v in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orientation_cases())
+def test_path_reversal_fits_exactly_when_the_flow_and_the_brute_force_do(case):
+    n, edges, caps = case
+    got = oracle._orient_class(list(range(n)), edges, caps)
+    assert (got is None) == (reference_orientation.orient_class(list(range(n)), edges, caps) is None)
+    if len(edges) <= 10:
+        every = (
+            [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+            for flips in itertools.product((False, True), repeat=len(edges))
+        )
+        assert (got is None) == (not any(_fits(n, directed, caps) for directed in every))
+    if got is not None:
+        # every edge once, in one direction, and every outdegree within its cap
+        assert len(got) == len(edges)
+        assert all(pair in ((u, v), (v, u)) for pair, (u, v) in zip(got, edges))
+        assert _fits(n, got, caps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_orientation_cases(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_one_call_orients_each_class_as_a_call_per_class_would(case, k, rng):
+    n, edges, caps = case
+    colors = [rng.randrange(k) for _ in range(n)]
+    mono = [(u, v) for u, v in edges if colors[u] == colors[v]]
+    joint = oracle._orient_class(range(n), mono, [caps[v] for v in range(n)])
+    per_class = []
+    for x in range(k):
+        nodes = [v for v in range(n) if colors[v] == x]
+        res = oracle._orient_class(nodes, [(u, v) for u, v in mono if colors[u] == x], caps)
+        per_class.append(res)
+    if any(res is None for res in per_class):
+        assert joint is None
+    else:
+        assert sorted(joint) == sorted(itertools.chain.from_iterable(per_class))
+
+
+def test_path_reversal_reverses_a_three_hop_path():
+    # out of their first ends, the edges overload node 0; only reversing
+    # the whole path to node 3, the one node with room, fixes it
+    edges = [(0, 1), (1, 2), (2, 3)]
+    got = oracle._orient_class([0, 1, 2, 3], edges, {0: 0, 1: 1, 2: 1, 3: 1})
+    assert got == [(1, 0), (2, 1), (3, 2)]
+
+
+def test_path_reversal_refuses_a_dense_part_despite_spare_caps_elsewhere():
+    # K4 needs 6 out-edges from caps of 4; the edge (4, 5) leaves 9 of its
+    # 10 caps spare but cannot lend them, although 14 caps exceed 7 edges
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    caps = {0: 1, 1: 1, 2: 1, 3: 1, 4: 5, 5: 5}
+    assert oracle._orient_class(list(range(6)), k4 + [(4, 5)], caps) is None
+    assert reference_orientation.orient_class(list(range(6)), k4 + [(4, 5)], caps) is None
+
+
+def test_exhaustive_refuses_an_oriented_instance_on_an_unoriented_graph():
+    graph = ColoredGraph.build(2, [(0, 1)])
+    inst = LdcInstance.build([0], [[0], [0]], [{0: 1}, {0: 1}], flavor="oriented")
+    with pytest.raises(InvalidInstance, match="^oriented instance on an unoriented graph$"):
+        exhaustive_solve(graph, inst)

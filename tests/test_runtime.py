@@ -328,3 +328,11 @@ def test_rounds_elapsed_is_the_length_of_the_per_round_record():
         assert all(1 <= rnd <= tr.rounds_elapsed for rnd, _, _, _ in tr.messages)
     assert [tr.rounds_elapsed for tr in engine] == [1, 5, 0]
     assert [tr.rounds_elapsed for tr in composed] == [6, 5, 0, 0]
+
+
+def test_node_failure_names_its_node_and_round():
+    # the suffix is part of every fail-fast report's detail
+    assert str(NodeFailure("x", node=3, round_no=2)) == "x [node 3, round 2]"
+    assert str(NodeFailure("x", node=3)) == "x [node 3]"
+    assert str(NodeFailure("x", round_no=2)) == "x [round 2]"
+    assert str(NodeFailure("x")) == "x"
