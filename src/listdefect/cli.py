@@ -257,21 +257,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _make_instance(graph, list_model: str, seed: int, values: dict, **extra) -> LdcInstance:
+    """``make_instance`` on the INSTANCE_OPTIONS values of a command line or a sweep matrix."""
+    return make_instance(graph, list_model, seed, space_size=values["space"], k=values["k"],
+                         flavor=values["flavor"], g=values["g"], target=values["target"], **extra)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     graph = make_graph(
         args.family, args.n, args.degree, args.seed, oriented=not args.undirected
     )
-    inst = make_instance(
-        graph,
-        args.list_model,
-        args.seed,
-        space_size=args.space,
-        k=args.k,
-        flavor=args.flavor,
-        g=args.g,
-        target=args.target,
-        alpha=args.alpha,
-    )
+    inst = _make_instance(graph, args.list_model, args.seed, vars(args), alpha=args.alpha)
     text = instance_to_json(graph, inst)
     if args.out:
         _write(text, args.out)
@@ -328,16 +324,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell = f"{family},{n},{list_model},{algorithm},{seed}"
         try:
             graph = make_graph(family, n, values["degree"], seed)
-            inst = make_instance(
-                graph,
-                list_model,
-                seed,
-                space_size=values["space"],
-                k=values["k"],
-                flavor=values["flavor"],
-                g=values["g"],
-                target=values["target"],
-            )
+            inst = _make_instance(graph, list_model, seed, values)
             out, trace, report, _ = run_algorithm(graph, inst, algorithm, opts)
             valid = out is None or report["valid"]
             rows.append(f"{cell},{trace.rounds_elapsed},{trace.max_bits()},{valid},")

@@ -94,19 +94,16 @@ def _target_threshold(
     if target in ("eq1", "eq2"):
         # eq2's sum(2d+1) > deg: the caller doubles the defects
         return 1, deg + 1
+    if target not in ("eq5", "eq6"):
+        raise InfeasibleParams(f"unknown target {target!r}")
+    beta = graph.beta(v) if graph.out_neighbors is not None else max(1, deg)
+    h = max(1, beta.bit_length())
+    tau = tau_of(h, space_size, graph.m)
     if target == "eq5":
-        beta = graph.beta(v) if graph.out_neighbors is not None else max(1, deg)
-        h = max(1, beta.bit_length())
-        tau = tau_of(h, space_size, graph.m)
         return 2, math.ceil(alpha * beta**2 * tau * h * (2 * g + 1))
-    if target == "eq6":
-        beta = graph.beta(v) if graph.out_neighbors is not None else max(1, deg)
-        h = max(1, beta.bit_length())
-        hp = max(1, math.ceil(math.log2(8 * h)))
-        tau = tau_of(h, space_size, graph.m)
-        taubar = tau_of(hp, h, graph.m)
-        return 2, math.ceil(alpha**2 * beta**2 * tau * taubar * hp**2)
-    raise InfeasibleParams(f"unknown target {target!r}")
+    hp = max(1, math.ceil(math.log2(8 * h)))
+    taubar = tau_of(hp, h, graph.m)
+    return 2, math.ceil(alpha**2 * beta**2 * tau * taubar * hp**2)
 
 
 def make_instance(

@@ -128,7 +128,7 @@ class ColoredGraph:
         return len(self.adjacency[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max(map(len, self.adjacency), default=0)
 
     def outdegree(self, v: int) -> int:
         if self.out_neighbors is None:

@@ -12,9 +12,8 @@ recoloring and starts at most 3|E|, which bounds the recoloring count.
 ``sequential_arbdefective`` solves the doubled-defect instance, then
 orients each color class along an Euler tour (after evening out odd
 degrees with virtual matching edges), giving per-color outdegree at most
-ceil(class_degree/2) <= d_v(x).  All classes are oriented in a single
-O(n + m) Euler pass over their union; nodes that share a defect map
-share its doubled map and one existence sum.
+ceil(class_degree/2) <= d_v(x).  Its core, which the degree-halving
+framework calls, returns only the intra-class pairs.
 
 ``exhaustive_solve`` is the brute-force oracle for tiny instances (a
 candidate is checked only against the earlier nodes that count it); for
@@ -72,11 +71,13 @@ def _recolor(
     defects: Sequence[Mapping[int, int]],
 ) -> tuple[ColoringOutput, RecoloringStats]:
     """The recoloring walk of ``sequential_ldc`` on bare lists and defect
-    maps, so that ``sequential_arbdefective`` solves its doubled defects
-    without building and validating an instance for them.  The caller has
-    checked the existence condition."""
-    n = graph.n
-    adjacency = graph.adjacency
+    maps, so that the arbdefective core needs no instance for its doubled
+    defects.  The caller has checked the existence condition.  Recoloring
+    a node from ``old`` to ``new`` reads its neighbors and re-queues only
+    those on ``new``: no other node can become unhappy, and every node
+    already unhappy is still in the heap, so the first non-stale pop is the
+    lowest-id unhappy node, as with a re-check of every neighbor."""
+    n, adjacency = graph.n, graph.adjacency
     colors = [lists[v][0] for v in range(n)]
     # per-node counter of neighbor colors
     nbr_count: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -122,14 +123,9 @@ def _recolor(
         # v's own counter does not change, so v itself stays happy
         for u in adjacency[v]:
             cnt = nbr_count[u]
-            left = cnt[old] - 1
-            if left:
-                cnt[old] = left
-            else:
-                del cnt[old]
-            cnt[new] = cnt.get(new, 0) + 1
-            x = colors[u]
-            if cnt.get(x, 0) > defects[u][x]:
+            cnt[old] -= 1  # a count may stay at 0: .get(x, 0) reads it alike
+            c = cnt[new] = cnt.get(new, 0) + 1
+            if colors[u] == new and c > defects[u][new]:
                 heappush(heap, u)
 
     return (
@@ -196,49 +192,63 @@ def sequential_arbdefective(
     """
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
-    n = graph.n
+    colors, stats, directed = _arbdefective_core(graph, inst.lists, inst.defects)
+    adj = graph.adjacency
+    cross = [(u, v) for u in range(graph.n) for v in adj[u] if u < v and colors[u] != colors[v]]
+    return ColoringOutput(colors, tuple(sorted(directed + cross))), stats
+
+
+def _arbdefective_core(
+    graph: ColoredGraph, lists: Sequence[Sequence[int]], defects: Sequence[Mapping[int, int]]
+) -> tuple[tuple[int, ...], RecoloringStats, list[tuple[int, int]]]:
+    """``sequential_arbdefective`` on bare lists and defect maps and without
+    cross-class edges: the colors, the walk's stats and the sorted intra-class
+    pairs, the only ones that bound an arbdefect.  The caller checks g = 0."""
+    n, adjacency = graph.n, graph.adjacency
     # nodes that share a defect map share its doubled map and its sum
     shared: dict[int, tuple[dict[int, int], int]] = {}
     doubled = []
-    for v, dv in enumerate(inst.defects[:n]):
+    for v, dv in enumerate(defects[:n]):
         if id(dv) not in shared:
             shared[id(dv)] = ({x: 2 * d for x, d in dv.items()}, 2 * sum(dv.values()) + len(dv))
         twice, budget = shared[id(dv)]
-        if budget <= graph.degree(v):
+        if budget <= len(adjacency[v]):
             raise ConditionViolated(f"existence condition fails at node {v}")
         doubled.append(twice)
-    out, stats = _recolor(graph, inst.lists, doubled)
+    out, stats = _recolor(graph, lists, doubled)
     colors = out.colors
 
     # monochromatic edges in edges() order, then the virtual pairs of each
-    # class: within a class this is the edge-id order of a per-class pass
+    # class: within a class this is the edge-id order of a per-class pass.
+    # A node with no neighbor on its own color is passed over at C speed
     mono: list[tuple[int, int]] = []
-    cross: list[tuple[int, int]] = []
-    class_deg = [0] * n
-    for u, v in graph.edges():
-        if colors[u] == colors[v]:
-            mono.append((u, v))
-            class_deg[u] += 1
-            class_deg[v] += 1
-        else:
-            cross.append((u, v))
+    class_deg: dict[int, int] = {}
     odd: dict[int, list[int]] = {}
-    for v in range(n):
-        if class_deg[v] % 2:
-            odd.setdefault(colors[v], []).append(v)
+    color = colors.__getitem__
+    for u, nbrs in enumerate(adjacency):
+        x = colors[u]
+        if x in map(color, nbrs):
+            deg = 0
+            for v in nbrs:
+                if colors[v] == x:
+                    deg += 1
+                    if u < v:
+                        mono.append((u, v))
+            class_deg[u] = deg
+            if deg % 2:
+                odd.setdefault(x, []).append(u)
     virtual = [
         (nodes[i], nodes[i + 1]) for _, nodes in sorted(odd.items()) for i in range(0, len(nodes), 2)
     ]
     directed = _euler_orient(n, mono + virtual)[: len(mono)]
-    # per-node outdegree check: at most ceil(deg/2) <= d_v(x)
     outdeg = [0] * n
     for a, _ in directed:
         outdeg[a] += 1
-    for v in range(n):
-        assert outdeg[v] <= (class_deg[v] + 1) // 2 <= inst.defects[v][colors[v]], (
+    for v, deg in class_deg.items():
+        assert outdeg[v] <= (deg + 1) // 2 <= defects[v][colors[v]], (
             f"Euler orientation violated the defect bound at node {v}"
         )
-    return ColoringOutput(colors, tuple(sorted(directed + cross))), stats
+    return colors, stats, sorted(directed)
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -289,12 +299,12 @@ def exhaustive_solve(
     """Brute-force solver and unsatisfiability prover for tiny instances.
 
     Enumerates list assignments depth-first in id order with monotone
-    conflict pruning; for arbdefective instances every complete coloring is
-    additionally checked for a feasible bounded-outdegree orientation of
-    its monochromatic edges (by path reversal, exact by Hakimi's theorem:
-    see ``_orient_class``).  Returns a valid output or None when no
-    valid coloring exists.  Refuses instances whose assignment space
-    exceeds ``cap``.
+    conflict pruning; for arbdefective instances a placed class with more
+    edges than caps is pruned, and every complete coloring is checked for
+    a feasible bounded-outdegree orientation of its monochromatic edges
+    (by path reversal, exact by Hakimi's theorem: see ``_orient_class``).
+    Returns a valid output or None when no valid coloring exists.  Refuses
+    instances whose assignment space exceeds ``cap``.
     """
     space = 1
     for lst in inst.lists:
@@ -335,17 +345,20 @@ def exhaustive_solve(
         oriented += [(u, v) for u, v in edges if colors[u] != colors[v]]
         return ColoringOutput(tuple(colors), tuple(sorted(oriented)))
 
+    # arbdefective: per color, caps minus edges over its placed nodes; a
+    # class below 0 stays violated in every completion (Hakimi)
+    arb = inst.flavor == FLAVOR_ARBDEFECTIVE
+    slack = dict.fromkeys(inst.color_space, 0)
+
     def fits(v: int, x: int) -> bool:
         """May v take x, given the colors of the nodes before it?"""
-        if inst.flavor == FLAVOR_ARBDEFECTIVE:
-            return True
+        if arb:
+            return slack[x] + inst.defects[v][x] >= count_at(v, x)
         if count_at(v, x) > inst.defects[v][x]:
             return False
         for u in counted_by[v]:
-            if (
-                abs(colors[u] - x) <= inst.g
-                and count_at(u, colors[u]) + 1 > inst.defects[u][colors[u]]
-            ):
+            xu = colors[u]
+            if abs(xu - x) <= inst.g and count_at(u, xu) >= inst.defects[u][xu]:
                 return False
         return True
 
@@ -363,6 +376,8 @@ def exhaustive_solve(
             v -= 1
             continue
         lst = inst.lists[v]
+        if arb and colors[v] is not None:
+            slack[colors[v]] -= inst.defects[v][colors[v]] - count_at(v, colors[v])
         colors[v] = None
         while next_pick[v] < len(lst):
             x = lst[next_pick[v]]
@@ -374,5 +389,7 @@ def exhaustive_solve(
             next_pick[v] = 0
             v -= 1
         else:
+            if arb:
+                slack[x] += inst.defects[v][x] - count_at(v, x)
             v += 1
     return None

@@ -42,7 +42,7 @@ from .graphs import (
 from .linial import linial_coloring
 from .oldc_basic import OldcConfig, multi_defect_oldc
 from .oldc_main import MainConfig, main_oldc
-from .oracle import sequential_arbdefective, sequential_ldc
+from .oracle import _arbdefective_core, sequential_arbdefective, sequential_ldc
 from .runtime import RoundTrace, concat_traces, current_network, merge_parallel, network
 
 
@@ -336,10 +336,11 @@ def degree_halving_framework(
     ``udeg[v]`` counts v's uncolored neighbors and ``taken[v]`` the colors
     of its colored ones; both change as a neighbor is colored, never
     recounted.  The coloring is checked once, on the output: a node's
-    out-neighbors are fixed when it is colored.  No graph is rebuilt: the
-    stage graph is sliced from the input, given the decomposition's
-    intra-class pairs once, and a batch graph is sliced from it only for a
-    class with such a pair (at arbdefect 0, no class has one).
+    out-neighbors are fixed when it is colored.  A stage reads only the
+    colors and intra-class pairs of its decomposition (the core of
+    ``sequential_arbdefective``; no cross-class edge is listed).  The stage
+    graph is sliced from the input and given those pairs, and a batch graph
+    is sliced from it only for a class with one (none at arbdefect 0).
     """
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
@@ -348,7 +349,7 @@ def degree_halving_framework(
     n = graph.n
     lists, defects = inst.lists, inst.defects
     for v in range(n):
-        if sum(d + 1 for d in defects[v].values()) <= graph.degree(v):
+        if sum(defects[v].values()) + len(defects[v]) <= graph.degree(v):
             raise ConditionViolated(f"node {v}: sum(d+1) <= deg")
 
     colors: list[Optional[int]] = [None] * n
@@ -359,13 +360,9 @@ def degree_halving_framework(
     traces: list[RoundTrace] = []
     rows: list[StageRow] = []
     stage = 0
-    delta0 = graph.max_degree()
-    max_stages = max(1, delta0).bit_length() + 2
-    factor = max(
-        1.0,
-        inst.max_list_size ** (inner.nu / (1 + inner.nu))
-        * inner.kappa ** (1 / (1 + inner.nu)),
-    )
+    max_stages = max(1, graph.max_degree()).bit_length() + 2
+    nu = inner.nu
+    factor = max(1.0, inst.max_list_size ** (nu / (1 + nu)) * inner.kappa ** (1 / (1 + nu)))
 
     def residual(v: int) -> dict[int, int]:
         """v's residual defects, cut to the shortest list prefix whose
@@ -394,16 +391,18 @@ def degree_halving_framework(
         delta_s = stage_graph.max_degree()
         delta = max(0, math.floor(delta_s / (2 * factor)))
         q = delta_s // (delta + 1) + 1
-        dec_out, dec_trace = arbdefective_subroutine(stage_graph, q, delta)
-        traces.append(dec_trace)
-        # only intra-class pairs reach a batch graph; each out-list is sorted
-        dec_colors = dec_out.colors
+        if q * (delta + 1) <= delta_s:
+            raise ConditionViolated(f"q(delta+1)={q*(delta+1)} <= max degree {delta_s}")
+        # the decomposition's colors and intra-class pairs, in 0 rounds
+        palette = tuple(range(q))
+        uniform = ({x: delta for x in palette},) * len(keep)
+        dec_colors, _, dec_pairs = _arbdefective_core(stage_graph, (palette,) * len(keep), uniform)
+        traces.append(RoundTrace())
         dec_outn: list[list[int]] = [[] for _ in keep]
         edged_classes = set()
-        for a, b in dec_out.orientation_out:
-            if dec_colors[a] == dec_colors[b]:
-                dec_outn[a].append(b)
-                edged_classes.add(dec_colors[a])
+        for a, b in dec_pairs:  # sorted, so each out-list is sorted
+            dec_outn[a].append(b)
+            edged_classes.add(dec_colors[a])
         stage_graph = replace(stage_graph, out_neighbors=tuple(map(tuple, dec_outn)))
         by_class: dict[int, list[int]] = {}
         for i, c in enumerate(dec_colors):
@@ -425,8 +424,7 @@ def degree_halving_framework(
             batch_nodes = [keep[i] for i in active]
             residuals = [residual(v) for v in batch_nodes]
             batch_graph = stage_graph.subgraph(active)[0] if cls in edged_classes else None
-            edged = batch_graph is not None and batch_graph.edge_count() > 0
-            if edged:
+            if batch_graph is not None and batch_graph.edge_count() > 0:
                 inst_b = LdcInstance.build(
                     {x for dd in residuals for x in dd}, residuals, residuals, flavor=FLAVOR_ORIENTED
                 )

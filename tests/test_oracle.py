@@ -697,3 +697,39 @@ def test_exhaustive_refuses_an_oriented_instance_on_an_unoriented_graph():
     inst = LdcInstance.build([0], [[0], [0]], [{0: 1}, {0: 1}], flavor="oriented")
     with pytest.raises(InvalidInstance, match="^oriented instance on an unoriented graph$"):
         exhaustive_solve(graph, inst)
+
+
+# -- arbdefective pruning in the exhaustive search ----------------------------------
+
+
+@st.composite
+def _tight_arbdefective_instances(draw):
+    """Dense graphs with small lists and caps: the search backtracks
+    through classes whose placed nodes exceed their caps."""
+    n = draw(st.integers(2, 9))
+    p = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    lists = [sorted(rng.sample(range(3), rng.randrange(1, 4))) for _ in range(n)]
+    defects = [{x: rng.randrange(0, 3) for x in lst} for lst in lists]
+    graph = ColoredGraph.build(n, edges)
+    return graph, LdcInstance.build(range(3), lists, defects, flavor="arbdefective")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tight_arbdefective_instances())
+def test_class_pruning_keeps_the_exhaustive_verdict(case):
+    graph, inst = case
+    got = _solve_outcome(exhaustive_solve, graph, inst)
+    assert got == _solve_outcome(_recursive_exhaustive_solve, graph, inst)
+
+
+def test_an_overfull_class_is_pruned_before_any_orientation(monkeypatch):
+    # K7 at two colors with cap 1: a class of four spans 6 > 4 edges, so
+    # every coloring is cut short and no orientation is ever searched
+    calls = []
+    real = oracle._orient_class
+    monkeypatch.setattr(oracle, "_orient_class", lambda *a: calls.append(a) or real(*a))
+    inst = LdcInstance.build([0, 1], [[0, 1]] * 7, [{0: 1, 1: 1}] * 7, flavor="arbdefective")
+    assert exhaustive_solve(complete_graph(7), inst) is None
+    assert calls == []

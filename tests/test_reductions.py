@@ -24,6 +24,7 @@ from listdefect import (
     space_reduced_oldc,
     validate_ldc,
 )
+from listdefect import reductions
 from listdefect.errors import FailFast, NodeFailure
 from listdefect.generate import make_graph, make_instance
 from listdefect.reductions import _padded_space, message_preset_p
@@ -648,3 +649,68 @@ def test_framework_determinism():
     b = degree_halving_framework(undirected, inst)
     assert a[0] == b[0]
     assert [r.csv() for r in a[2]] == [r.csv() for r in b[2]]
+
+
+# -- the framework's decomposition core -------------------------------------------
+
+
+@st.composite
+def _decomposition_cases(draw):
+    """A random graph and (q, delta) with q(delta+1) > max degree."""
+    n = draw(st.integers(0, 14))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    graph = ColoredGraph.build(n, edges)
+    delta = draw(st.integers(0, 3))
+    q = graph.max_degree() // (delta + 1) + 1 + draw(st.integers(0, 2))
+    return graph, q, delta
+
+
+def _uniform_core(graph, q, delta):
+    palette = tuple(range(q))
+    return reductions._arbdefective_core(
+        graph, (palette,) * graph.n, ({x: delta for x in palette},) * graph.n
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decomposition_cases())
+def test_the_framework_core_is_the_subroutine_without_cross_class_pairs(case):
+    graph, q, delta = case
+    colors, _, pairs = _uniform_core(graph, q, delta)
+    out, _ = arbdefective_subroutine(graph, q, delta)
+    assert colors == out.colors
+    assert pairs == [(a, b) for a, b in out.orientation_out if colors[a] == colors[b]]
+
+
+def test_the_core_finds_intra_class_pairs_at_a_positive_arbdefect():
+    # K6 at q = 2, delta = 2: each class has edges, which the core orients
+    colors, _, pairs = _uniform_core(complete_graph(6), 2, 2)
+    out, _ = arbdefective_subroutine(complete_graph(6), 2, 2)
+    assert pairs and pairs == [(a, b) for a, b in out.orientation_out if colors[a] == colors[b]]
+
+
+def test_a_pipeline_stage_at_arbdefect_zero_hands_over_no_pair(monkeypatch):
+    # the 1,500-node random-gnp shape of the pipeline bench: every stage has
+    # delta = 0, so the core returns no pair and no batch graph is sliced
+    graph, inst = _pipeline_shape("random-gnp", 1500, 4, 1)
+    calls, slices = [], []
+    real_core, real_subgraph = reductions._arbdefective_core, ColoredGraph.subgraph
+
+    def core(stage_graph, lists, defects):
+        colors, stats, pairs = real_core(stage_graph, lists, defects)
+        calls.append((stage_graph.n, defects[0][lists[0][0]], pairs))
+        return colors, stats, pairs
+
+    def subgraph(self, nodes):
+        slices.append(self.n)
+        return real_subgraph(self, nodes)
+
+    monkeypatch.setattr(reductions, "_arbdefective_core", core)
+    monkeypatch.setattr(ColoredGraph, "subgraph", subgraph)
+    out, _, rows = congest_pipeline(graph, inst)
+    assert validate_ldc(graph, inst, out).valid
+    assert calls[0][:2] == (1500, 0)
+    assert all(delta == 0 and pairs == [] for _, delta, pairs in calls)
+    assert slices == [graph.n] * len(calls) == [graph.n] * len({r.stage for r in rows})

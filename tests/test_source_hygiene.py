@@ -125,6 +125,9 @@ PUBLIC_ONLY = {
     "tau_g_conflict": "demo 05",
     "defective_linial": "the bench tracer's spans, demo 04",
     "single_defect_oldc": "the oldc-scaled bench workload, demo 05",
+    "arbdefective_subroutine": (
+        "public decomposition API and its tests; the framework reads its intra-class core"
+    ),
 }
 
 
