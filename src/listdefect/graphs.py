@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import eq
+from operator import countOf, eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -156,14 +156,18 @@ class ColoredGraph:
     def subgraph(self, nodes: Iterable[int]) -> tuple["ColoredGraph", list[int]]:
         """Induced subgraph on ``nodes``; returns (graph, sorted original ids).
 
-        ``nodes`` may come in any order and repeat.  The graph is sliced
-        from this one, not rebuilt through ``build``: the sorted adjacency
-        and orientation (if any) are mapped through the order-preserving
-        index of the kept ids, so they stay sorted, and the initial colors
-        and ``m`` are inherited (a proper coloring stays proper on any
-        induced subgraph).
+        ``nodes`` may come in any order and repeat; an id outside 0..n-1
+        raises InvalidGraph, and all of 0..n-1 returns this graph itself.
+        Else the graph is sliced, not rebuilt through ``build``: the sorted
+        adjacency and orientation (if any) stay sorted through the kept
+        ids' order-preserving index, and the initial colors and ``m`` are
+        inherited (a proper coloring stays proper on any induced subgraph).
         """
         keep = sorted(set(nodes))
+        if keep and not (0 <= keep[0] and keep[-1] < self.n):
+            raise InvalidGraph(f"subgraph ids {keep[0]}..{keep[-1]} outside range({self.n})")
+        if len(keep) == self.n:
+            return self, keep
         index = dict(zip(keep, range(len(keep))))
 
         def induced(rows):
@@ -342,14 +346,13 @@ def validate_ldc(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput) ->
             raise MissingColor(f"node {v} is uncolored")
         if c not in inst.defects[v]:
             raise ColorNotInList(f"node {v} colored {c}, not in its list")
-    relevant = _out_lists(graph, inst, out)
-    conflicts = []
-    over = []
-    for v in range(graph.n):
-        cv = out.colors[v]
-        cnt = sum(1 for u in relevant[v] if abs(out.colors[u] - cv) <= inst.g)
-        conflicts.append(cnt)
-        over.append(cnt > inst.defects[v][cv])
+    color, g = out.colors.__getitem__, inst.g
+    by_node = zip(out.colors, _out_lists(graph, inst, out))  # (color, relevant neighbors)
+    if g == 0:  # |x - y| <= 0 is x == y: count by C-level equality
+        conflicts = [countOf(map(color, row), c) for c, row in by_node]
+    else:
+        conflicts = [sum(1 for u in row if abs(color(u) - c) <= g) for c, row in by_node]
+    over = [cnt > dv[c] for cnt, dv, c in zip(conflicts, inst.defects, out.colors)]
     return ValidityReport(
         valid=not any(over),
         conflicts=tuple(conflicts),

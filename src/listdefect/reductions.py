@@ -334,13 +334,13 @@ def degree_halving_framework(
     out-neighbors).
 
     ``udeg[v]`` counts v's uncolored neighbors and ``taken[v]`` the colors
-    of its colored ones; both change as a neighbor is colored, never
-    recounted.  The coloring is checked once, on the output: a node's
-    out-neighbors are fixed when it is colored.  A stage reads only the
-    colors and intra-class pairs of its decomposition (the core of
-    ``sequential_arbdefective``; no cross-class edge is listed).  The stage
-    graph is sliced from the input and given those pairs, and a batch graph
-    is sliced from it only for a class with one (none at arbdefect 0).
+    of its colored ones, both updated as a neighbor is colored.  A node
+    under half the stage degree is active when a residual defect covers its
+    uncolored degree; as d - taken(x) <= d, its defect map is read only if
+    that degree is at most its largest defect.  The output is checked once.
+    A stage reads only the colors and intra-class pairs of the core of
+    ``sequential_arbdefective`` on the uncolored subgraph (the input itself
+    at stage 1); out-lists and batch graphs come only from pairs (none at arbdefect 0).
     """
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
@@ -351,6 +351,7 @@ def degree_halving_framework(
     for v in range(n):
         if sum(defects[v].values()) + len(defects[v]) <= graph.degree(v):
             raise ConditionViolated(f"node {v}: sum(d+1) <= deg")
+    top = [max(dv.values()) for dv in defects]  # each node's largest defect
 
     colors: list[Optional[int]] = [None] * n
     taken: list[dict[int, int]] = [{} for _ in range(n)]
@@ -391,30 +392,26 @@ def degree_halving_framework(
         delta_s = stage_graph.max_degree()
         delta = max(0, math.floor(delta_s / (2 * factor)))
         q = delta_s // (delta + 1) + 1
-        if q * (delta + 1) <= delta_s:
-            raise ConditionViolated(f"q(delta+1)={q*(delta+1)} <= max degree {delta_s}")
         # the decomposition's colors and intra-class pairs, in 0 rounds
         palette = tuple(range(q))
         uniform = ({x: delta for x in palette},) * len(keep)
         dec_colors, _, dec_pairs = _arbdefective_core(stage_graph, (palette,) * len(keep), uniform)
-        traces.append(RoundTrace())
-        dec_outn: list[list[int]] = [[] for _ in keep]
-        edged_classes = set()
-        for a, b in dec_pairs:  # sorted, so each out-list is sorted
-            dec_outn[a].append(b)
-            edged_classes.add(dec_colors[a])
-        stage_graph = replace(stage_graph, out_neighbors=tuple(map(tuple, dec_outn)))
+        edged_classes = {dec_colors[a] for a, _ in dec_pairs}
+        if dec_pairs:  # never at arbdefect 0
+            dec_outn: list[list[int]] = [[] for _ in keep]
+            for a, b in dec_pairs:  # sorted, so each out-list is sorted
+                dec_outn[a].append(b)
+            stage_graph = replace(stage_graph, out_neighbors=tuple(map(tuple, dec_outn)))
         by_class: dict[int, list[int]] = {}
         for i, c in enumerate(dec_colors):
             by_class.setdefault(c, []).append(i)
 
         def is_active(v: int) -> bool:
-            deg_u = udeg[v]
-            if 2 * deg_u >= delta_s:
-                return True
-            # defect absorbs the whole remaining neighborhood: color now
-            t = taken[v]
-            return any(d - t.get(x, 0) >= deg_u for x, d in defects[v].items())
+            # half the stage degree uncolored, or a defect (at most top[v]) absorbs it all
+            deg_u, t = udeg[v], taken[v]
+            return 2 * deg_u >= delta_s or deg_u <= top[v] and any(
+                d - t.get(x, 0) >= deg_u for x, d in defects[v].items()
+            )
 
         for cls in range(q):
             active = [i for i in by_class.get(cls, ()) if is_active(keep[i])]

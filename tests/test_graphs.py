@@ -10,6 +10,7 @@ from listdefect import (
     ColoringOutput,
     InvalidGraph,
     LdcInstance,
+    ListDefectError,
     MissingColor,
     MissingOrientation,
     check_existence_condition,
@@ -18,7 +19,7 @@ from listdefect import (
     validate_ldc,
 )
 from listdefect.errors import ColorNotInList, InvalidInstance
-from listdefect.graphs import FLAVORS
+from listdefect.graphs import FLAVORS, _out_lists
 
 import reference_loader
 from conftest import complete_graph
@@ -126,7 +127,7 @@ def _outcome(fn, *args):
     """("ok", fn's result), or the class and message of what it raised."""
     try:
         return "ok", fn(*args)
-    except (InvalidGraph, MissingOrientation) as exc:
+    except ListDefectError as exc:
         return type(exc), str(exc)
 
 
@@ -379,6 +380,84 @@ def test_subgraph_matches_the_rebuilt_subgraph(case):
     for f in fields(ColoredGraph):
         assert getattr(sub, f.name) == getattr(ref, f.name), f.name
     assert keep == ref_keep
+
+
+def test_subgraph_refuses_ids_outside_the_graph():
+    g = ColoredGraph.build(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidGraph, match=r"^subgraph ids -1\.\.0 outside range\(3\)$"):
+        g.subgraph([-1, 0])
+    with pytest.raises(InvalidGraph, match=r"^subgraph ids 0\.\.5 outside range\(3\)$"):
+        g.subgraph([5, 0])
+    assert g.subgraph([2, 0, 1, 0]) == (g, [0, 1, 2])
+
+
+# -- validate_ldc against the per-neighbor loop --------------------------------
+
+
+def _loop_validate(graph, inst, out):
+    """``validate_ldc`` as one loop over every node and relevant neighbor,
+    testing |color(u) - color(v)| <= g per neighbor."""
+    if len(out.colors) != graph.n:
+        raise InvalidInstance("output length mismatch")
+    for v, c in enumerate(out.colors):
+        if c is None:
+            raise MissingColor(f"node {v} is uncolored")
+        if c not in inst.defects[v]:
+            raise ColorNotInList(f"node {v} colored {c}, not in its list")
+    relevant = _out_lists(graph, inst, out)
+    conflicts = []
+    over = []
+    for v in range(graph.n):
+        cv = out.colors[v]
+        cnt = sum(1 for u in relevant[v] if abs(out.colors[u] - cv) <= inst.g)
+        conflicts.append(cnt)
+        over.append(cnt > inst.defects[v][cv])
+    return not any(over), tuple(conflicts), [v for v, bad in enumerate(over) if bad]
+
+
+@st.composite
+def validator_cases(draw):
+    """Any flavor and g in 0..2 on a graph of up to 7 nodes, with or
+    without an input orientation.  Colors come from the lists over a space
+    of spread-out values, so proximity at g > 0 differs from equality;
+    defects are small (often violated) or roomy (always valid).  An
+    arbdefective output mostly carries a full orientation.  A few outputs
+    are faulty: a node uncolored or off its list, a wrong length, or no
+    output orientation."""
+    n = draw(st.integers(1, 7))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    directed = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    g = ColoredGraph.build(n, edges, orientation=directed if draw(st.booleans()) else None)
+    space = [0, 1, 2, 4, 7, 8]
+    top = draw(st.sampled_from([1, 3, n]))
+    lists = [sorted(draw(st.sets(st.sampled_from(space), min_size=1, max_size=4))) for _ in range(n)]
+    defects = [{x: draw(st.integers(0, top)) for x in lst} for lst in lists]
+    inst = LdcInstance.build(
+        space, lists, defects, flavor=draw(st.sampled_from(FLAVORS)), g=draw(st.integers(0, 2))
+    )
+    colors = [draw(st.sampled_from(lst)) for lst in lists]
+    orientation = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    fault = draw(st.sampled_from([None] * 8 + ["uncolored", "off-list", "length", "unoriented"]))
+    if fault == "uncolored":
+        colors[draw(st.integers(0, n - 1))] = None
+    elif fault == "off-list":
+        v = draw(st.integers(0, n - 1))
+        colors[v] = min(set(space) - set(lists[v]), default=colors[v])
+    elif fault == "length":
+        colors.append(colors[0])
+    elif fault == "unoriented":
+        orientation = None
+    return g, inst, ColoringOutput(tuple(colors), None if orientation is None else tuple(orientation))
+
+
+@settings(max_examples=400, deadline=None)
+@given(validator_cases())
+def test_validate_ldc_matches_the_per_neighbor_loop(case):
+    expected = _outcome(_loop_validate, *case)
+    rep = _outcome(validate_ldc, *case)
+    if rep[0] == "ok":
+        rep = "ok", (rep[1].valid, rep[1].conflicts, rep[1].violating_nodes())
+    assert rep == expected
 
 
 # -- ColoredGraph.build and the loader against their frozen references -------
