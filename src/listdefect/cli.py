@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import sys
+from operator import contains
 from typing import Optional
 
 from .errors import FailFast, ListDefectError
@@ -196,7 +197,8 @@ def run_algorithm(
     with network(bits_per_message=opts["bits_budget"], record_messages=opts["verbose"]):
         out, trace, rows = ALGORITHM_TABLE[algorithm](graph, inst, opts, report)
     if out is not None and algorithm == "linial":
-        report["valid"] = all(out.colors[u] != out.colors[v] for u, v in graph.edges())
+        near = map(map, itertools.repeat(out.colors.__getitem__), graph.adjacency)
+        report["valid"] = not any(map(contains, near, out.colors))  # no edge is monochromatic
     elif out is not None:
         validity = validate_ldc(graph, inst, out)
         report["valid"] = validity.valid

@@ -259,7 +259,7 @@ def _first_free_family(
     members or its union of hit bitmasks reaches rev_limit[j] bits.
     """
     members: list[tuple[int, ...]] = []
-    hits: list[list[tuple[int, int]]] = []
+    hits: list[Optional[list[tuple[int, int]]]] = []  # None: no free family holds it
     count = [0] * len(fwd_limit)
     union = [0] * len(rev_limit)
     comb = math.comb
@@ -278,9 +278,14 @@ def _first_free_family(
             while top >= len(hits):
                 member, rows = next(candidates)
                 members.append(member)
-                hits.append(rows)
-            undo = []
-            for j, mask in hits[top]:
+                # a member that reaches a limit on its own is in no free family
+                alone = any(fwd_limit[j] <= 1 or m.bit_count() >= rev_limit[j] for j, m in rows)
+                hits.append(None if alone else rows)
+            rows = hits[top]
+            if rows is None:
+                continue
+            undo = [] if rows else ()
+            for j, mask in rows:
                 c, u = count[j], union[j]
                 undo.append((j, c, u))
                 count[j] = c + 1

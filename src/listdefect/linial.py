@@ -94,31 +94,27 @@ class _LinialProgram:
     trivial_color: Optional[int]  # everyone outputs this at init (degenerate graphs)
     # bit width of the color sent in round r+1, for every round r that sends
     widths: list[int] = field(init=False, repr=False, compare=False)
-    # p_color(a) for a >= 1 of the current reduction step, keyed by
-    # color * q + a; a cache of a pure function of public quantities,
-    # shared by all nodes
-    _memo: dict[int, int] = field(init=False, repr=False, compare=False)
-    _memo_step: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.widths = [max(1, (p - 1).bit_length()) for p in self.palettes]
-        self._memo = {}
+        # for the round in progress: p_color(a) for a >= 1 of its reduction
+        # step, keyed by color * q + a, and the one message that sends each
+        # color; caches of pure functions of public quantities, shared by all
+        # nodes, at most q^2 messages
+        self._round, self._memo, self._sent = -1, {}, {}
 
     def init(self, view: NodeView):
         if self.trivial_color is not None:
             return None, self.trivial_color
         if not self.schedule:
             return None, view.node
-        relevant = view.out_neighbors if self.oriented else view.neighbors
-        return {"color": view.node, "relevant": relevant}, None
+        # [color, the out-neighbors whose colors count, or None for all neighbors]
+        return [view.node, view.out_neighbors if self.oriented else None], None
 
     def _point_from_one(self, step_idx: int, mine: int, others: list[int]) -> int:
         """The chosen color a*q + p_mine(a) of the first point a >= 1 with
         at most d collisions, through the memo of reduction step ``step_idx``."""
         q, e, d = self.schedule[step_idx]
-        if step_idx != self._memo_step:
-            self._memo = {}
-            self._memo_step = step_idx
         memo = self._memo
         for a in range(1, q):
             key = mine * q + a
@@ -140,26 +136,31 @@ class _LinialProgram:
         raise AssertionError("prime choice guarantees a good point")
 
     def step(self, state, inbox, round_no: int):
-        if round_no > 1:
-            # apply reduction round_no-2 using last round's colors
-            q, _, d = self.schedule[round_no - 2]
-            mine = state["color"]
-            others = [
-                inbox[u]["color"].value for u in state["relevant"] if u in inbox
-            ]
-            # at a = 0 a color's polynomial takes its constant coefficient,
-            # p_c(0) = c mod q, so the first point needs no evaluation
-            chosen = mine % q
-            collisions = 0
-            for c in others:
-                if c % q == chosen:
-                    collisions += 1
-            if collisions > d:
-                chosen = self._point_from_one(round_no - 2, mine, others)
-            state["color"] = chosen
-            if round_no - 1 == len(self.schedule):
-                return state, None, chosen
-        return state, {"color": RawField(state["color"], self.widths[round_no - 1])}, None
+        if round_no == 1:
+            return state, {"color": RawField(state[0], self.widths[0])}, None
+        if round_no != self._round:
+            self._round, self._memo, self._sent = round_no, {}, {}
+        # apply reduction round_no-2 using last round's colors
+        q, _, d = self.schedule[round_no - 2]
+        mine, relevant = state
+        msgs = inbox.values() if relevant is None else [inbox[u] for u in relevant if u in inbox]
+        # at a = 0 a color's polynomial takes its constant coefficient,
+        # p_c(0) = c mod q, so the first point needs no evaluation
+        chosen = mine % q
+        collisions = 0
+        for msg in msgs:
+            if msg["color"].value % q == chosen:
+                collisions += 1
+        if collisions > d:
+            others = [msg["color"].value for msg in msgs]
+            chosen = self._point_from_one(round_no - 2, mine, others)
+        state[0] = chosen
+        if round_no > len(self.schedule):
+            return state, None, chosen
+        msg = self._sent.get(chosen)
+        if msg is None:
+            msg = self._sent[chosen] = {"color": RawField(chosen, self.widths[round_no - 1])}
+        return state, msg, None
 
 
 def _make_program(graph: ColoredGraph, base: int, defect: int, oriented: bool):

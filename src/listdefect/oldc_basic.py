@@ -136,7 +136,6 @@ class _SingleDefectProgram:
     def step(self, state, inbox, round_no: int):
         view = state["view"]
         st = self.statics[view.node]
-        out_set = set(view.out_neighbors)
 
         for u, msg in inbox.items():
             if "decided" in msg:
@@ -185,6 +184,7 @@ class _SingleDefectProgram:
             return state, {"cset": IndexField(best_idx, len(fam))}, None
 
         if round_no == 3:
+            out_set = set(view.out_neighbors)
             shifted = shifted_masks(state["cset_mask"], self.g)
             conflicts = sum(
                 1

@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from itertools import repeat, zip_longest
+from operator import itemgetter, length_hint
 from typing import Any, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import BudgetViolation, NodeFailure, RoundLimitExceeded
@@ -120,8 +121,8 @@ class NodeProgram(Protocol):
 
     ``init`` and ``step`` see only the node's own view, state and inbox.
     A program may still cache a pure function of public quantities
-    across nodes (the Linial reduction memoises polynomial values per
-    reduction step), since that changes no result.
+    across nodes (the Linial reduction memoises polynomial values and
+    its messages per round), since that changes no result.
     """
 
     def init(self, view: NodeView) -> tuple[Any, Optional[Any]]:
@@ -244,68 +245,59 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
     setting = current_network()
     bits_per_message = setting.bits_per_message
     n = graph.n
-    outs = repeat(None) if graph.out_neighbors is None else graph.out_neighbors
-    views = list(map(NodeView._make, zip(
-        range(n), graph.adjacency, outs, graph.init_colors, repeat(graph.m), repeat(n)
-    )))
-    states: list[Any] = [None] * n
-    outputs: list[Any] = [None] * n
-    pending: list[int] = []
-
-    for v in range(n):
-        try:
-            states[v], out = program.init(views[v])
-        except NodeFailure as exc:
-            exc.node = v if exc.node is None else exc.node
-            exc.round_no = 0
-            raise
-        if out is not None:
-            outputs[v] = out
-        else:
-            pending.append(v)
-
-    trace = RoundTrace(outputs=outputs)
-    messages = trace.messages if setting.record_messages else None
-    inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
-    step = program.step
     adjacency = graph.adjacency
-
+    outs = repeat(None) if graph.out_neighbors is None else graph.out_neighbors
+    # views are built and init called without a Python frame per node; a
+    # failing init belongs to the last id drawn
+    ids = iter(range(n))
+    views = map(tuple.__new__, repeat(NodeView), zip(
+        ids, adjacency, outs, graph.init_colors, repeat(graph.m), repeat(n)
+    ))
     rnd = last_sent = 0
-    while pending:
-        rnd += 1
-        if rnd > max_rounds:
-            raise RoundLimitExceeded(
-                f"{n - len(pending)}/{n} nodes decided after {max_rounds} rounds"
-            )
-        next_inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
-        still_pending: list[int] = []
-        round_max = 0
-        for v in pending:
-            try:
+    try:
+        started = list(map(program.init, views))
+        states: list[Any] = list(map(itemgetter(0), started))
+        outputs: list[Any] = list(map(itemgetter(1), started))
+        pending = [v for v in range(n) if outputs[v] is None]
+        trace = RoundTrace(outputs=outputs)
+        messages = trace.messages if setting.record_messages else None
+        inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
+        step = program.step
+        while pending:
+            rnd += 1
+            if rnd > max_rounds:
+                raise RoundLimitExceeded(
+                    f"{n - len(pending)}/{n} nodes decided after {max_rounds} rounds"
+                )
+            next_inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
+            still_pending: list[int] = []
+            round_max = 0
+            for v in pending:
                 states[v], msg, out = step(states[v], inboxes[v], rnd)
-            except NodeFailure as exc:
-                exc.node = v if exc.node is None else exc.node
-                exc.round_no = rnd
-                raise
-            neighbors = adjacency[v]
-            if msg and neighbors:
-                size = message_bits(msg)
-                if bits_per_message is not None and size > bits_per_message:
-                    raise BudgetViolation((v, neighbors[0]), rnd, size, bits_per_message)
-                if size > round_max:
-                    round_max = size
-                last_sent = rnd
-                for u in neighbors:
-                    next_inboxes[u][v] = msg
-                if messages is not None:
-                    messages.extend([(rnd, v, u, size) for u in neighbors])
-            if out is not None:
-                outputs[v] = out
-            else:
-                still_pending.append(v)
-        trace.max_message_bits.append(round_max)
-        inboxes = next_inboxes
-        pending = still_pending
+                neighbors = adjacency[v]
+                if msg and neighbors:
+                    size = message_bits(msg)
+                    if bits_per_message is not None and size > bits_per_message:
+                        raise BudgetViolation((v, neighbors[0]), rnd, size, bits_per_message)
+                    if size > round_max:
+                        round_max = size
+                    last_sent = rnd
+                    for u in neighbors:
+                        next_inboxes[u][v] = msg
+                    if messages is not None:
+                        messages.extend([(rnd, v, u, size) for u in neighbors])
+                if out is not None:
+                    outputs[v] = out
+                else:
+                    still_pending.append(v)
+            trace.max_message_bits.append(round_max)
+            inboxes = next_inboxes
+            pending = still_pending
+    except NodeFailure as exc:  # raised by init or step
+        if exc.node is None:
+            exc.node = v if rnd else n - 1 - length_hint(ids)
+        exc.round_no = rnd
+        raise
 
     del trace.max_message_bits[last_sent:]
     return trace

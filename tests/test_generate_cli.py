@@ -214,6 +214,33 @@ def test_cli_writes_no_invalid_coloring(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r" / "coloring.json").exists()
 
 
+def test_cli_writes_no_improper_linial_coloring(tmp_path, monkeypatch, capsys):
+    from listdefect import cli
+    from listdefect.runtime import RoundTrace
+
+    graph = ColoredGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+    inst = LdcInstance.build([0, 1], [[0, 1]] * 4, [{0: 0, 1: 0}] * 4)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(graph, inst))
+
+    def run_with(colors, out_dir):
+        def fixed(graph, inst, opts, report):
+            return ColoringOutput(colors), RoundTrace(), []
+
+        monkeypatch.setitem(cli.ALGORITHM_TABLE, "linial", fixed)
+        return cli_main(["run", "--algorithm", "linial", "--instance", str(inst_path),
+                         "--out-dir", str(tmp_path / out_dir)])
+
+    # only the last edge, (2, 3), is monochromatic
+    assert run_with((0, 1, 0, 0), "improper") == 1
+    assert capsys.readouterr().err == "invalid output produced\n"
+    assert not (tmp_path / "improper" / "coloring.json").exists()
+    assert run_with((0, 1, 0, 1), "proper") == 0
+    assert capsys.readouterr().err == ""
+    written = json.loads((tmp_path / "proper" / "coloring.json").read_text())
+    assert written["colors"] == [0, 1, 0, 1]
+
+
 def _pipeline_instance(path):
     # Delta = 63 and |C| = 4096: at alpha 1 and r 2 some batches of the
     # pipeline reach the inner distributed

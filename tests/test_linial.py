@@ -106,13 +106,19 @@ def test_random_graph_properness_and_shape():
 class _PerPairLinial:
     """Reference: the Linial node program that evaluates both polynomials of
     every (node, neighbor) pair at every point, with no memo.  It takes the
-    schedule and palettes of a library program and delegates ``init``."""
+    schedule, palettes and degenerate-graph color of a library program; its
+    state is its own."""
 
     def __init__(self, program):
         self.program = program
 
     def init(self, view):
-        return self.program.init(view)
+        if self.program.trivial_color is not None:
+            return None, self.program.trivial_color
+        if not self.program.schedule:
+            return None, view.node
+        relevant = view.out_neighbors if self.program.oriented else view.neighbors
+        return {"color": view.node, "relevant": relevant}, None
 
     def _bits(self, step_idx):
         p = self.program.palettes[step_idx]
