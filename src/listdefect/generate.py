@@ -47,16 +47,27 @@ def make_graph(
     if n < 1:
         raise InfeasibleParams("n must be positive")
     edges: list[tuple[int, int]] = []
+    gnp = family in ("random-gnp", "random-dag")
+    p = degree_target / max(1, n - 1)
     if family == "ring":
         if n < 3:
             raise InfeasibleParams("ring needs n >= 3")
         edges = [(i, (i + 1) % n) for i in range(n)]
-    elif family == "clique":
+    elif family == "clique" or gnp and p >= 1:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    elif family in ("random-gnp", "random-dag"):
-        p = min(1.0, degree_target / max(1, n - 1))
-        draw = rng.random
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p]
+    elif gnp and p > 0:
+        # Batagelj & Brandes (2005): walk the pairs (w, v), w < v, in the
+        # order (v, w) and jump a geometric gap to the next edge, so each
+        # pair is an edge with probability p at O(n + m) cost
+        log_q = math.log1p(-p)
+        v, w = 1, -1
+        while v < n:
+            w += 1 + int(math.log1p(-rng.random()) / log_q)
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                edges.append((w, v))
     elif family == "power-law":
         # preferential attachment with degree_target//2 links per new node
         k = max(1, degree_target // 2)
@@ -73,17 +84,18 @@ def make_graph(
     perm = list(range(n))
     if family == "random-dag":
         rng.shuffle(perm)
-    orientation = None
-    if oriented:
-        orientation = [
-            (u, v) if perm[u] < perm[v] else (v, u) for u, v in edges
-        ]
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     init, m = _greedy_init_coloring(n, adj)
-    return ColoredGraph.build(n, edges, orientation=orientation, init_colors=init, m=m)
+    adjacency = tuple(map(tuple, map(sorted, adj)))
+    out = None
+    if oriented:
+        # each edge points up the node order perm; a filtered sorted row stays sorted
+        out = tuple(tuple([v for v in row if perm[v] > pu]) for row, pu in zip(adjacency, perm))
+    # simple in-range edges and a proper greedy coloring: nothing for build to check
+    return ColoredGraph(n, adjacency, out, tuple(init), m)
 
 
 def _target_threshold(

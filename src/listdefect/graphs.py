@@ -395,19 +395,20 @@ def check_existence_condition(graph: ColoredGraph, inst: LdcInstance) -> list[bo
 
 
 def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
+    # json.dumps writes a tuple as an array, so rows and pairs go in as they are
     doc = {
         "n": graph.n,
-        "edges": [[u, v] for u, v in graph.edges()],
-        "init_colors": list(graph.init_colors),
+        "edges": graph.edges(),
+        "init_colors": graph.init_colors,
         "m": graph.m,
-        "color_space": list(inst.color_space),
-        "lists": [list(l) for l in inst.lists],
+        "color_space": inst.color_space,
+        "lists": inst.lists,
         "defects": [{str(c): d for c, d in dv.items()} for dv in inst.defects],
         "flavor": inst.flavor,
         "g": inst.g,
     }
     if graph.out_neighbors is not None:
-        doc["orientation"] = [[u, v] for u, v in graph.oriented_edges()]
+        doc["orientation"] = graph.oriented_edges()
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

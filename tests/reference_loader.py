@@ -5,7 +5,9 @@ set of (min, max) edge tuples, converts every defect key with a dict
 comprehension, normalises the instance with ``sorted(set(...))`` and
 lets the checked ``LdcInstance`` constructor re-check it.  Tests compare
 the library's loader and ``ColoredGraph.build`` against these copies:
-same result, or the same error class and message.
+same result, or the same error class and message.  ``instance_to_json``
+is the writer as it was before it passed tuples to ``json.dumps``
+unconverted; the library's writer must give the same bytes.
 """
 
 from __future__ import annotations
@@ -168,3 +170,20 @@ def instance_from_json(text: str) -> tuple[ColoredGraph, LdcInstance]:
     if inst.n() != graph.n:
         raise InvalidInstance("lists length does not match node count")
     return graph, inst
+
+
+def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
+    doc = {
+        "n": graph.n,
+        "edges": [[u, v] for u, v in graph.edges()],
+        "init_colors": list(graph.init_colors),
+        "m": graph.m,
+        "color_space": list(inst.color_space),
+        "lists": [list(l) for l in inst.lists],
+        "defects": [{str(c): d for c, d in dv.items()} for dv in inst.defects],
+        "flavor": inst.flavor,
+        "g": inst.g,
+    }
+    if graph.out_neighbors is not None:
+        doc["orientation"] = [[u, v] for u, v in graph.oriented_edges()]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

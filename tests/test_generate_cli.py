@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from listdefect import (
@@ -89,6 +90,57 @@ def test_all_families_build():
         assert g.out_neighbors is not None
         # orientation is total
         assert sum(len(o) for o in g.out_neighbors) == g.edge_count()
+
+
+@pytest.mark.parametrize("family", ["random-gnp", "random-dag"])
+def test_sampler_covers_no_pair_every_pair_and_tiny_graphs(family):
+    for n in (1, 2, 3, 9):
+        assert make_graph(family, n, 0, seed=1).edges() == []
+        clique = make_graph("clique", n, 0, seed=1)
+        for degree in (max(1, n - 1), 2 * n):  # p = 1 and p > 1
+            full = make_graph(family, n, degree, seed=1)
+            assert (full.adjacency, full.init_colors, full.m) == (
+                clique.adjacency, clique.init_colors, clique.m)
+            if family == "random-gnp":
+                assert full == clique
+
+
+@pytest.mark.parametrize("family", ["random-gnp", "random-dag"])
+@pytest.mark.parametrize("n,degree", [(30, 2), (200, 8), (1000, 4), (300, 150)])
+def test_sampler_edge_counts_stay_near_the_binomial_mean(family, n, degree):
+    pairs = n * (n - 1) // 2
+    p = degree / (n - 1)
+    sigma = math.sqrt(pairs * p * (1 - p))
+    for seed in range(5):
+        count = make_graph(family, n, degree, seed=seed, oriented=False).edge_count()
+        assert abs(count - pairs * p) <= 4 * sigma
+
+
+def test_sampler_draws_each_pair_with_probability_p():
+    # a skip off by one favours or starves some pairs, such as the first
+    # pair after each jump to a new node
+    trials, n, p = 3000, 6, 0.3
+    hits: dict[tuple[int, int], int] = dict.fromkeys(
+        [(u, v) for u in range(n) for v in range(u + 1, n)], 0)
+    for seed in range(trials):
+        for edge in make_graph("random-gnp", n, p * (n - 1), seed=seed, oriented=False).edges():
+            hits[edge] += 1
+    sigma = math.sqrt(trials * p * (1 - p))
+    assert len(hits) == 15
+    assert all(abs(count - trials * p) <= 4 * sigma for count in hits.values())
+
+
+@pytest.mark.parametrize("oriented", [True, False])
+@pytest.mark.parametrize("family", ["ring", "clique", "random-gnp", "random-dag", "power-law"])
+def test_generated_graph_equals_its_checked_build(family, oriented):
+    for n, degree, seed in [(3, 2, 0), (12, 4, 1), (40, 5, 2), (40, 12, 3), (90, 3, 4)]:
+        g = make_graph(family, n, degree, seed=seed, oriented=oriented)
+        orientation = g.oriented_edges() if oriented else None
+        assert g == ColoredGraph.build(n, g.edges(), orientation, g.init_colors, g.m)
+        if oriented:
+            # acyclic: by node order, or for random-dag by a random one
+            assert nx.is_directed_acyclic_graph(nx.DiGraph(orientation))
+            assert family == "random-dag" or all(u < v for u, v in orientation)
 
 
 def test_infeasible_params():
@@ -179,7 +231,7 @@ def test_cli_pipeline_on_oriented_instance_fails_fast(tmp_path, capsys):
     inst_path = tmp_path / "dag.json"
     assert cli_main([
         "generate", "--family", "random-dag", "--n", "8", "--list-model", "defect-budget",
-        "--space", "16", "--k", "4", "--flavor", "oriented", "--seed", "1",
+        "--space", "16", "--k", "4", "--flavor", "oriented", "--seed", "14",
         "--out", str(inst_path),
     ]) == 0
     rc = cli_main([
@@ -244,7 +296,8 @@ def test_cli_writes_no_improper_linial_coloring(tmp_path, monkeypatch, capsys):
 def _pipeline_instance(path):
     # Delta = 63 and |C| = 4096: at alpha 1 and r 2 some batches of the
     # pipeline reach the inner distributed
-    graph = make_graph("random-gnp", 120, 48, seed=1, oriented=False)
+    graph = make_graph("random-gnp", 120, 48, seed=6, oriented=False)
+    assert graph.max_degree() == 63
     inst = make_instance(
         graph, "degree-plus-one", seed=1, space_size=4096, flavor="arbdefective"
     )

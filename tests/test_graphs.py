@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import fields
 
 import pytest
@@ -573,7 +574,10 @@ def _mutate(rnd, doc: dict, kind: str) -> None:
 
     pick = rnd.choice
     n = len(field("init_colors"))
-    edges = [e for e in field("edges") if type(e) is list and len(e) == 2]
+    # int pairs only: a retyped entry such as [0, "x"] cannot feed min(u, v)
+    edges = [
+        e for e in field("edges") if type(e) is list and len(e) == 2 and set(map(type, e)) == {int}
+    ]
     rows = [r for r in field("lists") if type(r) is list and r]
     maps = [dv for dv in field("defects") if type(dv) is dict and dv]
     if kind == "schema":
@@ -684,3 +688,29 @@ def mutated_instance_texts(draw, first: str):
 def test_loader_matches_the_frozen_reference(first, data):
     text = data.draw(mutated_instance_texts(first), label="text")
     assert _loaded(instance_from_json, text) == _loaded(reference_loader.instance_from_json, text)
+
+
+def test_writer_matches_the_frozen_reference_on_a_spread_instance():
+    # oriented, a space with gaps and colors past 9 (string keys sort apart), g > 0
+    g = ColoredGraph.build(4, [(0, 1), (1, 2), (2, 3)], orientation=[(1, 0), (1, 2), (3, 2)],
+                           init_colors=[0, 1, 0, 1], m=3)
+    inst = LdcInstance.build([0, 3, 9, 10, 21], [[3, 10], [0, 21], [9], [3, 9, 10]],
+                             [{3: 0, 10: 2}, {0: 1, 21: 0}, {9: 3}, {10: 1, 3: 0, 9: 2}],
+                             flavor="oriented", g=2)
+    assert instance_to_json(g, inst) == reference_loader.instance_to_json(g, inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_instance_docs())
+def test_writer_matches_the_frozen_reference(doc):
+    graph, inst = instance_from_json(json.dumps(doc))
+    assert instance_to_json(graph, inst) == reference_loader.instance_to_json(graph, inst)
+
+
+def test_edge_mutations_pass_over_entries_that_are_not_int_pairs():
+    # a retype-entry mutation can leave [0, "x"] in the edges, which
+    # improper once fed to min(u, v) inside the strategy
+    doc = {"n": 2, "edges": [[0, "x"]], "init_colors": [0, 1], "m": 2}
+    for kind in ("improper", "reverse-edge", "orientation"):
+        _mutate(random.Random(0), doc, kind)
+    assert doc == {"n": 2, "edges": [[0, "x"]], "init_colors": [0, 1], "m": 2}

@@ -11,7 +11,8 @@ and is recorded as its colors, orientation, verbose trace JSON and stage
 rows when it succeeds, or as its failure class and message when it fails
 fast.  The sha256 of all records is pinned, so it covers the trace bytes
 and stage rows that the framework's differential tests do not compare.
-After an intended output change, print the new digest with
+After an intended output change, print the new digest, after one
+sha256 per case (its index and family), with
 
     PYTHONPATH=src python tests/test_pipeline_golden.py
 """
@@ -23,7 +24,7 @@ import json
 
 from listdefect import ListDefectError, congest_pipeline, make_graph, make_instance, network
 
-PIPELINE_GOLDEN_SHA256 = "5e5f8ec3617d677795b421ddf4a631d0f1c3e701780d9c4dd434fdd2a1f31ea6"
+PIPELINE_GOLDEN_SHA256 = "6034bfb2804cad84f2eb3c455ee63a58b9a812ff5893e45d24dc62864e271ef8"
 
 # (family, n, degree target, list model, flavor, g); the case's index is its seed
 CASES = (
@@ -90,4 +91,9 @@ def test_pipeline_golden_digest():
 
 
 if __name__ == "__main__":
-    print(golden_digest(golden_records()))
+    # one digest per case, so a diff of two prints names the cases that changed
+    records = golden_records()
+    for seed, (case, record) in enumerate(zip(CASES, records)):
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        print(seed, case[0], digest)
+    print(golden_digest(records))

@@ -545,7 +545,7 @@ def test_framework_local_batches_match_the_inner_call_loop(case, inner):
 
 
 # pipeline-workload shapes: degree+1 lists, zero defects, max degree <= 16
-_PIPELINE_SHAPES = [("random-gnp", 200, 8, 0), ("random-gnp", 200, 8, 2), ("ring", 200, 2, 1)]
+_PIPELINE_SHAPES = [("random-gnp", 200, 8, 1), ("random-gnp", 200, 8, 2), ("ring", 200, 2, 1)]
 
 
 def _pipeline_shape(family, n, degree, seed):
