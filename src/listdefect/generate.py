@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import cycle
 
 from .conflict import tau_of
 from .errors import InfeasibleParams
@@ -100,22 +101,52 @@ def make_graph(
 
 def _target_threshold(
     target: str, graph: ColoredGraph, v: int, space_size: int, g: int, alpha: float
-) -> tuple[int, int]:
-    """(exponent, required sum) for the defect-budget model at node v."""
-    deg = graph.degree(v)
+) -> tuple[int, int, int]:
+    """(w, e, need): the defect-budget defects d at node v must reach sum((w*d + 1)**e) >= need."""
+    deg = len(graph.adjacency[v])
     if target in ("eq1", "eq2"):
-        # eq2's sum(2d+1) > deg: the caller doubles the defects
-        return 1, deg + 1
+        # eq2's sum(2d+1) > deg weighs each defect twice
+        return (2 if target == "eq2" else 1), 1, deg + 1
     if target not in ("eq5", "eq6"):
         raise InfeasibleParams(f"unknown target {target!r}")
     beta = graph.beta(v) if graph.out_neighbors is not None else max(1, deg)
     h = max(1, beta.bit_length())
     tau = tau_of(h, space_size, graph.m)
     if target == "eq5":
-        return 2, math.ceil(alpha * beta**2 * tau * h * (2 * g + 1))
+        return 1, 2, math.ceil(alpha * beta**2 * tau * h * (2 * g + 1))
     hp = max(1, math.ceil(math.log2(8 * h)))
     taubar = tau_of(hp, h, graph.m)
-    return 2, math.ceil(alpha**2 * beta**2 * tau * taubar * hp**2)
+    return 1, 2, math.ceil(alpha**2 * beta**2 * tau * taubar * hp**2)
+
+
+def _draw(getrandbits, n: int, k: int, defects: bool) -> dict[int, int]:
+    """``rng.sample(range(n), k)``, sorted, mapped to one ``rng.randrange(4)`` per color if
+    ``defects``, else to 0, from the same ``rng.getrandbits`` calls in the same order:
+    ``sample``'s pool or set method by its ``setsize`` rule, ``_randbelow``'s rejection loop."""
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(n, n - k, -1):
+            j = getrandbits(i.bit_length())
+            while j >= i:
+                j = getrandbits(i.bit_length())
+            pool[j], pool[i - 1] = pool[i - 1], pool[j]
+        picked = pool[n - k:]
+    else:
+        bits = n.bit_length()
+        picked = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+    dv = dict.fromkeys(sorted(picked), 0)
+    for c in dv if defects else ():
+        d = getrandbits(3)
+        while d > 3:
+            d = getrandbits(3)
+        dv[c] = d
+    return dv
 
 
 def make_instance(
@@ -139,41 +170,33 @@ def make_instance(
         raise InfeasibleParams(f"unknown list model {list_model!r}")
     if space_size < 1:
         raise InfeasibleParams("empty color space")
-    space = list(range(space_size))
-    lists: list[list[int]] = []
+    budget = list_model == "defect-budget"
     defects: list[dict[int, int]] = []
-    for v in range(graph.n):
+    for v, row in enumerate(graph.adjacency):
         if list_model == "degree-plus-one":
-            size = graph.degree(v) + 1
+            size = len(row) + 1
             if size > space_size:
-                raise InfeasibleParams(
-                    f"degree+1 = {size} exceeds the color space at node {v}"
-                )
-            lst = sorted(rng.sample(space, size))
-            dv = dict.fromkeys(lst, 0)
+                raise InfeasibleParams(f"degree+1 = {size} exceeds the color space at node {v}")
         elif list_model == "uniform-k":
             if k > space_size:
                 raise InfeasibleParams("k exceeds the color space")
-            lst = sorted(rng.sample(space, k))
-            dv = dict.fromkeys(lst, 0)
+            if k < 0:
+                raise InfeasibleParams(f"k = {k} is negative")
+            size = k
         else:
             size = min(space_size, max(1, k))
-            lst = sorted(rng.sample(space, size))
-            dv = {x: rng.randrange(4) for x in lst}
-            exponent, need = _target_threshold(target, graph, v, space_size, g, alpha)
-            double = 2 if target == "eq2" else 1
-
-            def total() -> int:
-                return sum((double * d + 1) ** exponent for d in dv.values())
-
-            guard = 0
-            while total() < need:
-                x = lst[guard % len(lst)]
+        dv = _draw(rng.getrandbits, space_size, size, budget)
+        if budget:
+            w, exponent, need = _target_threshold(target, graph, v, space_size, g, alpha)
+            total = sum((w * d + 1) ** exponent for d in dv.values())
+            for guard, x in enumerate(cycle(dv), 1):
+                if total >= need:
+                    break
+                total += (w * dv[x] + w + 1) ** exponent - (w * dv[x] + 1) ** exponent
                 dv[x] += 1
-                guard += 1
                 if guard > 10_000_000:
                     raise InfeasibleParams("defect budget did not converge")
-        lists.append(lst)
         defects.append(dv)
-    # the lists are sorted and free of repeats; each defect map follows its list
-    return LdcInstance._trusted(tuple(space), tuple(map(tuple, lists)), tuple(defects), flavor, g)
+    # each defect map's keys are its list: sorted and free of repeats
+    lists = tuple(map(tuple, defects))
+    return LdcInstance._trusted(tuple(range(space_size)), lists, tuple(defects), flavor, g)

@@ -396,6 +396,7 @@ def check_existence_condition(graph: ColoredGraph, inst: LdcInstance) -> list[bo
 
 def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
     # json.dumps writes a tuple as an array, so rows and pairs go in as they are
+    name = dict(zip(inst.color_space, map(str, inst.color_space)))  # each color's str, once
     doc = {
         "n": graph.n,
         "edges": graph.edges(),
@@ -403,7 +404,7 @@ def instance_to_json(graph: ColoredGraph, inst: LdcInstance) -> str:
         "m": graph.m,
         "color_space": inst.color_space,
         "lists": inst.lists,
-        "defects": [{str(c): d for c, d in dv.items()} for dv in inst.defects],
+        "defects": [{name[c]: d for c, d in dv.items()} for dv in inst.defects],
         "flavor": inst.flavor,
         "g": inst.g,
     }

@@ -261,7 +261,7 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
         pending = [v for v in range(n) if outputs[v] is None]
         trace = RoundTrace(outputs=outputs)
         messages = trace.messages if setting.record_messages else None
-        inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
+        inboxes: Any = [{} for _ in range(n)]  # by node id; after a silent round, a dict
         step = program.step
         while pending:
             rnd += 1
@@ -269,7 +269,6 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
                 raise RoundLimitExceeded(
                     f"{n - len(pending)}/{n} nodes decided after {max_rounds} rounds"
                 )
-            next_inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
             still_pending: list[int] = []
             round_max = 0
             for v in pending:
@@ -281,7 +280,8 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
                         raise BudgetViolation((v, neighbors[0]), rnd, size, bits_per_message)
                     if size > round_max:
                         round_max = size
-                    last_sent = rnd
+                    if last_sent != rnd:  # the round's first send makes the next inboxes
+                        last_sent, next_inboxes = rnd, [{} for _ in range(n)]
                     for u in neighbors:
                         next_inboxes[u][v] = msg
                     if messages is not None:
@@ -291,8 +291,9 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
                 else:
                     still_pending.append(v)
             trace.max_message_bits.append(round_max)
-            inboxes = next_inboxes
             pending = still_pending
+            # after a silent round each pending node reads a fresh empty inbox
+            inboxes = next_inboxes if last_sent == rnd else {v: {} for v in pending}
     except NodeFailure as exc:  # raised by init or step
         if exc.node is None:
             exc.node = v if rnd else n - 1 - length_hint(ids)

@@ -336,3 +336,25 @@ def test_node_failure_names_its_node_and_round():
     assert str(NodeFailure("x", node=3)) == "x [node 3]"
     assert str(NodeFailure("x", round_no=2)) == "x [round 2]"
     assert str(NodeFailure("x")) == "x"
+
+
+class _SilentSecondRound:
+    """Sends its id in round 1 only and decides after round 3; in every
+    round it records the senders it reads, then writes into its inbox."""
+
+    def init(self, view):
+        return (view.node, []), None
+
+    def step(self, state, inbox, rnd):
+        v, read = state
+        read.append(sorted(inbox))
+        inbox[-1] = {"scribble": RawField(rnd, 1)}
+        return state, ({"id": RawField(v, 2)} if rnd == 1 else None), (read if rnd == 3 else None)
+
+
+def test_a_silent_round_hands_the_next_one_fresh_empty_inboxes():
+    # the engine makes a round's next inboxes at its first send; after a
+    # silent round every pending node still reads an empty inbox of its own
+    trace = run(PATH3, _SilentSecondRound())
+    assert trace.outputs == [[[], [1], []], [[], [0, 2], []], [[], [1], []]]
+    assert trace.max_message_bits == [2]
