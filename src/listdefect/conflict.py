@@ -147,6 +147,8 @@ def residue_restrict(colors: Sequence[int], g: int) -> tuple[int, tuple[int, ...
     to the smallest residue.  The restricted list keeps at least
     |L|/(2g+1) colors, and any two of its colors are more than 2g apart.
     """
+    if g == 0:  # modulo 1 is one class: the sorted list
+        return 0, tuple(sorted(colors))
     mod = 2 * g + 1
     buckets: dict[int, list[int]] = {}
     for c in sorted(colors):

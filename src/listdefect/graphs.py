@@ -140,7 +140,8 @@ class ColoredGraph:
         return max(1, self.outdegree(v))
 
     def max_beta(self) -> int:
-        return max((self.beta(v) for v in range(self.n)), default=1)
+        # beta(0) raises MissingOrientation on an unoriented graph with nodes
+        return max(self.beta(0), *map(len, self.out_neighbors)) if self.n else 1
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]

@@ -75,19 +75,20 @@ class OldcConfig:
 
 
 def gamma_class_of(beta_v: int, d_v: int) -> int:
-    """Smallest i >= 1 with 2**i >= 2*beta_v/(d_v+1)."""
+    """Smallest i >= 1 with 2**i >= 2*beta_v/(d_v+1); d_v must be nonnegative."""
+    if d_v < 0:
+        raise InvalidInstance(f"negative defect {d_v}")
     i = 1
     while (1 << i) * (d_v + 1) < 2 * beta_v:
         i += 1
     return i
 
 
-def _first_cover(graph: ColoredGraph, inst: LdcInstance, v: int) -> Optional[int]:
+def _first_cover(inst: LdcInstance, v: int, outdeg: int) -> Optional[int]:
     """The first color whose defect covers v's outdegree, or None; a node
     with such a color takes it and skips the machinery."""
     if not inst.lists[v]:
         raise ListTooSmall(f"node {v} has an empty color list")
-    outdeg = graph.outdegree(v)
     return next((x for x in inst.lists[v] if inst.defects[v][x] >= outdeg), None)
 
 
@@ -234,14 +235,13 @@ def _run_single_defect(
     h_arg: Optional[int] = None,
     predecided: Optional[dict[int, int]] = None,
 ) -> tuple[ColoringOutput, RoundTrace]:
-    if graph.out_neighbors is None:
-        raise MissingOrientation("oriented coloring needs an orientation")
+    """The single-defect pipeline on canonical lists and nonnegative defects."""
     n = graph.n
     predecided = dict(predecided or {})
-    lists = [tuple(sorted(set(l))) for l in lists]
     statics = [_NodeStatics() for _ in range(n)]
     space_size = len(color_space)
-    beta_max = graph.max_beta()
+    outdeg = list(map(len, graph.out_neighbors))
+    beta_max = max(1, max(outdeg, default=1))
 
     classed: list[int] = []
     for v in range(n):
@@ -250,29 +250,23 @@ def _run_single_defect(
             continue
         if not lists[v]:
             raise ListTooSmall(f"node {v} has an empty color list")
-        outdeg = graph.outdegree(v)
-        if outdeg <= defects[v]:
+        if outdeg[v] <= defects[v]:
             statics[v].skip_color = lists[v][0]
             continue
-        beta_v = max(1, outdeg)
         statics[v].defect = defects[v]
-        statics[v].gamma = gamma_class_of(beta_v, defects[v])
+        statics[v].gamma = gamma_class_of(max(1, outdeg[v]), defects[v])
         classed.append(v)
 
     # h may be given but must cover every realized class
     h = max(h_arg or 1, max((statics[v].gamma for v in classed), default=1))
     params = ConflictParams(
-        h=h,
-        color_space_size=space_size,
-        m=graph.m,
-        g=g,
-        scale_override=config.scale_override,
+        h=h, color_space_size=space_size, m=graph.m, g=g, scale_override=config.scale_override
     )
     tau, tau_prime = params.tau, params.tau_prime
 
     types: list[NodeType] = []
     for v in classed:
-        beta_v = max(1, graph.outdegree(v))
+        beta_v = max(1, outdeg[v])
         need = config.alpha * (beta_v / (defects[v] + 1)) ** 2 * tau * (2 * g + 1)
         if len(lists[v]) < need:
             raise ListTooSmall(
@@ -298,15 +292,10 @@ def _run_single_defect(
         statics[v].masks = masks_of[t]
 
     program = _SingleDefectProgram(
-        statics=statics,
-        space_size=space_size,
-        h=h,
-        tau=tau,
-        tau_prime=tau_prime,
-        g=g,
+        statics=statics, space_size=space_size, h=h, tau=tau, tau_prime=tau_prime, g=g,
         beta_max=beta_max,
     )
-    inst = _single_defect_instance(graph, color_space, lists, defects, predecided, g)
+    inst = _single_defect_instance(outdeg, color_space, lists, defects, predecided, g)
     trace = run(graph, program)
     output = ColoringOutput(tuple(trace.outputs))
     require_valid(graph, inst, output, "output failed validation at nodes")
@@ -314,20 +303,41 @@ def _run_single_defect(
 
 
 def _single_defect_instance(
-    graph: ColoredGraph, color_space: Sequence[int], lists: Sequence[Sequence[int]],
+    outdeg: list[int], color_space: Sequence[int], lists: Sequence[Sequence[int]],
     defects: Sequence[int] | dict[int, int], predecided: dict[int, int], g: int,
 ) -> LdcInstance:
     """The instance a single-defect run is checked against: each node's
     list at its one defect ``defects[v]``, and a predecided node's color
-    at its outdegree.  The lists are sorted and free of repeats already."""
-    nodes = range(graph.n)
-    return LdcInstance(
+    at its outdegree ``outdeg[v]``.  Built on trust: the lists are sorted,
+    free of repeats and in the space, the defects and colors nonnegative,
+    as ``_checked_lists`` or the caller's own instance made sure."""
+    nodes = range(len(outdeg))
+    return LdcInstance._trusted(
         tuple(sorted(set(color_space))),
-        tuple((predecided[v],) if v in predecided else lists[v] for v in nodes),
-        tuple({predecided[v]: graph.outdegree(v)} if v in predecided
-              else dict.fromkeys(lists[v], defects[v]) for v in nodes),
-        flavor=FLAVOR_ORIENTED, g=g,
+        tuple([(predecided[v],) if v in predecided else lists[v] for v in nodes]),
+        tuple([{predecided[v]: outdeg[v]} if v in predecided
+               else dict.fromkeys(lists[v], defects[v]) for v in nodes]),
+        FLAVOR_ORIENTED, g,
     )
+
+
+def _checked_lists(n: int, color_space: Sequence[int], lists: Sequence[Sequence[int]],
+                   defects: Sequence[int]) -> list[tuple[int, ...]]:
+    """The lists sorted and free of repeats, after the checks that the
+    instance constructor would make on them and on the defects; the first
+    fault raises InvalidInstance, before any round."""
+    space = set(color_space)
+    if min(space, default=0) < 0:
+        raise InvalidInstance("colors must be nonnegative integers")
+    if len(lists) != n or len(defects) != n:
+        raise InvalidInstance(f"{len(lists)} lists and {len(defects)} defects for {n} nodes")
+    lists = [tuple(sorted(set(l))) for l in lists]
+    for v, (lst, d) in enumerate(zip(lists, defects)):
+        if not space.issuperset(lst):
+            raise InvalidInstance(f"list of node {v} leaves the color space")
+        if d < 0:
+            raise InvalidInstance(f"negative defect at node {v}")
+    return lists
 
 
 def single_defect_oldc(
@@ -341,8 +351,12 @@ def single_defect_oldc(
     """Generalized OLDC with one defect value per node.
 
     Every node ends with at most d_v out-neighbors whose color is within
-    distance g of its own, or the run aborts fail-fast.
+    distance g of its own, or the run aborts fail-fast.  Faulty lists or
+    defects raise InvalidInstance before any round.
     """
+    if graph.out_neighbors is None:
+        raise MissingOrientation("oriented coloring needs an orientation")
+    lists = _checked_lists(graph.n, color_space, lists, defects)
     return _run_single_defect(graph, color_space, lists, defects, g, config or OldcConfig())
 
 
@@ -373,12 +387,13 @@ def multi_defect_oldc(
     reduced_defect: list[int] = [0] * n
     max_class = 1
     machinery: list[tuple[int, int, int]] = []  # (node, beta_hat, energy total)
+    outdeg = list(map(len, graph.out_neighbors))
     for v in range(n):
-        first_cover = _first_cover(graph, inst, v)
+        first_cover = _first_cover(inst, v, outdeg[v])
         if first_cover is not None:
             predecided[v] = first_cover
             continue
-        beta_hat = _pow2_ceil(max(1, graph.outdegree(v)))
+        beta_hat = _pow2_ceil(max(1, outdeg[v]))
         buckets: dict[int, list[int]] = {}
         for x in inst.lists[v]:
             dhat1 = _pow2_floor(inst.defects[v][x] + 1)
@@ -394,7 +409,7 @@ def multi_defect_oldc(
         star = min(energy, key=lambda c: (-energy[c], c))
         assert energy[star] * len(buckets) >= total, "best bucket must carry >= 1/h of the energy"
         xs = buckets[star]
-        reduced_lists[v] = tuple(sorted(xs))
+        reduced_lists[v] = tuple(xs)  # in list order, so sorted
         reduced_defect[v] = _pow2_floor(inst.defects[v][xs[0]] + 1) - 1
         max_class = max(max_class, star)
         machinery.append((v, beta_hat, total))
@@ -414,14 +429,8 @@ def multi_defect_oldc(
             )
 
     out, trace = _run_single_defect(
-        graph,
-        inst.color_space,
-        reduced_lists,
-        reduced_defect,
-        g,
-        config,
-        h_arg=h_used,
-        predecided=predecided,
+        graph, inst.color_space, reduced_lists, reduced_defect, g, config,
+        h_arg=h_used, predecided=predecided,
     )
     require_valid(graph, inst, out, "output failed validation at nodes")
     return out, trace

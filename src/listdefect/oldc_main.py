@@ -49,7 +49,8 @@ from .graphs import (
     require_valid,
 )
 from .oldc_basic import (
-    OldcConfig, _first_cover, _pow2_ceil, _pow2_floor, _single_defect_instance, multi_defect_oldc
+    OldcConfig, _checked_lists, _first_cover, _pow2_ceil, _pow2_floor, _single_defect_instance,
+    multi_defect_oldc,
 )
 from .runtime import (
     ColorListField,
@@ -144,22 +145,21 @@ def two_phase_oldc(
         raise MissingOrientation("two-phase OLDC needs an orientation")
     n = graph.n
     predecided = dict(predecided or {})
-    lists = [tuple(sorted(set(l))) for l in lists]
     machinery = sorted(budget.classes)
     if set(machinery) | set(predecided) != set(range(n)) or set(machinery) & set(predecided):
         raise InvalidInstance("every node needs exactly one of: class or predecided color")
+    # a predecided node is checked at its one color
+    rows = [(predecided[v],) if v in predecided else l for v, l in enumerate(lists)]
+    lists = _checked_lists(n, color_space, rows, [budget.defects.get(v, 0) for v in range(n)])
 
     h, q = budget.h, budget.q
     params = ConflictParams(
-        h=h,
-        color_space_size=len(color_space),
-        m=graph.m,
-        g=0,
-        scale_override=config.scale_override,
+        h=h, color_space_size=len(color_space), m=graph.m, g=0, scale_override=config.scale_override
     )
     tau, tau_prime = params.tau, params.tau_prime
     space_size = len(color_space)
-    beta_max = graph.max_beta()
+    outdeg = list(map(len, graph.out_neighbors))
+    beta_max = max(1, max(outdeg, default=1))
 
     nodes = {v: _TwoPhaseNode() for v in machinery}
     beta_within: dict[int, dict[int, int]] = {}
@@ -174,7 +174,7 @@ def two_phase_oldc(
                 j = budget.classes[u]
                 per_class[j] = per_class.get(j, 0) + 1
         beta_within[v] = per_class
-        beta_v = graph.beta(v)
+        beta_v = max(1, outdeg[v])
         b_same = per_class.get(node.gamma, 0)
         if 4 * max(b_same * q, beta_v) > (node.defect + 1) * (1 << node.gamma) * q:
             raise NodeFailure(
@@ -229,9 +229,7 @@ def two_phase_oldc(
             )
             n_bad = len(node.colors) - len(keep)
             if n_bad * (node.defect + 1) > 4 * d_total:
-                raise NodeFailure(
-                    f"bad-color bound violated: |B|={n_bad} D={d_total}", node=v
-                )
+                raise NodeFailure(f"bad-color bound violated: |B|={n_bad} D={d_total}", node=v)
             k_i = (1 << i) * tau
             if len(keep) < k_i:
                 raise ListTooSmall(
@@ -257,10 +255,7 @@ def two_phase_oldc(
 
         class_types = {v: NodeType(graph.init_colors[v], pruned[v], i) for v in members}
         table = build_or_load_type_table(
-            params,
-            list(class_types.values()),
-            {i: (1 << i) * tau},
-            (1 << i) * tau_prime,
+            params, list(class_types.values()), {i: (1 << i) * tau}, (1 << i) * tau_prime
         )
         masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
         cset_msgs = {}
@@ -319,9 +314,7 @@ def two_phase_oldc(
             }
             multiset = len(decided_hits) + sum(overlap[u] for u in star)
             if 2 * multiset >= (1 << i) * (node.defect + 1) * tau:
-                raise NodeFailure(
-                    f"phase-II multiset bound fails: {multiset}", node=v
-                )
+                raise NodeFailure(f"phase-II multiset bound fails: {multiset}", node=v)
             best_x, best_f = None, None
             for x in node.cset:
                 f_x = sum(1 for c in decided_hits.values() if c == x)
@@ -329,9 +322,7 @@ def two_phase_oldc(
                 if best_f is None or f_x < best_f:
                     best_x, best_f = x, f_x
             if 2 * best_f > node.defect:
-                raise NodeFailure(
-                    f"phase-II frequency bound fails: {best_f} > d/2", node=v
-                )
+                raise NodeFailure(f"phase-II frequency bound fails: {best_f} > d/2", node=v)
             lower_hits = sum(
                 node.known_csets[u] >> best_x & 1
                 for u in graph.out_neighbors[v]
@@ -350,10 +341,8 @@ def two_phase_oldc(
 
     output = ColoringOutput(tuple(colors[v] for v in range(n)))
     trace = concat_traces(traces, output.colors)
-    trace.audit = [
-        (v, *nodes[v].audit) if v in nodes else (v, 0, 0, 0) for v in range(n)
-    ]
-    inst = _single_defect_instance(graph, color_space, lists, budget.defects, predecided, 0)
+    trace.audit = [(v, *nodes[v].audit) if v in nodes else (v, 0, 0, 0) for v in range(n)]
+    inst = _single_defect_instance(outdeg, color_space, lists, budget.defects, predecided, 0)
     require_valid(graph, inst, output, "two-phase output invalid at")
     return output, trace
 
@@ -500,7 +489,8 @@ def main_oldc(
         raise InvalidInstance("main OLDC expects an oriented g=0 instance")
     n = graph.n
 
-    beta_hat_all = max(_pow2_ceil(max(1, graph.outdegree(v))) for v in range(n)) if n else 1
+    outdeg = list(map(len, graph.out_neighbors))
+    beta_hat_all = _pow2_ceil(max(1, max(outdeg, default=1)))
     h = max(1, beta_hat_all.bit_length() - 1)
     hprime = _pow4_ceil(max(1.0, math.log2(8 * h)))
     alpha = _pow4_ceil(config.alpha)
@@ -513,11 +503,11 @@ def main_oldc(
     predecided: dict[int, int] = {}
     profiles: dict[int, LambdaProfile] = {}
     for v in range(n):
-        first_cover = _first_cover(graph, inst, v)
+        first_cover = _first_cover(inst, v, outdeg[v])
         if first_cover is not None:
             predecided[v] = first_cover
             continue
-        prof = lambda_profile(inst.defects[v], graph.beta(v), h, alpha, taubar, hprime)
+        prof = lambda_profile(inst.defects[v], max(1, outdeg[v]), h, alpha, taubar, hprime)
         # solvability condition, in the exact form energy >= alpha * tau * R
         if prof.total_energy < alpha * tau * prof.r_big:
             raise ListTooSmall(

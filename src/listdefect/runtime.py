@@ -44,10 +44,6 @@ from .errors import BudgetViolation, NodeFailure, RoundLimitExceeded
 from .graphs import ColoredGraph
 
 
-def _log2ceil(x: int) -> int:
-    return 0 if x <= 1 else (x - 1).bit_length()
-
-
 # -- message fields ----------------------------------------------------------
 
 
@@ -58,7 +54,8 @@ class ColorListField(NamedTuple):
     space_size: int
 
     def bit_cost(self) -> int:
-        return min(self.space_size, len(self.colors) * _log2ceil(self.space_size))
+        # (s - 1).bit_length() is ceil(log2 s) for s >= 1; at s = 0 the min is 0
+        return min(self.space_size, len(self.colors) * (self.space_size - 1).bit_length())
 
 
 class Pow2DefectField(NamedTuple):
@@ -68,7 +65,8 @@ class Pow2DefectField(NamedTuple):
     beta: int
 
     def bit_cost(self) -> int:
-        return _log2ceil(max(1, _log2ceil(max(2, self.beta)))) + 1
+        # ceil(log2 ceil(log2 max(2, beta))) + 1; the inner log is at least 1
+        return ((max(2, self.beta) - 1).bit_length() - 1).bit_length() + 1
 
 
 class IndexField(NamedTuple):
@@ -78,7 +76,7 @@ class IndexField(NamedTuple):
     table_size: int
 
     def bit_cost(self) -> int:
-        return _log2ceil(self.table_size)
+        return (self.table_size - 1).bit_length() if self.table_size > 1 else 0
 
 
 class RawField(NamedTuple):

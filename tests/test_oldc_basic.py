@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listdefect import (
     ColoredGraph,
+    ColoringOutput,
     FailFast,
     LdcInstance,
     ListTooSmall,
@@ -18,7 +25,9 @@ from listdefect.errors import InvalidInstance, NodeFailure
 
 from conftest import random_dag, uniform_instance
 from test_conflict import mu_g_ref, tau_g_ref
+from test_engine_reference import graphs
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SCALED = OldcConfig(alpha=1.0, scale_override=(2, 2))
 
 
@@ -145,6 +154,88 @@ def test_empty_lists_fail_fast():
     inst = LdcInstance.build([0, 1], [[0], []], [{0: 0}, {}], flavor="oriented")
     with pytest.raises(ListTooSmall):
         multi_defect_oldc(g, inst, config=SCALED)
+
+
+PATH3 = ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("space, lists, defects, message", [
+    (range(8), [[0, 1, 9]] * 3, [0] * 3, "list of node 0 leaves the color space"),
+    ([-1, 0, 1, 2], [[0, 1, 2]] * 3, [0] * 3, "colors must be nonnegative integers"),
+    (range(8), [[0, 1, 2]] * 2, [0] * 3, "2 lists and 3 defects for 3 nodes"),
+    (range(8), [[0, 1, 2]] * 3, [0] * 2, "3 lists and 2 defects for 3 nodes"),
+    (range(8), [[0, 1, 2]] * 4, [0] * 4, "4 lists and 4 defects for 3 nodes"),
+], ids=["outside-space", "negative-space-color", "short-lists", "short-defects", "extra-lists"])
+def test_single_defect_inputs_are_checked_up_front(space, lists, defects, message):
+    with pytest.raises(InvalidInstance, match=message):
+        single_defect_oldc(PATH3, space, lists, defects, 0, SCALED)
+
+
+def test_input_checks_fire_before_a_run_that_fails_fast():
+    # node 0's empty list alone fails fast with ListTooSmall; node 2's
+    # color outside the space is named first, before any round
+    with pytest.raises(ListTooSmall):
+        single_defect_oldc(PATH3, range(8), [[], [0, 1], [1, 2]], [0] * 3, 0, SCALED)
+    with pytest.raises(InvalidInstance, match="list of node 2 leaves the color space"):
+        single_defect_oldc(PATH3, range(8), [[], [0, 1], [1, 9]], [0] * 3, 0, SCALED)
+
+
+def test_negative_defect_is_rejected_not_looped_on():
+    # run apart with a timeout: the gamma class search never ended on d < 0
+    script = (
+        "from listdefect import ColoredGraph, InvalidInstance, OldcConfig, gamma_class_of, single_defect_oldc\n"
+        "g = ColoredGraph.build(3, [(0, 1), (1, 2)], orientation=[(0, 1), (1, 2)])\n"
+        "for call in (lambda: gamma_class_of(2, -1), lambda: single_defect_oldc(\n"
+        "        g, range(8), [[0, 1, 2]] * 3, [-1, 0, 0], 0, OldcConfig(1.0, (2, 2)))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvalidInstance as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.splitlines() == ["negative defect -1", "negative defect at node 0"]
+
+
+@st.composite
+def single_defect_inputs(draw):
+    """An oriented graph, a color space with gaps and repeats, raw nonempty
+    lists in it, nonnegative defects, g, and maybe some predecided nodes."""
+    graph = draw(graphs(oriented=True))
+    space = draw(st.lists(st.integers(0, 40), min_size=1, max_size=20))
+    lists = [draw(st.lists(st.sampled_from(space), min_size=1, max_size=8)) for _ in range(graph.n)]
+    defects = draw(st.lists(st.integers(0, 4), min_size=graph.n, max_size=graph.n))
+    predecided = {}
+    if draw(st.booleans()):
+        predecided = draw(st.dictionaries(st.integers(0, max(0, graph.n - 1)), st.sampled_from(space)))
+        predecided = {v: c for v, c in predecided.items() if v < graph.n}
+    return graph, space, lists, defects, draw(st.integers(0, 2)), predecided
+
+
+@settings(max_examples=150, deadline=None)
+@given(single_defect_inputs(), st.randoms(use_true_random=False))
+def test_trusted_check_instance_is_the_validated_one(inputs, rng):
+    graph, space, raw, defects, g, predecided = inputs
+    lists = oldc_basic._checked_lists(graph.n, space, raw, defects)
+    outdeg = list(map(len, graph.out_neighbors))
+    trusted = oldc_basic._single_defect_instance(outdeg, space, lists, defects, predecided, g)
+    # the validating constructor, on the raw lists as LdcInstance.build normalises them
+    built = LdcInstance.build(
+        space,
+        [[predecided[v]] if v in predecided else raw[v] for v in range(graph.n)],
+        [{predecided[v]: outdeg[v]} if v in predecided else dict.fromkeys(raw[v], defects[v])
+         for v in range(graph.n)],
+        flavor="oriented", g=g,
+    )
+    for name in ("color_space", "lists", "flavor", "g"):
+        assert getattr(trusted, name) == getattr(built, name)
+    assert [list(dv.items()) for dv in trusted.defects] == [list(dv.items()) for dv in built.defects]
+    # any coloring from the lists gets one report from both
+    out = ColoringOutput(tuple(map(rng.choice, built.lists)))
+    assert validate_ldc(graph, trusted, out) == validate_ldc(graph, built, out)
 
 
 def test_multi_defect_rejects_a_non_oriented_flavor():

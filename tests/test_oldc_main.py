@@ -188,6 +188,21 @@ def test_two_phase_same_class_overlap_is_ignored_by_hand():
         assert trace.audit == [(0, 0, 1, 0), (1, 0, 0, 0)]
 
 
+def test_two_phase_inputs_are_checked_up_front():
+    # the first budget alone fails its class invariant (NodeFailure); the
+    # predecided color outside the space, or a negative defect, is named first
+    g = ColoredGraph.build(2, [(0, 1)], orientation=[(0, 1)])
+    cfg = OldcConfig(alpha=0.25, scale_override=(1, 2))
+    tight = ClassBudget(classes={0: 1}, defects={0: 0}, h=1, q=1)
+    with pytest.raises(NodeFailure, match="class budget invariant"):
+        two_phase_oldc(g, range(8), [[0, 1], [2]], tight, cfg, predecided={1: 2})
+    with pytest.raises(InvalidInstance, match="list of node 1 leaves the color space"):
+        two_phase_oldc(g, range(8), [[0, 1], [2]], tight, cfg, predecided={1: 9})
+    negative = ClassBudget(classes={0: 1}, defects={0: -1}, h=1, q=1)
+    with pytest.raises(InvalidInstance, match="negative defect at node 0"):
+        two_phase_oldc(g, range(8), [[0, 1], [2]], negative, cfg, predecided={1: 2})
+
+
 def test_main_case2_trivial_stage1():
     g, lists = _blocky_graph_and_lists(seed=4)
     inst = LdcInstance.build(

@@ -244,6 +244,45 @@ def test_config_builder_check_finds_leftovers():
     assert config_builders(source, "Config") == ["<module>", "Holder", "build", "build"]
 
 
+# The makers of the only instances built without the constructor's checks,
+# each with the reason its data needs none
+TRUSTED_BUILDERS = [
+    "generate.py: make_instance",  # draws sorted lists from range(space_size)
+    "graphs.py: _canonical_instance",  # the loader, after its one-pass check
+    "oldc_basic.py: _single_defect_instance",  # inputs checked at the public entries
+]
+
+
+def trusted_callers(sources: dict[str, str]) -> list[str]:
+    """One "module: maker" entry per call of ``_trusted``, the maker named
+    as by ``config_builders``."""
+    return sorted(
+        f"{module}: {owner}"
+        for module, source in sources.items()
+        for owner in config_builders(source, "_trusted")
+    )
+
+
+def test_only_the_named_makers_skip_the_instance_checks():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert trusted_callers(sources) == TRUSTED_BUILDERS
+
+
+def test_trusted_caller_check_finds_leftovers():
+    sources = {
+        "a.py": (
+            "from . import graphs\n"
+            "def load(doc):\n"
+            "    return graphs.LdcInstance._trusted(doc, (), (), 'oriented', 0)\n"
+            "class Maker:\n"
+            "    def make(self):\n"
+            "        return _trusted((), (), (), 'defective', 0)\n"
+        ),
+        "b.py": "x = _trusted((), (), (), 'oriented', 0)\ny = LdcInstance.build([], [], [])\n",
+    }
+    assert trusted_callers(sources) == ["a.py: Maker", "a.py: load", "b.py: <module>"]
+
+
 NETWORK_FIELDS = ("bits_per_message", "record_messages")
 
 
