@@ -11,7 +11,6 @@ from .conflict import (
     ConflictParams,
     NodeType,
     TypeTable,
-    build_or_load_type_table,
     build_type_table,
     residue_restrict,
     tau_g_conflict,

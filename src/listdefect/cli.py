@@ -226,8 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "detail": str(exc),
         }
         _write(json.dumps(report, sort_keys=True, indent=1), args.out_dir, "report.json")
-        print(f"fail-fast: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        raise
 
     if out is not None and not report["valid"]:
         # an invalid coloring is never written

@@ -19,11 +19,8 @@ down-scaled runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -482,84 +479,7 @@ def build_type_table(
     )
 
 
-# -- binary cache --------------------------------------------------------------
-
-CACHE_ENV = "LISTDEFECT_CACHE"
-
-
-def table_cache_key(
-    params: ConflictParams,
-    types: Sequence[NodeType],
-    k_by_class: dict[int, int],
-    k_prime: int,
-) -> str:
-    doc = {
-        "params": list(_table_params(params)),
-        "types": sorted([t.init_color, list(t.restricted_list), t.gamma_class] for t in set(types)),
-        "k": sorted(k_by_class.items()),
-        "k_prime": k_prime,
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def build_or_load_type_table(
-    params: ConflictParams,
-    types: Sequence[NodeType],
-    k_by_class: dict[int, int],
-    k_prime: int,
-) -> TypeTable:
-    """Like build_type_table at its default cap, with a binary cache keyed
-    by the inputs.
-
-    The cache directory is the LISTDEFECT_CACHE environment variable;
-    without it, no caching happens.  The key covers every argument.  A
-    cache file that cannot be read or decoded, or whose params or types
-    differ from the request, counts as a miss and is rebuilt.
-    Each writer goes through its own temporary file and renames it into
-    place, so concurrent writers of one key never interleave.
-    """
-    cache_dir = os.environ.get(CACHE_ENV)
-    path = None
-    if cache_dir:
-        key = table_cache_key(params, types, k_by_class, k_prime)
-        path = os.path.join(cache_dir, key + ".tt")
-        try:
-            with open(path, "rb") as fh:
-                cached = _table_from_bytes(fh.read())
-            if _table_params(cached.params) == _table_params(params) and (
-                cached.types == tuple(sorted(set(types), key=NodeType.sort_key))
-            ):
-                return cached
-        except (OSError, ValueError, KeyError, IndexError, TypeError, InvalidInstance):
-            pass  # missing, unreadable or corrupt: build and (over)write
-    table = build_type_table(params, types, k_by_class, k_prime)
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tt.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(table.to_bytes())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return table
-
-
-def _table_params(params: ConflictParams) -> tuple[int, ...]:
-    """The parameters a stored table records, in the cache key's order."""
-    return (params.h, params.color_space_size, params.m, params.g,
-            params.tau, params.tau_prime)
-
-
-def _table_from_bytes(blob: bytes) -> TypeTable:
-    doc = json.loads(blob.decode())
-    p = doc["params"]
-    params = ConflictParams(
-        h=p["h"], color_space_size=p["space"], m=p["m"], g=p["g"],
-        scale_override=(p["tau"], p["tau_prime"]),
-    )
-    types = tuple(NodeType(t[0], tuple(t[1]), t[2]) for t in doc["types"])
-    families = tuple(tuple(tuple(c) for c in fam) for fam in doc["families"])
-    return TypeTable(params=params, types=types, families=families)
+# bench/tracer.py's SPANNED table is this name's only reader; it goes in the
+# first src/ change after the benchmark drops that span.
+def build_or_load_type_table(params, types, k_by_class, k_prime) -> TypeTable:
+    return build_type_table(params, types, k_by_class, k_prime)

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .conflict import (
     ConflictParams,
     NodeType,
-    build_or_load_type_table,
+    build_type_table,
     color_mask,
     least_conflicting,
     masks_conflict,
@@ -284,7 +284,7 @@ def _run_single_defect(
 
     k_by_class = {i: (1 << i) * tau for i in range(1, h + 1)}
     k_prime = (1 << h) * tau_prime
-    table = build_or_load_type_table(params, types, k_by_class, k_prime)
+    table = build_type_table(params, types, k_by_class, k_prime)
     # one mask tuple per family
     masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
     for v, t in zip(classed, types):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .conflict import (
-    ConflictParams, NodeType, build_or_load_type_table, color_mask, least_conflicting,
+    ConflictParams, NodeType, build_type_table, color_mask, least_conflicting,
     proximity_count, tau_of,
 )
 from .errors import (
@@ -254,7 +254,7 @@ def two_phase_oldc(
                 nodes[v].known_types[u] = (msg["class"].value, msg["list"].colors, msg["init"].index)
 
         class_types = {v: NodeType(graph.init_colors[v], pruned[v], i) for v in members}
-        table = build_or_load_type_table(
+        table = build_type_table(
             params, list(class_types.values()), {i: (1 << i) * tau}, (1 << i) * tau_prime
         )
         masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}

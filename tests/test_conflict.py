@@ -12,13 +12,11 @@ from listdefect import (
     GreedyExhausted,
     InvalidInstance,
     NodeType,
-    build_or_load_type_table,
     build_type_table,
     residue_restrict,
     tau_g_conflict,
 )
 from listdefect.conflict import (
-    CACHE_ENV,
     TypeTable,
     _MemberIndex,
     color_mask,
@@ -26,7 +24,6 @@ from listdefect.conflict import (
     masks_conflict,
     proximity_count,
     shifted_masks,
-    table_cache_key,
     tau_of,
     tau_prime_of,
 )
@@ -306,27 +303,6 @@ def test_table_determinism_and_order_independence():
     assert verify_table(table)
 
 
-def test_table_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    params = _table_params()
-    types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
-    t1 = build_or_load_type_table(params, types, {1: 2}, 2)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    t2 = build_or_load_type_table(params, types, {1: 2}, 2)
-    assert t2.to_bytes() == t1.to_bytes()
-
-
-def test_table_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    params = _table_params()
-    types = [NodeType(0, (0, 2, 4, 6), 1)]
-    t1 = build_or_load_type_table(params, types, {1: 2}, 2)
-    assert list(tmp_path.iterdir())
-    t2 = build_or_load_type_table(params, types, {1: 2}, 2)
-    assert t2.to_bytes() == t1.to_bytes()
-
-
 def test_family_of_lookup():
     params = _table_params()
     t1 = NodeType(0, (0, 2, 4, 6), 1)
@@ -522,52 +498,3 @@ def test_column_index_rows_match_the_member_loop(case):
         assert rows == _member_hits(mask, assigned_masks, tau, g)
         if tau > k * (2 * g + 1):
             assert rows == []
-
-
-# -- type-table cache -------------------------------------------------------------
-
-
-def test_table_cache_corrupt_file_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    params = _table_params()
-    types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
-    want = build_type_table(params, types, {1: 2}, 2)
-    build_or_load_type_table(params, types, {1: 2}, 2)
-    (path,) = tmp_path.iterdir()
-    for junk in (b"", b"\xff\xfe not json", b'{"params": {}}', b"[1, 2]"):
-        path.write_bytes(junk)
-        got = build_or_load_type_table(params, types, {1: 2}, 2)
-        assert got.to_bytes() == want.to_bytes()
-        assert path.read_bytes() == want.to_bytes()
-
-
-def test_table_cache_write_uses_a_private_temp_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    # a leftover at the old shared temp path must not block the write, and
-    # the write leaves no temp file of its own behind
-    params = _table_params()
-    types = [NodeType(0, (0, 2, 4, 6), 1)]
-    path = tmp_path / (table_cache_key(params, types, {1: 2}, 2) + ".tt")
-    (tmp_path / (path.name + ".tmp")).mkdir()
-    table = build_or_load_type_table(params, types, {1: 2}, 2)
-    assert path.read_bytes() == table.to_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.name + ".tmp"])
-
-
-def test_table_cache_mismatched_table_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    # a decodable table stored under the key of another request is rebuilt
-    params = _table_params()
-    types = [NodeType(0, (0, 2, 4, 6), 1), NodeType(1, (1, 3, 5, 7), 1)]
-    want = build_type_table(params, types, {1: 2}, 2)
-    path = tmp_path / (table_cache_key(params, types, {1: 2}, 2) + ".tt")
-    others = (
-        build_type_table(_table_params(g=1), types, {1: 2}, 2),
-        build_type_table(params, types[:1], {1: 2}, 2),
-    )
-    for other in others:
-        assert other.to_bytes() != want.to_bytes()
-        path.write_bytes(other.to_bytes())
-        got = build_or_load_type_table(params, types, {1: 2}, 2)
-        assert got.to_bytes() == want.to_bytes()
-        assert path.read_bytes() == want.to_bytes()

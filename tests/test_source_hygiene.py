@@ -1,6 +1,7 @@
 """Source and README checks that need no third-party linter: stdlib only."""
 
 import ast
+import importlib
 import json
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from listdefect import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "listdefect"
 README = SRC.parent.parent / "README.md"
+TRACER = SRC.parent.parent / "bench" / "tracer.py"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -170,6 +172,50 @@ def test_unread_export_check_finds_leftovers():
         ),
     }
     assert unread_exports(sources) == ["Box", "count"]
+
+
+def tracer_tables(source: str) -> dict[str, dict[str, tuple]]:
+    """The literal tables of a tracer source, by assigned name."""
+    return {
+        stmt.targets[0].id: ast.literal_eval(stmt.value)
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
+        and stmt.targets[0].id in ("SPANNED", "COUNTED")
+    }
+
+
+def missing_traced_names(table: dict[str, tuple]) -> list[str]:
+    """Entries of a (module, attribute path) table that are not in
+    ``vars()`` of their ``listdefect`` module or class, where the tracer
+    looks each one up."""
+    missing = []
+    for short, attrs in table.items():
+        mod = importlib.import_module(f"listdefect.{short}")
+        for attr in attrs:
+            owner_name, _, fname = attr.rpartition(".")
+            owner = getattr(mod, owner_name, None) if owner_name else mod
+            if owner is None or fname not in vars(owner):
+                missing.append(f"{short}.{attr}")
+    return missing
+
+
+def test_every_name_the_bench_traces_exists():
+    # the bench tracer wraps these names at install time; a missing one
+    # makes every traced run raise KeyError
+    tables = tracer_tables(TRACER.read_text())
+    assert sorted(tables) == ["COUNTED", "SPANNED"]
+    for table in tables.values():
+        assert missing_traced_names(table) == []
+
+
+def test_traced_name_check_finds_leftovers():
+    table = {
+        "conflict": ("build_type_table", "build_cached_table"),
+        "graphs": ("ColoredGraph.build", "ColoredGraph.rebuild", "Missing.build"),
+    }
+    assert missing_traced_names(table) == [
+        "conflict.build_cached_table", "graphs.ColoredGraph.rebuild", "graphs.Missing.build",
+    ]
 
 
 def gc_importers(sources: dict[str, str]) -> list[str]:
