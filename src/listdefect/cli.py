@@ -192,10 +192,17 @@ def run_algorithm(
     setting.  Returns (output or None, trace, report, stage rows).  Unless
     the output is None (an UNSAT verdict), ``report["valid"]`` says
     whether it passed the validator, or for linial whether it is proper.
+    A fail-fast abort is returned, not raised: (None, an empty trace, the
+    report with ``outcome`` "fail-fast", ``error`` and ``detail``, []).
     """
     report: dict = {"algorithm": algorithm}
-    with network(bits_per_message=opts["bits_budget"], record_messages=opts["verbose"]):
-        out, trace, rows = ALGORITHM_TABLE[algorithm](graph, inst, opts, report)
+    try:
+        with network(bits_per_message=opts["bits_budget"], record_messages=opts["verbose"]):
+            out, trace, rows = ALGORITHM_TABLE[algorithm](graph, inst, opts, report)
+    except FailFast as exc:
+        report = {"algorithm": algorithm, "outcome": "fail-fast", "error": type(exc).__name__,
+                  "detail": str(exc)}
+        return None, RoundTrace(), report, []
     if out is not None and algorithm == "linial":
         near = map(map, itertools.repeat(out.colors.__getitem__), graph.adjacency)
         report["valid"] = not any(map(contains, near, out.colors))  # no edge is monochromatic
@@ -216,18 +223,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         graph, inst = instance_from_json(fh.read())
     opts = _run_options(vars(args), args.verbose)
     os.makedirs(args.out_dir, exist_ok=True)
-    try:
-        out, trace, report, rows = run_algorithm(graph, inst, args.algorithm, opts)
-    except FailFast as exc:
-        report = {
-            "algorithm": args.algorithm,
-            "outcome": "fail-fast",
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
+    out, trace, report, rows = run_algorithm(graph, inst, args.algorithm, opts)
+    if "error" in report:  # a fail-fast: only its report is written
         _write(json.dumps(report, sort_keys=True, indent=1), args.out_dir, "report.json")
-        raise
-
+        print(f"fail-fast: {report['error']}: {report['detail']}", file=sys.stderr)
+        return 2
     if out is not None and not report["valid"]:
         # an invalid coloring is never written
         print("invalid output produced", file=sys.stderr)
@@ -327,12 +327,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             graph = make_graph(family, n, values["degree"], seed)
             inst = _make_instance(graph, list_model, seed, values)
             out, trace, report, _ = run_algorithm(graph, inst, algorithm, opts)
+            failure = report.get("error")  # set on a fail-fast only
+        except ListDefectError as exc:
+            failure = f"error:{type(exc).__name__}"
+        if failure:
+            rows.append(f"{cell},,,False,{failure}")
+        else:
             valid = out is None or report["valid"]
             rows.append(f"{cell},{trace.rounds_elapsed},{trace.max_bits()},{valid},")
-        except FailFast as exc:
-            rows.append(f"{cell},,,False,{type(exc).__name__}")
-        except ListDefectError as exc:
-            rows.append(f"{cell},,,False,error:{type(exc).__name__}")
     text = "\n".join(rows) + "\n"
     if args.out:
         _write(text, args.out)
@@ -394,9 +396,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except FailFast as exc:
-        print(f"fail-fast: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except (ListDefectError, OSError, ValueError, KeyError) as exc:  # JSON errors are ValueErrors
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -18,16 +18,16 @@ candidate classes, defects are the delta budgets) solved by the basic
 algorithm with proximity g = floor(log2 h), and then runs the two-phase
 algorithm on the buckets the assignment selected.
 
-Both routines are phased: each communication step is executed as a
-broadcast segment on the round engine (send, then collect), so traces
-carry honest per-round bit accounting; per-class type tables are built
-between segments from the realized types.
+Both routines are phased: each communication step is one broadcast
+segment on the round engine, so every message is sized and held to the
+bit budget.  Between segments a node reads only what its out-neighbors
+sent; per-class type tables are built from the types the class sent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -68,26 +68,19 @@ from .runtime import (
 
 @dataclass
 class _SegmentProgram:
-    """One broadcast step: the given nodes send, everyone collects."""
+    """One broadcast step: the given nodes send, and every node is done."""
 
     senders: dict[int, Mapping]
 
     def init(self, view):
-        return view, None
+        return view.node, None
 
-    def step(self, view, inbox, round_no):
-        if round_no == 1:
-            return view, self.senders.get(view.node), None
-        return view, None, dict(inbox)
+    def step(self, v, inbox, round_no):
+        return v, self.senders.get(v), True
 
 
-def _broadcast_segment(
-    graph: ColoredGraph, senders: dict[int, Mapping]
-) -> tuple[RoundTrace, list[dict[int, Mapping]]]:
-    if not senders:
-        return RoundTrace(), [{} for _ in range(graph.n)]
-    trace = run(graph, _SegmentProgram(senders))
-    return trace, list(trace.outputs)
+def _broadcast_segment(graph: ColoredGraph, senders: dict[int, Mapping]) -> RoundTrace:
+    return run(graph, _SegmentProgram(senders)) if senders else RoundTrace()
 
 
 # -- two-phase algorithm ---------------------------------------------------------
@@ -107,18 +100,6 @@ class ClassBudget:
             raise InvalidInstance("ClassBudget needs h, q >= 1")
         if any(not (1 <= i <= self.h) for i in self.classes.values()):
             raise InvalidInstance("class outside [1..h]")
-
-
-@dataclass
-class _TwoPhaseNode:
-    colors: tuple[int, ...] = ()
-    defect: int = 0
-    gamma: int = 0
-    cset: tuple[int, ...] = ()
-    known_types: dict = field(default_factory=dict)    # u -> (class, list, init color)
-    known_csets: dict = field(default_factory=dict)    # u -> color_mask(C_u)
-    known_colors: dict = field(default_factory=dict)   # u -> final color
-    audit: tuple = ()
 
 
 def two_phase_oldc(
@@ -145,14 +126,16 @@ def two_phase_oldc(
         raise MissingOrientation("two-phase OLDC needs an orientation")
     n = graph.n
     predecided = dict(predecided or {})
-    machinery = sorted(budget.classes)
+    classes, defects = budget.classes, budget.defects
+    machinery = sorted(classes)
     if set(machinery) | set(predecided) != set(range(n)) or set(machinery) & set(predecided):
         raise InvalidInstance("every node needs exactly one of: class or predecided color")
     # a predecided node is checked at its one color
     rows = [(predecided[v],) if v in predecided else l for v, l in enumerate(lists)]
-    lists = _checked_lists(n, color_space, rows, [budget.defects.get(v, 0) for v in range(n)])
+    lists = _checked_lists(n, color_space, rows, [defects.get(v, 0) for v in range(n)])
 
     h, q = budget.h, budget.q
+    log_q = q.bit_length() - 1
     params = ConflictParams(
         h=h, color_space_size=len(color_space), m=graph.m, g=0, scale_override=config.scale_override
     )
@@ -161,188 +144,140 @@ def two_phase_oldc(
     outdeg = list(map(len, graph.out_neighbors))
     beta_max = max(1, max(outdeg, default=1))
 
-    nodes = {v: _TwoPhaseNode() for v in machinery}
-    beta_within: dict[int, dict[int, int]] = {}
+    same_class: dict[int, int] = {}  # v -> out-neighbors in v's class
+    by_class: dict[int, list[int]] = {}
     for v in machinery:
-        node = nodes[v]
-        node.colors = lists[v]
-        node.defect = budget.defects[v]
-        node.gamma = budget.classes[v]
+        i, d = classes[v], defects[v]
+        by_class.setdefault(i, []).append(v)
         per_class: dict[int, int] = {}
         for u in graph.out_neighbors[v]:
-            if u in budget.classes:
-                j = budget.classes[u]
-                per_class[j] = per_class.get(j, 0) + 1
-        beta_within[v] = per_class
+            if u in classes:
+                per_class[classes[u]] = per_class.get(classes[u], 0) + 1
+        b_same = same_class[v] = per_class.get(i, 0)
         beta_v = max(1, outdeg[v])
-        b_same = per_class.get(node.gamma, 0)
-        if 4 * max(b_same * q, beta_v) > (node.defect + 1) * (1 << node.gamma) * q:
+        if 4 * max(b_same * q, beta_v) > (d + 1) * (1 << i) * q:
             raise NodeFailure(
                 f"class budget invariant fails: beta_same={b_same} beta={beta_v} "
-                f"q={q} d={node.defect} class={node.gamma}",
+                f"q={q} d={d} class={i}",
                 node=v,
             )
-        log_q = q.bit_length() - 1
-        tail = sum(
-            per_class.get(j, 0) * (1 << j)
-            for j in range(max(1, node.gamma - log_q), node.gamma)
-        )
-        need = (config.alpha * 4**node.gamma + 4 * tail / (node.defect + 1)) * tau
+        tail = sum(per_class.get(j, 0) * (1 << j) for j in range(max(1, i - log_q), i))
+        need = (config.alpha * 4**i + 4 * tail / (d + 1)) * tau
         if len(lists[v]) < need:
             raise ListTooSmall(
                 f"node {v}: |L|={len(lists[v])} < {need:.1f} under the two-phase condition"
             )
 
-    traces: list[RoundTrace] = []
-
-    # decided colors go out first so every budget sees them
+    # Each step is one broadcast segment.  Broadcast reaches every
+    # neighbor, so what v received from an out-neighbor u is what u sent:
+    # between segments v reads only its out-neighbors' entries of these.
+    # Decided colors go out first so every budget sees them.
     decided_msgs = {
         v: {"decided": ColorListField((c,), space_size)} for v, c in predecided.items()
     }
-    tr, delivered = _broadcast_segment(graph, decided_msgs)
-    traces.append(tr)
-    for v in machinery:
-        for u, msg in delivered[v].items():
-            nodes[v].known_colors[u] = msg["decided"].colors[0]
-
-    by_class: dict[int, list[int]] = {}
-    for v in machinery:
-        by_class.setdefault(nodes[v].gamma, []).append(v)
+    traces = [_broadcast_segment(graph, decided_msgs)]
+    sent_colors = {u: msg["decided"].colors[0] for u, msg in decided_msgs.items()}
+    sent_csets: dict[int, int] = {}  # u -> color_mask(C_u)
 
     # Phase I, ascending classes
-    pruned: dict[int, tuple[int, ...]] = {}
-    for i in range(1, h + 1):
-        members = by_class.get(i, [])
-        if not members:
-            continue
+    csets: dict[int, tuple[int, ...]] = {}
+    for i, members in sorted(by_class.items()):
+        type_msgs = {}
         for v in members:
-            node = nodes[v]
-            lower = [
-                m_u
-                for u, m_u in node.known_csets.items()
-                if u in graph.out_neighbors[v] and budget.classes[u] < i
-            ]
+            d = defects[v]
+            # so far only the lower classes have sent their sets
+            lower = [sent_csets[u] for u in graph.out_neighbors[v] if u in sent_csets]
             d_total = sum(m_u.bit_count() for m_u in lower)
             # a color is bad when over d/4 lower-class candidate sets claim it
-            keep = tuple(
-                x for x in node.colors if 4 * sum(m_u >> x & 1 for m_u in lower) <= node.defect
-            )
-            n_bad = len(node.colors) - len(keep)
-            if n_bad * (node.defect + 1) > 4 * d_total:
+            keep = tuple(x for x in lists[v] if 4 * sum(m_u >> x & 1 for m_u in lower) <= d)
+            n_bad = len(lists[v]) - len(keep)
+            if n_bad * (d + 1) > 4 * d_total:
                 raise NodeFailure(f"bad-color bound violated: |B|={n_bad} D={d_total}", node=v)
             k_i = (1 << i) * tau
             if len(keep) < k_i:
                 raise ListTooSmall(
                     f"node {v}: pruned list of {len(keep)} cannot host sets of size {k_i}"
                 )
-            pruned[v] = keep
-
-        # in-class P2: broadcast types, then assign via a fresh table
-        type_msgs = {
-            v: {
+            # in-class P2: broadcast types, then assign via a fresh table
+            type_msgs[v] = {
                 "init": IndexField(graph.init_colors[v], graph.m),
-                "list": ColorListField(pruned[v], space_size),
-                "defect": Pow2DefectField(nodes[v].defect, beta_max),
+                "list": ColorListField(keep, space_size),
+                "defect": Pow2DefectField(d, beta_max),
                 "class": RawField(i, max(1, h.bit_length())),
             }
-            for v in members
+        traces.append(_broadcast_segment(graph, type_msgs))
+        class_types = {
+            u: NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
+            for u, msg in type_msgs.items()
         }
-        tr, delivered = _broadcast_segment(graph, type_msgs)
-        traces.append(tr)
-        for v in machinery:
-            for u, msg in delivered[v].items():
-                nodes[v].known_types[u] = (msg["class"].value, msg["list"].colors, msg["init"].index)
-
-        class_types = {v: NodeType(graph.init_colors[v], pruned[v], i) for v in members}
         table = build_type_table(
             params, list(class_types.values()), {i: (1 << i) * tau}, (1 << i) * tau_prime
         )
         masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
         cset_msgs = {}
         for v in members:
-            node = nodes[v]
+            d, b_same = defects[v], same_class[v]
             fam = table.family_of(class_types[v])
             peer_masks = [
-                masks_of[NodeType(init, lst, i)]
-                for cls, lst, init in (
-                    node.known_types.get(u, (None,) * 3) for u in graph.out_neighbors[v]
-                )
-                if cls == i
+                masks_of[class_types[u]] for u in graph.out_neighbors[v] if u in class_types
             ]
             best_idx, best_d = least_conflicting(masks_of[class_types[v]], peer_masks, tau, 0)
-            b_same = beta_within[v].get(i, 0)
             if best_d * len(fam) > b_same * (tau_prime - 1):
                 raise NodeFailure(
                     f"phase-I pigeonhole failed: {best_d} over family of {len(fam)}", node=v
                 )
-            if 4 * b_same * (tau_prime - 1) >= (node.defect + 1) * len(fam):
+            if 4 * b_same * (tau_prime - 1) >= (d + 1) * len(fam):
                 raise NodeFailure(
                     f"phase-I average bound fails: beta_same={b_same} |K|={len(fam)}", node=v
                 )
-            if 4 * best_d > node.defect:
+            if 4 * best_d > d:
                 raise NodeFailure(f"phase-I selection exceeds d/4: {best_d}", node=v)
-            node.cset = fam[best_idx]
+            csets[v] = fam[best_idx]
             cset_msgs[v] = {"cset": IndexField(best_idx, len(fam))}
-        tr, delivered = _broadcast_segment(graph, cset_msgs)
-        traces.append(tr)
-        for v in machinery:
-            for u, msg in delivered[v].items():
-                cls, lst, init = nodes[v].known_types[u]
-                nodes[v].known_csets[u] = masks_of[NodeType(init, lst, cls)][msg["cset"].index]
+        traces.append(_broadcast_segment(graph, cset_msgs))
+        sent_csets.update(
+            (u, masks_of[class_types[u]][msg["cset"].index]) for u, msg in cset_msgs.items()
+        )
 
     # Phase II, descending classes
-    colors: dict[int, int] = dict(predecided)
-    for i in range(h, 0, -1):
-        members = by_class.get(i, [])
-        if not members:
-            continue
+    audit: dict[int, tuple[int, int, int]] = {}  # v -> (lower hits, ignored, star frequency)
+    for i, members in sorted(by_class.items(), reverse=True):
         color_msgs = {}
         for v in members:
-            node = nodes[v]
-            c_v = (color_mask(node.cset),)
+            d, outs = defects[v], graph.out_neighbors[v]
+            c_v = (color_mask(csets[v]),)
             # same-class out-neighbors: C_u overlaps C_v in under tau colors
             # (star, counted in the multiset) or in tau or more (ignored)
             overlap = {
-                u: proximity_count(c_v, node.known_csets[u])
-                for u in graph.out_neighbors[v]
-                if budget.classes.get(u) == i
+                u: proximity_count(c_v, sent_csets[u]) for u in outs if classes.get(u) == i
             }
             star = [u for u, o in overlap.items() if o < tau]
             ignored = len(overlap) - len(star)
-            decided_hits = {
-                u: c for u, c in node.known_colors.items() if u in graph.out_neighbors[v]
-            }
+            decided_hits = [sent_colors[u] for u in outs if u in sent_colors]
             multiset = len(decided_hits) + sum(overlap[u] for u in star)
-            if 2 * multiset >= (1 << i) * (node.defect + 1) * tau:
+            if 2 * multiset >= (1 << i) * (d + 1) * tau:
                 raise NodeFailure(f"phase-II multiset bound fails: {multiset}", node=v)
             best_x, best_f = None, None
-            for x in node.cset:
-                f_x = sum(1 for c in decided_hits.values() if c == x)
-                f_x += sum(node.known_csets[u] >> x & 1 for u in star)
+            for x in csets[v]:
+                f_x = decided_hits.count(x) + sum(sent_csets[u] >> x & 1 for u in star)
                 if best_f is None or f_x < best_f:
                     best_x, best_f = x, f_x
-            if 2 * best_f > node.defect:
+            if 2 * best_f > d:
                 raise NodeFailure(f"phase-II frequency bound fails: {best_f} > d/2", node=v)
             lower_hits = sum(
-                node.known_csets[u] >> best_x & 1
-                for u in graph.out_neighbors[v]
-                if budget.classes.get(u, h + 1) < i
+                sent_csets[u] >> best_x & 1 for u in outs if classes.get(u, h + 1) < i
             )
-            if 4 * lower_hits > node.defect:
+            if 4 * lower_hits > d:
                 raise NodeFailure(f"lower-class budget exceeded: {lower_hits}", node=v)
-            node.audit = (lower_hits, ignored, best_f)
-            colors[v] = best_x
+            audit[v] = (lower_hits, ignored, best_f)
             color_msgs[v] = {"color": ColorListField((best_x,), space_size)}
-        tr, delivered = _broadcast_segment(graph, color_msgs)
-        traces.append(tr)
-        for v in machinery:
-            for u, msg in delivered[v].items():
-                nodes[v].known_colors[u] = msg["color"].colors[0]
+        traces.append(_broadcast_segment(graph, color_msgs))
+        sent_colors.update((u, msg["color"].colors[0]) for u, msg in color_msgs.items())
 
-    output = ColoringOutput(tuple(colors[v] for v in range(n)))
+    output = ColoringOutput(tuple(sent_colors[v] for v in range(n)))
     trace = concat_traces(traces, output.colors)
-    trace.audit = [(v, *nodes[v].audit) if v in nodes else (v, 0, 0, 0) for v in range(n)]
-    inst = _single_defect_instance(outdeg, color_space, lists, budget.defects, predecided, 0)
+    trace.audit = [(v, *audit.get(v, (0, 0, 0))) for v in range(n)]
+    inst = _single_defect_instance(outdeg, color_space, lists, defects, predecided, 0)
     require_valid(graph, inst, output, "two-phase output invalid at")
     return output, trace
 

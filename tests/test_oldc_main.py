@@ -16,7 +16,7 @@ from listdefect import (
     two_phase_oldc,
     validate_ldc,
 )
-from listdefect.errors import InvalidInstance, NodeFailure
+from listdefect.errors import InvalidInstance, ListTooSmall, NodeFailure
 from listdefect.oldc_main import _broadcast_segment
 
 from conftest import random_dag
@@ -97,9 +97,8 @@ def _blocky_graph_and_lists(seed, n=12):
 def test_broadcast_segment_costs_one_round():
     path = ColoredGraph.build(3, [(0, 1), (1, 2)], init_colors=[0, 1, 0], m=2)
     msg = {"p": RawField(0, 5)}
-    trace, inboxes = _broadcast_segment(path, {1: msg})
+    trace = _broadcast_segment(path, {1: msg})
     assert trace.max_message_bits == [5] and trace.rounds_elapsed == 1
-    assert inboxes == [{1: msg}, {}, {1: msg}]
 
 
 def test_two_phase_single_class():
@@ -186,6 +185,23 @@ def test_two_phase_same_class_overlap_is_ignored_by_hand():
         out, trace = two_phase_oldc(g, range(8), [[0, 1], [1, 5]], budget, cfg)
         assert out.colors == want
         assert trace.audit == [(0, 0, 1, 0), (1, 0, 0, 0)]
+
+
+def test_two_phase_list_too_small_by_hand():
+    # node 0 (class 2, defect 0) points at node 1 (class 1, defect 1); at
+    # tau = 2 and alpha = 1/4, class 2 needs |L| >= 4**2 * tau / 4 = 8
+    g = ColoredGraph.build(2, [(0, 1)], orientation=[(0, 1)])
+    budget = ClassBudget(classes={0: 2, 1: 1}, defects={0: 0, 1: 1}, h=2, q=1)
+    cfg = OldcConfig(alpha=0.25, scale_override=(2, 2))
+    with pytest.raises(ListTooSmall) as short:
+        two_phase_oldc(g, range(8), [range(3), range(3)], budget, cfg)
+    assert str(short.value) == "node 0: |L|=3 < 8.0 under the two-phase condition"
+    # with full lists node 1 picks a candidate set of 2 * tau = 4 colors;
+    # each claims a color over d/4 = 0 of node 0, which keeps 4 colors and
+    # cannot host a class-2 set of 4 * tau = 8
+    with pytest.raises(ListTooSmall) as pruned:
+        two_phase_oldc(g, range(8), [range(8), range(8)], budget, cfg)
+    assert str(pruned.value) == "node 0: pruned list of 4 cannot host sets of size 8"
 
 
 def test_two_phase_inputs_are_checked_up_front():
