@@ -45,10 +45,8 @@ from .graphs import (
 )
 from .linial import (
     defective_linial,
-    defective_linial_program,
     linial_coloring,
     linial_palette,
-    linial_program,
     linial_schedule,
 )
 from .oldc_basic import OldcConfig, gamma_class_of, multi_defect_oldc, single_defect_oldc

@@ -11,18 +11,22 @@ they shrink the palette; the defective step, when requested, runs once at
 the end.
 
 The whole schedule is a function of the public quantities (n, max degree
-or max outdegree, defect), so every node derives it locally.
+or max outdegree, defect), so every node derives it locally.  Each round
+runs over a sent record: every node broadcasts its color, and its next
+color is a function of its own color and the colors its relevant
+neighbors sent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from itertools import compress, repeat
+from operator import countOf
+from typing import Optional, Sequence
 
-from .errors import MissingOrientation
+from .errors import MissingOrientation, NodeFailure
 from .graphs import ColoredGraph, ColoringOutput
-from .runtime import NodeView, RawField, RoundTrace, run
+from .runtime import RawField, RoundTrace, broadcast, concat_traces
 
 
 def _is_prime(x: int) -> bool:
@@ -86,107 +90,69 @@ def _poly_eval(color: int, q: int, e: int, a: int) -> int:
     return value
 
 
-@dataclass
-class _LinialProgram:
-    schedule: list[tuple[int, int, int]]
-    palettes: list[int]  # palette entering each reduction step
-    oriented: bool
-    trivial_color: Optional[int]  # everyone outputs this at init (degenerate graphs)
-    # bit width of the color sent in round r+1, for every round r that sends
-    widths: list[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.widths = [max(1, (p - 1).bit_length()) for p in self.palettes]
-        # for the round in progress: p_color(a) for a >= 1 of its reduction
-        # step, keyed by color * q + a, and the one message that sends each
-        # color; caches of pure functions of public quantities, shared by all
-        # nodes, at most q^2 messages
-        self._round, self._memo, self._sent = -1, {}, {}
-
-    def init(self, view: NodeView):
-        if self.trivial_color is not None:
-            return None, self.trivial_color
-        if not self.schedule:
-            return None, view.node
-        # [color, the out-neighbors whose colors count, or None for all neighbors]
-        return [view.node, view.out_neighbors if self.oriented else None], None
-
-    def _point_from_one(self, step_idx: int, mine: int, others: list[int]) -> int:
-        """The chosen color a*q + p_mine(a) of the first point a >= 1 with
-        at most d collisions, through the memo of reduction step ``step_idx``."""
-        q, e, d = self.schedule[step_idx]
-        memo = self._memo
-        for a in range(1, q):
-            key = mine * q + a
-            val = memo.get(key)
-            if val is None:
-                val = memo[key] = _poly_eval(mine, q, e, a)
-            collisions = 0
-            for c in others:
-                key = c * q + a
-                other = memo.get(key)
-                if other is None:
-                    other = memo[key] = _poly_eval(c, q, e, a)
-                if other == val:
-                    collisions += 1
-                    if collisions > d:
-                        break
-            if collisions <= d:
-                return a * q + val
-        raise AssertionError("prime choice guarantees a good point")
-
-    def step(self, state, inbox, round_no: int):
-        if round_no == 1:
-            return state, {"color": RawField(state[0], self.widths[0])}, None
-        if round_no != self._round:
-            self._round, self._memo, self._sent = round_no, {}, {}
-        # apply reduction round_no-2 using last round's colors
-        q, _, d = self.schedule[round_no - 2]
-        mine, relevant = state
-        msgs = inbox.values() if relevant is None else [inbox[u] for u in relevant if u in inbox]
-        # at a = 0 a color's polynomial takes its constant coefficient,
-        # p_c(0) = c mod q, so the first point needs no evaluation
-        chosen = mine % q
+def _point_from_one(
+    q: int, e: int, d: int, mine: int, others: list[int], memo: dict[int, int]
+) -> Optional[int]:
+    """The chosen color a*q + p_mine(a) of the first point a >= 1 with at
+    most d collisions, or None; ``memo`` holds the round's p_c(a) by
+    c * q + a, a pure function of public quantities shared by all nodes."""
+    for a in range(1, q):
+        key = mine * q + a
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = _poly_eval(mine, q, e, a)
         collisions = 0
-        for msg in msgs:
-            if msg["color"].value % q == chosen:
+        for c in others:
+            key = c * q + a
+            other = memo.get(key)
+            if other is None:
+                other = memo[key] = _poly_eval(c, q, e, a)
+            if other == val:
                 collisions += 1
-        if collisions > d:
-            others = [msg["color"].value for msg in msgs]
-            chosen = self._point_from_one(round_no - 2, mine, others)
-        state[0] = chosen
-        if round_no > len(self.schedule):
-            return state, None, chosen
-        msg = self._sent.get(chosen)
-        if msg is None:
-            msg = self._sent[chosen] = {"color": RawField(chosen, self.widths[round_no - 1])}
-        return state, msg, None
+                if collisions > d:
+                    break
+        if collisions <= d:
+            return a * q + val
+    return None
 
 
-def _make_program(graph: ColoredGraph, base: int, defect: int, oriented: bool):
-    if graph.n == 0 or base == 0:
-        # no nodes, or no conflicts possible at all
-        return _LinialProgram([], [], oriented, trivial_color=0), 1
-    sched, palette = linial_schedule(graph.n, base, defect)
-    palettes = [graph.n] + [q * q for q, _, _ in sched]
-    return _LinialProgram(sched, palettes, oriented, None), palette
-
-
-def linial_program(graph: ColoredGraph):
-    """The proper-coloring reduction as a NodeProgram value."""
-    program, _ = _make_program(graph, graph.max_degree(), 0, oriented=False)
-    return program
-
-
-def defective_linial_program(graph: ColoredGraph, d: int):
-    """The oriented d-defective reduction as a NodeProgram value."""
-    if graph.out_neighbors is None:
-        raise MissingOrientation("defective_linial needs an oriented graph")
-    beta = max((graph.outdegree(v) for v in range(graph.n)), default=0)
-    if d >= beta:
-        return _LinialProgram([], [], True, trivial_color=0)
-    program, _ = _make_program(graph, graph.max_beta(), d, oriented=True)
-    return program
+def _reduce(
+    graph: ColoredGraph, base: int, defect: int, relevant: Sequence[Sequence[int]]
+) -> tuple[ColoringOutput, RoundTrace]:
+    """Run the schedule over the whole color vector.  Each round every node
+    sends its color, then picks its next color from the colors that its
+    ``relevant`` neighbors sent; after the last reduction it outputs."""
+    n = graph.n
+    if n == 0 or base == 0:  # no nodes, or no conflicts possible at all
+        colors, schedule = [0] * n, []
+    else:
+        colors, schedule = list(range(n)), linial_schedule(n, base, defect)[0]
+    nodes = range(n)
+    palette = n
+    traces = []
+    for round_no, (q, e, d) in enumerate(schedule, 1):
+        # widths never grow, so only round 1 can exceed a budget, and
+        # broadcast names round 1; one shared message per color
+        width = max(1, (palette - 1).bit_length())
+        message_of = {c: {"color": RawField(c, width)} for c in set(colors)}
+        traces.append(broadcast(graph, dict(zip(nodes, map(message_of.__getitem__, colors)))))
+        # at a = 0 a color's polynomial takes its constant coefficient,
+        # p_c(0) = c mod q, so the first point needs no evaluation; only a
+        # node with over d relevant neighbors on it looks further.  hits
+        # reads chosen lazily, so those nodes are listed before any moves
+        chosen = [c % q for c in colors]
+        hits = map(countOf, map(map, repeat(chosen.__getitem__), relevant), chosen)
+        memo: dict[int, int] = {}
+        for v in list(compress(nodes, map(d.__lt__, hits))):
+            point = _point_from_one(q, e, d, colors[v], [colors[u] for u in relevant[v]], memo)
+            if point is None:
+                # numbered as runtime.run numbers a step: after the round it read
+                raise NodeFailure(
+                    "prime choice guarantees a good point", node=v, round_no=round_no + 1
+                )
+            chosen[v] = point
+        colors, palette = chosen, q * q
+    return ColoringOutput(tuple(colors)), concat_traces(traces, colors)
 
 
 def linial_coloring(graph: ColoredGraph) -> tuple[ColoringOutput, RoundTrace]:
@@ -196,13 +162,13 @@ def linial_coloring(graph: ColoredGraph) -> tuple[ColoringOutput, RoundTrace]:
     palette as long as some prime q with q*q < palette admits the degree
     bound.  Isolated-node graphs finish with color 0 in zero rounds.
     """
-    trace = run(graph, linial_program(graph))
-    return ColoringOutput(tuple(trace.outputs)), trace
+    return _reduce(graph, graph.max_degree(), 0, graph.adjacency)
 
 
 def linial_palette(graph: ColoredGraph) -> int:
     """Declared final palette size of linial_coloring on this graph."""
-    return _make_program(graph, graph.max_degree(), 0, oriented=False)[1]
+    base = graph.max_degree()
+    return linial_schedule(graph.n, base)[1] if graph.n and base else 1
 
 
 def defective_linial(graph: ColoredGraph, d: int) -> tuple[ColoringOutput, RoundTrace]:
@@ -212,5 +178,8 @@ def defective_linial(graph: ColoredGraph, d: int) -> tuple[ColoringOutput, Round
     with the collision budget d.  When d already dominates every
     outdegree a single color suffices.
     """
-    trace = run(graph, defective_linial_program(graph, d))
-    return ColoringOutput(tuple(trace.outputs)), trace
+    outs = graph.out_neighbors
+    if outs is None:
+        raise MissingOrientation("defective_linial needs an oriented graph")
+    beta = max(map(len, outs), default=0)
+    return _reduce(graph, 0 if d >= beta else graph.max_beta(), d, outs)

@@ -18,10 +18,11 @@ candidate classes, defects are the delta budgets) solved by the basic
 algorithm with proximity g = floor(log2 h), and then runs the two-phase
 algorithm on the buckets the assignment selected.
 
-Both routines are phased: each communication step is one broadcast
-segment on the round engine, so every message is sized and held to the
-bit budget.  Between segments a node reads only what its out-neighbors
-sent; per-class type tables are built from the types the class sent.
+Both routines are phased: each communication step is one round over a
+sent record, priced by ``runtime.broadcast``, so every message is sized
+and held to the bit budget.  Between rounds a node reads only what its
+out-neighbors sent; per-class type tables are built from the types the
+class sent.
 """
 
 from __future__ import annotations
@@ -58,29 +59,9 @@ from .runtime import (
     Pow2DefectField,
     RawField,
     RoundTrace,
+    broadcast,
     concat_traces,
-    run,
 )
-
-
-# -- broadcast segments --------------------------------------------------------
-
-
-@dataclass
-class _SegmentProgram:
-    """One broadcast step: the given nodes send, and every node is done."""
-
-    senders: dict[int, Mapping]
-
-    def init(self, view):
-        return view.node, None
-
-    def step(self, v, inbox, round_no):
-        return v, self.senders.get(v), True
-
-
-def _broadcast_segment(graph: ColoredGraph, senders: dict[int, Mapping]) -> RoundTrace:
-    return run(graph, _SegmentProgram(senders)) if senders else RoundTrace()
 
 
 # -- two-phase algorithm ---------------------------------------------------------
@@ -168,14 +149,14 @@ def two_phase_oldc(
                 f"node {v}: |L|={len(lists[v])} < {need:.1f} under the two-phase condition"
             )
 
-    # Each step is one broadcast segment.  Broadcast reaches every
+    # Each step is one broadcast round.  Broadcast reaches every
     # neighbor, so what v received from an out-neighbor u is what u sent:
-    # between segments v reads only its out-neighbors' entries of these.
+    # between rounds v reads only its out-neighbors' entries of these.
     # Decided colors go out first so every budget sees them.
     decided_msgs = {
         v: {"decided": ColorListField((c,), space_size)} for v, c in predecided.items()
     }
-    traces = [_broadcast_segment(graph, decided_msgs)]
+    traces = [broadcast(graph, decided_msgs)]
     sent_colors = {u: msg["decided"].colors[0] for u, msg in decided_msgs.items()}
     sent_csets: dict[int, int] = {}  # u -> color_mask(C_u)
 
@@ -205,7 +186,7 @@ def two_phase_oldc(
                 "defect": Pow2DefectField(d, beta_max),
                 "class": RawField(i, max(1, h.bit_length())),
             }
-        traces.append(_broadcast_segment(graph, type_msgs))
+        traces.append(broadcast(graph, type_msgs))
         class_types = {
             u: NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
             for u, msg in type_msgs.items()
@@ -234,7 +215,7 @@ def two_phase_oldc(
                 raise NodeFailure(f"phase-I selection exceeds d/4: {best_d}", node=v)
             csets[v] = fam[best_idx]
             cset_msgs[v] = {"cset": IndexField(best_idx, len(fam))}
-        traces.append(_broadcast_segment(graph, cset_msgs))
+        traces.append(broadcast(graph, cset_msgs))
         sent_csets.update(
             (u, masks_of[class_types[u]][msg["cset"].index]) for u, msg in cset_msgs.items()
         )
@@ -271,7 +252,7 @@ def two_phase_oldc(
                 raise NodeFailure(f"lower-class budget exceeded: {lower_hits}", node=v)
             audit[v] = (lower_hits, ignored, best_f)
             color_msgs[v] = {"color": ColorListField((best_x,), space_size)}
-        traces.append(_broadcast_segment(graph, color_msgs))
+        traces.append(broadcast(graph, color_msgs))
         sent_colors.update((u, msg["color"].colors[0]) for u, msg in color_msgs.items())
 
     output = ColoringOutput(tuple(sent_colors[v] for v in range(n)))

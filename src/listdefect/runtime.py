@@ -10,17 +10,20 @@ execution order:
     table index     ceil(log2 size)   a K-family member, an initial color in [m]
     raw field       explicit bit width
 
-Node programs are pure state machines.  ``init`` may already produce an
-output (a zero-round program); ``step`` consumes the inbox of the previous
-round and returns the new state, one message and optionally the final
-output.  Communication is broadcast: the message goes to every neighbor,
-and a falsy message (None or an empty dict) means the node is silent.
-Once a node has produced its output it no longer steps; the message of
-its final step is still delivered.  A round is send, receive, compute, so
-the work after the last receive is not a round of its own: a run ends at
-the last round in which some node sent a message (a 0-bit message counts),
-and the silent rounds after it are not recorded (Linial on a 300-ring
-records ``[9, 6]``).
+A round runs either as node programs or over a sent record.  Node
+programs (``run``) are pure state machines.  ``init`` may already produce
+an output (a zero-round program); ``step`` consumes the inbox of the
+previous round and returns the new state, one message and optionally the
+final output.  A sent record (``broadcast``) is the message of every
+sending node for one round, which the caller builds and reads back
+itself, with no step and no inbox.  Communication is broadcast: the
+message goes to every neighbor, and a falsy message (None or an empty
+dict) means the node is silent.  Once a node has produced its output it
+no longer steps; the message of its final step is still delivered.  A
+round is send, receive, compute, so the work after the last receive is
+not a round of its own: a run ends at the last round in which some node
+sent a message (a 0-bit message counts), and the silent rounds after it
+are not recorded (Linial on a 300-ring records ``[9, 6]``).
 
 Every run obeys the ``Network`` setting of its context, set by a
 ``with network(...)`` block: the bit budget and the message record.
@@ -119,8 +122,8 @@ class NodeProgram(Protocol):
 
     ``init`` and ``step`` see only the node's own view, state and inbox.
     A program may still cache a pure function of public quantities
-    across nodes (the Linial reduction memoises polynomial values and
-    its messages per round), since that changes no result.
+    across nodes, or give many nodes one message object, since that
+    changes no result.
     """
 
     def init(self, view: NodeView) -> tuple[Any, Optional[Any]]:
@@ -299,4 +302,39 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
         raise
 
     del trace.max_message_bits[last_sent:]
+    return trace
+
+
+def broadcast(graph: ColoredGraph, sent: Mapping[int, Message]) -> RoundTrace:
+    """Price one round in which each node v sends ``sent[v]`` to every
+    neighbor; no step is called and no inbox is built.
+
+    The rules are the engine's: senders are taken in id order, whatever
+    the mapping's order, and a message is sized only if it is truthy and
+    its node has neighbors.  Under a budget an over-size message raises a
+    BudgetViolation naming the edge to its node's first neighbor, round 1
+    and the size; with ``record_messages`` the trace lists one row per
+    delivered message, in adjacency order.  The trace has one round, or
+    none when no node with neighbors sends (a 0-bit message is a send).
+    ``run`` cannot price a round this way: it sizes each send before the
+    next node steps, so no node after an over-budget sender steps.
+    """
+    setting = current_network()
+    bits_per_message = setting.bits_per_message
+    adjacency = graph.adjacency
+    trace = RoundTrace()
+    messages = trace.messages if setting.record_messages else None
+    round_max = -1
+    for v in sorted(sent):
+        msg, neighbors = sent[v], adjacency[v]
+        if msg and neighbors:
+            size = message_bits(msg)
+            if bits_per_message is not None and size > bits_per_message:
+                raise BudgetViolation((v, neighbors[0]), 1, size, bits_per_message)
+            if size > round_max:
+                round_max = size
+            if messages is not None:
+                messages.extend([(1, v, u, size) for u in neighbors])
+    if round_max >= 0:
+        trace.max_message_bits.append(round_max)
     return trace

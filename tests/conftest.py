@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from listdefect import ColoredGraph, LdcInstance
 from listdefect.conflict import TypeTable, color_mask, masks_conflict, shifted_masks
 
@@ -41,6 +43,26 @@ def random_dag(n: int, max_out: int, p: float, seed: int) -> ColoredGraph:
                 edges.append((u, v))
                 outdeg[u] += 1
     return ColoredGraph.build(n, edges, orientation=edges)
+
+
+# bit budgets of the differential tests; None is LOCAL mode
+BUDGETS = st.sampled_from([None, 3, 8, 32])
+
+
+@st.composite
+def graphs(draw, oriented=None):
+    """Up to 40 nodes, some of them isolated, ids shuffled; oriented or not."""
+    n = draw(st.integers(0, 40))
+    core = n - draw(st.integers(0, min(n, 6)))
+    p = draw(st.floats(0.0, 0.5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[u], ids[v]) for u in range(core) for v in range(u + 1, core) if rng.random() < p]
+    if oriented is None:
+        oriented = draw(st.booleans())
+    orientation = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+    return ColoredGraph.build(n, edges, orientation=orientation if oriented else None)
 
 
 def uniform_instance(

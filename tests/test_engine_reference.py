@@ -15,37 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine
+import reference_linial
 from listdefect import (
-    ColoredGraph,
     OldcConfig,
     RawField,
-    defective_linial_program,
-    linial_program,
     network,
     oldc_basic,
     runtime,
     single_defect_oldc,
 )
 from listdefect.errors import FailFast, NodeFailure
-from listdefect.oldc_main import _SegmentProgram
 
-BUDGETS = st.sampled_from([None, 3, 8, 32])
-
-
-@st.composite
-def graphs(draw, oriented=None):
-    """Up to 40 nodes, some of them isolated, ids shuffled; oriented or not."""
-    n = draw(st.integers(0, 40))
-    core = n - draw(st.integers(0, min(n, 6)))
-    p = draw(st.floats(0.0, 0.5))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    ids = list(range(n))
-    rng.shuffle(ids)
-    edges = [(ids[u], ids[v]) for u in range(core) for v in range(u + 1, core) if rng.random() < p]
-    if oriented is None:
-        oriented = draw(st.booleans())
-    orientation = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
-    return ColoredGraph.build(n, edges, orientation=orientation if oriented else None)
+from conftest import BUDGETS, graphs
 
 
 def _outcome(engine, graph, program, budget, max_rounds):
@@ -66,9 +47,9 @@ def assert_same_run(graph, program, budget=None, max_rounds=10_000):
 @settings(max_examples=80, deadline=None)
 @given(graphs(), BUDGETS, st.integers(0, 2))
 def test_linial_programs_run_as_on_the_reference(graph, budget, d):
-    assert_same_run(graph, linial_program(graph), budget)
+    assert_same_run(graph, reference_linial.linial_program(graph), budget)
     if graph.out_neighbors is not None:
-        assert_same_run(graph, defective_linial_program(graph, d), budget)
+        assert_same_run(graph, reference_linial.defective_linial_program(graph, d), budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,15 +74,44 @@ def test_single_defect_program_runs_as_on_the_reference(graph, budget, g, seed):
         assert_same_run(graph, program, budget)
 
 
+class SegmentProgram:
+    """One broadcast step on the engine: the given nodes send, and every
+    node is done."""
+
+    def __init__(self, senders):
+        self.senders = senders
+
+    def init(self, view):
+        return view.node, None
+
+    def step(self, v, inbox, round_no):
+        return v, self.senders.get(v), True
+
+
+def _priced(price, budget):
+    """The per-round bits and message record of ``price()``, or its
+    exception with the same fields as ``_outcome``."""
+    with network(bits_per_message=budget, record_messages=True):
+        try:
+            trace = price()
+        except FailFast as exc:
+            fields = [getattr(exc, f, None) for f in ("node", "round_no", "edge", "size")]
+            return type(exc), str(exc), fields
+    return trace.max_message_bits, trace.messages
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(), BUDGETS, st.data())
 def test_segment_program_runs_as_on_the_reference(graph, budget, data):
+    # runtime.broadcast prices a sent record as the engine runs the step
     shared = {"x": RawField(0, 5)}
     senders = {
         v: shared if data.draw(st.booleans()) else {"x": RawField(v, v % 9), "y": RawField(0, 1)}
         for v in data.draw(st.sets(st.integers(0, max(0, graph.n - 1)))) if v < graph.n
     }
-    assert_same_run(graph, _SegmentProgram(senders), budget)
+    got = _priced(lambda: runtime.broadcast(graph, senders), budget)
+    program = SegmentProgram(senders)
+    assert got == _priced(lambda: reference_engine.run(graph, program), budget)
 
 
 SHARED = {"s": RawField("shared", 4)}

@@ -1,21 +1,23 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_linial
 from listdefect import (
     ColoredGraph,
+    NodeFailure,
     RawField,
     defective_linial,
-    defective_linial_program,
+    linial,
     linial_coloring,
     linial_palette,
-    linial_program,
     linial_schedule,
     network,
     run,
 )
-from listdefect.linial import _LinialProgram, _poly_eval
+from listdefect.linial import _poly_eval
 
 from conftest import random_dag, ring_graph
 
@@ -106,8 +108,8 @@ def test_random_graph_properness_and_shape():
 class _PerPairLinial:
     """Reference: the Linial node program that evaluates both polynomials of
     every (node, neighbor) pair at every point, with no memo.  It takes the
-    schedule, palettes and degenerate-graph color of a library program; its
-    state is its own."""
+    schedule, palettes and degenerate-graph color of a frozen reference
+    program (``reference_linial``); its state is its own."""
 
     def __init__(self, program):
         self.program = program
@@ -151,14 +153,17 @@ def _random_graph(seed, n, p, oriented):
     return ColoredGraph.build(n, edges, orientation=orientation if oriented else None)
 
 
-def _same_run(graph, program, trace, colors, reference):
-    """Same colors and trace files as the reference, and with every
-    message recorded, the same messages and sizes."""
-    assert colors == tuple(reference.outputs)
+def _same_run(graph, solve, program):
+    """``solve()`` gives the same colors and trace files as the per-pair
+    reference on ``program``'s schedule, and with every message recorded,
+    the same messages and sizes."""
+    out, trace = solve()
+    reference = run(graph, _PerPairLinial(program))
+    assert out.colors == tuple(reference.outputs)
     assert trace.to_json() == reference.to_json()
     assert trace.to_csv() == reference.to_csv()
     with network(record_messages=True):
-        recorded = run(graph, program)
+        _, recorded = solve()
         recorded_reference = run(graph, _PerPairLinial(program))
     assert recorded.to_json(verbose=True) == recorded_reference.to_json(verbose=True)
 
@@ -167,18 +172,16 @@ def _same_run(graph, program, trace, colors, reference):
 @given(st.integers(0, 10**6), st.integers(1, 160), st.floats(0.0, 0.3))
 def test_memoised_linial_matches_per_pair_reference(seed, n, p):
     graph = _random_graph(seed, n, p, oriented=False)
-    out, trace = linial_coloring(graph)
-    program = linial_program(graph)
-    _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))
+    program = reference_linial.linial_program(graph)
+    _same_run(graph, lambda: linial_coloring(graph), program)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 160), st.floats(0.0, 0.3), st.sampled_from([0, 1, 2]))
 def test_memoised_defective_linial_matches_per_pair_reference(seed, n, p, d):
     graph = _random_graph(seed, n, p, oriented=True)
-    out, trace = defective_linial(graph, d)
-    program = defective_linial_program(graph, d)
-    _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))
+    program = reference_linial.defective_linial_program(graph, d)
+    _same_run(graph, lambda: defective_linial(graph, d), program)
 
 
 def test_polynomial_at_zero_is_the_constant_coefficient():
@@ -195,15 +198,26 @@ def test_linial_past_a_colliding_first_point_matches_per_pair_reference(monkeypa
     graph = ColoredGraph.build(64, [(0, 5), (5, 10), (10, 11), (20, 21)])
     assert linial_schedule(64, 2)[0][0][0] == 5
     calls = []
-    real = _LinialProgram._point_from_one
+    real = linial._point_from_one
 
-    def counted(self, step_idx, mine, others):
-        calls.append((step_idx, mine))
-        return real(self, step_idx, mine, others)
+    def counted(q, e, d, mine, others, memo):
+        calls.append((q, mine))
+        return real(q, e, d, mine, others, memo)
 
-    monkeypatch.setattr(_LinialProgram, "_point_from_one", counted)
-    out, trace = linial_coloring(graph)
-    program = linial_program(graph)
-    _same_run(graph, program, trace, out.colors, run(graph, _PerPairLinial(program)))
-    assert {(0, 0), (0, 5), (0, 10)} <= set(calls)
+    monkeypatch.setattr(linial, "_point_from_one", counted)
+    program = reference_linial.linial_program(graph)
+    _same_run(graph, lambda: linial_coloring(graph), program)
+    assert {(5, 0), (5, 5), (5, 10)} <= set(calls)
+    out, _ = linial_coloring(graph)
     assert _proper(graph, out.colors)
+
+
+def test_a_node_without_a_good_point_fails_fast_naming_node_and_round(monkeypatch):
+    # q = 2 and e = 1 is too small a prime for max degree 2: node 0 (the
+    # constant 0) meets node 2 (p(a) = a) at a = 0 and node 3 (1 + a) at
+    # a = 1, so no point is free of collisions
+    graph = ColoredGraph.build(4, [(0, 2), (0, 3)])
+    monkeypatch.setattr(linial, "linial_schedule", lambda *args: ([(2, 1, 0)], 4))
+    with pytest.raises(NodeFailure, match="good point") as info:
+        linial_coloring(graph)
+    assert (info.value.node, info.value.round_no) == (0, 2)

@@ -17,7 +17,7 @@ from listdefect import (
     validate_ldc,
 )
 from listdefect.errors import InvalidInstance, ListTooSmall, NodeFailure
-from listdefect.oldc_main import _broadcast_segment
+from listdefect.runtime import broadcast
 
 from conftest import random_dag
 
@@ -97,7 +97,7 @@ def _blocky_graph_and_lists(seed, n=12):
 def test_broadcast_segment_costs_one_round():
     path = ColoredGraph.build(3, [(0, 1), (1, 2)], init_colors=[0, 1, 0], m=2)
     msg = {"p": RawField(0, 5)}
-    trace = _broadcast_segment(path, {1: msg})
+    trace = broadcast(path, {1: msg})
     assert trace.max_message_bits == [5] and trace.rounds_elapsed == 1
 
 

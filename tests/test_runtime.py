@@ -358,3 +358,48 @@ def test_a_silent_round_hands_the_next_one_fresh_empty_inboxes():
     trace = run(PATH3, _SilentSecondRound())
     assert trace.outputs == [[[], [1], []], [[], [0, 2], []], [[], [1], []]]
     assert trace.max_message_bits == [2]
+
+
+# -- broadcast: one round over a sent record --------------------------------------
+
+
+class Unpriceable(dict):
+    """A message that must never be sized."""
+
+    def values(self):  # pragma: no cover
+        raise AssertionError("a message that goes nowhere was sized")
+
+
+def test_broadcast_of_an_empty_record_is_zero_rounds():
+    with network(bits_per_message=1, record_messages=True):
+        tr = runtime.broadcast(STAR, {})
+    assert tr.max_message_bits == [] and tr.messages == [] and tr.outputs == []
+
+
+def test_broadcast_from_nodes_without_neighbors_is_zero_rounds():
+    lonely = ColoredGraph.build(3, [])
+    with network(bits_per_message=1, record_messages=True):
+        tr = runtime.broadcast(lonely, {v: Unpriceable(p=RawField(v, 99)) for v in range(3)})
+        assert runtime.broadcast(STAR, {13: Unpriceable(p=RawField(0, 99))}).rounds_elapsed == 0
+    assert tr.rounds_elapsed == 0 and tr.messages == []
+
+
+def test_broadcast_skips_falsy_messages_and_counts_a_0_bit_one():
+    with network(record_messages=True):
+        tr = runtime.broadcast(PATH3, {0: None, 1: {"z": RawField(0, 0)}, 2: {}})
+    assert tr.max_message_bits == [0] and tr.rounds_elapsed == 1
+    assert tr.messages == [(1, 1, 0, 0), (1, 1, 2, 0)]
+
+
+def test_broadcast_takes_senders_in_id_order_whatever_the_insertion_order():
+    sizes = [40 if v in (3, 7) else v for v in range(14)]
+    sent = {v: {"p": RawField(v, sizes[v])} for v in range(13, -1, -1)}
+    with network(record_messages=True):
+        tr = runtime.broadcast(STAR, sent)
+    hub = [(1, 0, u, 0) for u in range(1, 13)]
+    assert tr.messages == hub + [(1, v, 0, sizes[v]) for v in range(1, 13)]
+    assert tr.max_message_bits == [40]
+    # the lowest-id over-budget sender is named, though 7 was inserted first
+    with network(bits_per_message=32), pytest.raises(BudgetViolation) as exc:
+        runtime.broadcast(STAR, sent)
+    assert (exc.value.edge, exc.value.round_no, exc.value.size) == ((3, 0), 1, 40)
