@@ -137,6 +137,23 @@ def least_conflicting(
     return best_idx, best_count
 
 
+def least_frequent(
+    colors: Sequence[int], masks: Sequence[int], decided: Sequence[int], g: int
+) -> tuple[Optional[int], Optional[int]]:
+    """The frequency choice: the color x of ``colors`` with the fewest
+    colors within distance g of it, counted over the sets behind
+    ``masks`` and the ``decided`` colors.  Returns (color, count) of the
+    first minimum, or (None, None) when ``colors`` is empty."""
+    best_x, best_f = None, None
+    for x in colors:
+        near_x = shifted_masks(1 << x, g)
+        f = sum(proximity_count(near_x, m) for m in masks)
+        f += sum(1 for c in decided if abs(c - x) <= g)
+        if best_f is None or f < best_f:
+            best_x, best_f = x, f
+    return best_x, best_f
+
+
 def residue_restrict(colors: Sequence[int], g: int) -> tuple[int, tuple[int, ...]]:
     """Largest residue class of the list modulo 2g+1.
 

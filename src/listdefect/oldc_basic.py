@@ -12,10 +12,16 @@ Single-defect pipeline (each node carries one defect value d_v):
       color instead); round 2 picks C_v in K_v minimizing the number of
       same-or-lower-class out-neighbors whose family could conflict
       (problem P1) and broadcasts its index.
-  3.  Gamma classes then decide in descending order: each node takes the
-      frequency-minimizing color of C_v, where the frequency counts
-      proximity-g occurrences in undecided same-or-lower-class
-      out-neighbors' C_u plus decided out-neighbors' colors.
+  3.  Gamma classes then decide in descending order, one round each: each
+      node takes the frequency-minimizing color of C_v, where the
+      frequency counts proximity-g occurrences in undecided
+      same-or-lower-class out-neighbors' C_u plus decided out-neighbors'
+      colors.
+
+The schedule is fixed and public, so the run is a sequence of rounds
+over sent records, each priced by ``runtime.broadcast``, with local work
+between them.  A node reads only what its out-neighbors sent: a family
+K_u from u's sent type through the shared table, C_u from its sent index.
 
 The gamma class of a node is the smallest i with 2**i >= 2*beta_v/(d_v+1)
 and candidate sizes are k_i = 2**i * tau, k' = 2**h * tau'.  Every
@@ -39,8 +45,8 @@ from .conflict import (
     build_type_table,
     color_mask,
     least_conflicting,
+    least_frequent,
     masks_conflict,
-    proximity_count,
     residue_restrict,
     shifted_masks,
 )
@@ -58,7 +64,8 @@ from .runtime import (
     Pow2DefectField,
     RawField,
     RoundTrace,
-    run,
+    broadcast,
+    concat_traces,
 )
 
 
@@ -100,131 +107,6 @@ def _pow2_ceil(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
-@dataclass
-class _NodeStatics:
-    """Read-only per-node data closed over by the node program."""
-
-    skip_color: Optional[int] = None
-    defect: int = 0
-    gamma: int = 0
-    family: tuple[tuple[int, ...], ...] = ()
-    masks: tuple[int, ...] = ()  # color_mask of each family member
-    restricted: tuple[int, ...] = ()
-
-
-@dataclass
-class _SingleDefectProgram:
-    """Node program for the single-defect pipeline; shares the type table."""
-
-    statics: list[_NodeStatics]
-    space_size: int
-    h: int
-    tau: int
-    tau_prime: int
-    g: int
-    beta_max: int
-
-    def init(self, view):
-        state = {
-            "view": view,
-            "decided": {},     # out-neighbor -> color
-            "cset_masks": {},  # out-neighbor -> color_mask(C_u)
-            "classes": {},     # out-neighbor -> gamma class
-            "cset": None,
-        }
-        return state, None
-
-    def step(self, state, inbox, round_no: int):
-        view = state["view"]
-        st = self.statics[view.node]
-
-        for u, msg in inbox.items():
-            if "decided" in msg:
-                state["decided"][u] = msg["decided"].colors[0]
-            if "color" in msg:
-                state["decided"][u] = msg["color"].colors[0]
-            if "class" in msg:
-                state["classes"][u] = msg["class"].value
-            if "cset" in msg:
-                state["cset_masks"][u] = self.statics[u].masks[msg["cset"].index]
-
-        if round_no == 1:
-            if st.skip_color is not None:
-                msg = {"decided": ColorListField((st.skip_color,), self.space_size)}
-                return state, msg, st.skip_color
-            msg = {
-                "init": IndexField(view.init_color, view.m),
-                "list": ColorListField(st.restricted, self.space_size),
-                "defect": Pow2DefectField(st.defect, self.beta_max),
-                "class": RawField(st.gamma, max(1, self.h.bit_length())),
-            }
-            return state, msg, None
-
-        if round_no == 2:
-            fam = st.family
-            peers = [
-                u
-                for u in view.out_neighbors
-                if u in state["classes"] and state["classes"][u] <= st.gamma
-            ]
-            peer_masks = [self.statics[u].masks for u in peers]
-            best_idx, best_d = least_conflicting(st.masks, peer_masks, self.tau, self.g)
-            beta_v = max(1, len(view.out_neighbors))
-            # pigeonhole over the family: best <= beta (tau'-1)/|K| < (d+1)/2
-            if best_d * len(fam) > beta_v * (self.tau_prime - 1):
-                raise NodeFailure(
-                    f"P1 pigeonhole failed: {best_d} conflicts over family of {len(fam)}"
-                )
-            if 2 * beta_v * (self.tau_prime - 1) >= (st.defect + 1) * len(fam):
-                raise NodeFailure(
-                    "family too small for the defect budget: "
-                    f"beta={beta_v} tau'={self.tau_prime} |K|={len(fam)} d={st.defect}"
-                )
-            state["cset"] = st.family[best_idx]
-            state["cset_mask"] = st.masks[best_idx]
-            return state, {"cset": IndexField(best_idx, len(fam))}, None
-
-        if round_no == 3:
-            out_set = set(view.out_neighbors)
-            shifted = shifted_masks(state["cset_mask"], self.g)
-            conflicts = sum(
-                1
-                for u, m_u in state["cset_masks"].items()
-                if u in out_set
-                and state["classes"][u] <= st.gamma
-                and masks_conflict(shifted, m_u, self.tau)
-            )
-            if 2 * conflicts > st.defect:
-                raise NodeFailure(
-                    f"P1 violated: {conflicts} conflicting same-or-lower out-neighbors"
-                )
-
-        if round_no == 3 + self.h - st.gamma:  # classes decide in descending order
-            undecided = [
-                state["cset_masks"][u]
-                for u in view.out_neighbors
-                if u in state["cset_masks"] and state["classes"][u] <= st.gamma
-            ]
-            best_x, best_f = None, None
-            for x in state["cset"]:
-                near_x = shifted_masks(1 << x, self.g)
-                f = sum(proximity_count(near_x, m_u) for m_u in undecided)
-                f += sum(
-                    1
-                    for u in view.out_neighbors
-                    if u in state["decided"] and abs(state["decided"][u] - x) <= self.g
-                )
-                if best_f is None or f < best_f:
-                    best_x, best_f = x, f
-            if best_f is None or best_f > st.defect:
-                raise NodeFailure(
-                    f"frequency bound failed: min frequency {best_f}, defect {st.defect}"
-                )
-            return state, {"color": ColorListField((best_x,), self.space_size)}, best_x
-
-        return state, None, None
-
-
 def _run_single_defect(
     graph: ColoredGraph,
     color_space: Sequence[int],
@@ -235,71 +117,156 @@ def _run_single_defect(
     h_arg: Optional[int] = None,
     predecided: Optional[dict[int, int]] = None,
 ) -> tuple[ColoringOutput, RoundTrace]:
-    """The single-defect pipeline on canonical lists and nonnegative defects."""
+    """The single-defect pipeline on canonical lists and nonnegative defects.
+
+    Each round is a sent record priced by ``broadcast``: round 1 carries
+    the types and the skippers' colors, round 2 the candidate-set
+    indices, and round 3 + h - i the colors of gamma class i; round 3
+    also checks P1 at every machinery node.  Between rounds a node reads
+    only what its out-neighbors sent, their families through the shared
+    type table.  The run keeps the engine's rules: a round in which no
+    node sends is a 0-bit round unless no later round sends, and a node
+    that fails does so after the senders before it in its round.
+    """
     n = graph.n
-    predecided = dict(predecided or {})
-    statics = [_NodeStatics() for _ in range(n)]
+    predecided = predecided or {}
     space_size = len(color_space)
-    outdeg = list(map(len, graph.out_neighbors))
+    outs = graph.out_neighbors
+    outdeg = list(map(len, outs))
     beta_max = max(1, max(outdeg, default=1))
 
-    classed: list[int] = []
+    decided: dict[int, int] = {}  # node -> its color; a skipper's is known up front
+    gamma: dict[int, int] = {}  # every other node -> its gamma class, in id order
     for v in range(n):
         if v in predecided:
-            statics[v].skip_color = predecided[v]
-            continue
-        if not lists[v]:
+            decided[v] = predecided[v]
+        elif not lists[v]:
             raise ListTooSmall(f"node {v} has an empty color list")
-        if outdeg[v] <= defects[v]:
-            statics[v].skip_color = lists[v][0]
-            continue
-        statics[v].defect = defects[v]
-        statics[v].gamma = gamma_class_of(max(1, outdeg[v]), defects[v])
-        classed.append(v)
+        elif outdeg[v] <= defects[v]:
+            decided[v] = lists[v][0]
+        else:
+            gamma[v] = gamma_class_of(outdeg[v], defects[v])
 
     # h may be given but must cover every realized class
-    h = max(h_arg or 1, max((statics[v].gamma for v in classed), default=1))
+    h = max(h_arg or 1, max(gamma.values(), default=1))
     params = ConflictParams(
         h=h, color_space_size=space_size, m=graph.m, g=g, scale_override=config.scale_override
     )
     tau, tau_prime = params.tau, params.tau_prime
 
-    types: list[NodeType] = []
-    for v in classed:
-        beta_v = max(1, outdeg[v])
-        need = config.alpha * (beta_v / (defects[v] + 1)) ** 2 * tau * (2 * g + 1)
+    sent: dict[int, dict] = {
+        v: {"decided": ColorListField((c,), space_size)} for v, c in decided.items()
+    }
+    for v, i in gamma.items():
+        need = config.alpha * (outdeg[v] / (defects[v] + 1)) ** 2 * tau * (2 * g + 1)
         if len(lists[v]) < need:
             raise ListTooSmall(
                 f"node {v}: |L|={len(lists[v])} < {need:.1f} required at alpha={config.alpha}"
             )
         _, restricted = residue_restrict(lists[v], g)
-        k_i = (1 << statics[v].gamma) * tau
+        k_i = (1 << i) * tau
         if len(restricted) < k_i:
             raise ListTooSmall(
                 f"node {v}: residue-restricted list of {len(restricted)} "
                 f"cannot host candidate sets of size {k_i}"
             )
-        statics[v].restricted = restricted
-        types.append(NodeType(graph.init_colors[v], restricted, statics[v].gamma))
-
-    k_by_class = {i: (1 << i) * tau for i in range(1, h + 1)}
-    k_prime = (1 << h) * tau_prime
-    table = build_type_table(params, types, k_by_class, k_prime)
-    # one mask tuple per family
-    masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
-    for v, t in zip(classed, types):
-        statics[v].family = table.family_of(t)
-        statics[v].masks = masks_of[t]
-
-    program = _SingleDefectProgram(
-        statics=statics, space_size=space_size, h=h, tau=tau, tau_prime=tau_prime, g=g,
-        beta_max=beta_max,
+        sent[v] = {
+            "init": IndexField(graph.init_colors[v], graph.m),
+            "list": ColorListField(restricted, space_size),
+            "defect": Pow2DefectField(defects[v], beta_max),
+            "class": RawField(i, max(1, h.bit_length())),
+        }
+    # a type as its receivers read it from round 1; the table of all
+    # types is built before round 1, since P2 takes no communication
+    types = {
+        u: NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
+        for u, msg in sent.items() if u in gamma
+    }
+    table = build_type_table(
+        params, list(types.values()), {i: (1 << i) * tau for i in range(1, h + 1)},
+        (1 << h) * tau_prime,
     )
+    masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
+    fam_masks = {u: masks_of[t] for u, t in types.items()}  # u -> color_mask of each K_u
+    class_of = {u: t.gamma_class for u, t in types.items()}
+
+    rounds: list[RoundTrace] = []
+    silent = RoundTrace([0])  # a round in which no node sends
+
+    def send(sent):
+        trace = broadcast(graph, sent, len(rounds) + 1)
+        rounds.append(trace if trace.max_message_bits else silent)
+
+    def run_round(nodes, step):
+        """One round: each node's step, in id order, may return its
+        message; a failing node is named after the senders before it."""
+        sent = {}
+        try:
+            for v in nodes:
+                msg = step(v)
+                if msg:
+                    sent[v] = msg
+        except NodeFailure as exc:
+            send(sent)
+            exc.node, exc.round_no = v, len(rounds)
+            raise
+        send(sent)
+        return sent
+
+    send(sent)
+    csets: dict[int, tuple[int, ...]] = {}
+
+    def select(v):  # P1: the member of K_v conflicting with fewest same-or-lower families
+        fam = table.family_of(types[v])
+        peers = [fam_masks[u] for u in outs[v] if class_of.get(u, h + 1) <= class_of[v]]
+        best_idx, best_d = least_conflicting(fam_masks[v], peers, tau, g)
+        # pigeonhole over the family: best <= beta (tau'-1)/|K| < (d+1)/2
+        if best_d * len(fam) > outdeg[v] * (tau_prime - 1):
+            raise NodeFailure(
+                f"P1 pigeonhole failed: {best_d} conflicts over family of {len(fam)}"
+            )
+        if 2 * outdeg[v] * (tau_prime - 1) >= (defects[v] + 1) * len(fam):
+            raise NodeFailure(
+                "family too small for the defect budget: "
+                f"beta={outdeg[v]} tau'={tau_prime} |K|={len(fam)} d={defects[v]}"
+            )
+        csets[v] = fam[best_idx]
+        return {"cset": IndexField(best_idx, len(fam))}
+
+    sent_csets = {
+        u: fam_masks[u][msg["cset"].index] for u, msg in run_round(gamma, select).items()
+    }
+
+    def decide(v, i):  # v's step in the color round of class i
+        same_or_lower = [sent_csets[u] for u in outs[v] if class_of.get(u, h + 1) <= class_of[v]]
+        if i == h:  # the first color round checks P1 everywhere
+            shifted = shifted_masks(sent_csets[v], g)
+            conflicts = sum(1 for m_u in same_or_lower if masks_conflict(shifted, m_u, tau))
+            if 2 * conflicts > defects[v]:
+                raise NodeFailure(
+                    f"P1 violated: {conflicts} conflicting same-or-lower out-neighbors"
+                )
+        if class_of[v] != i:
+            return None
+        near = [decided[u] for u in outs[v] if u in decided]
+        best_x, best_f = least_frequent(csets[v], same_or_lower, near, g)
+        if best_f is None or best_f > defects[v]:
+            raise NodeFailure(
+                f"frequency bound failed: min frequency {best_f}, defect {defects[v]}"
+            )
+        return {"color": ColorListField((best_x,), space_size)}
+
+    for i in range(h, min(class_of.values(), default=h + 1) - 1, -1):
+        members = class_of if i == h else [v for v, c in class_of.items() if c == i]
+        colors = run_round(members, lambda v: decide(v, i))
+        decided.update((u, msg["color"].colors[0]) for u, msg in colors.items())
+    while rounds and rounds[-1] is silent:  # the run ends at its last send
+        rounds.pop()
+
+    output = ColoringOutput(tuple(decided[v] for v in range(n)))
     inst = _single_defect_instance(outdeg, color_space, lists, defects, predecided, g)
-    trace = run(graph, program)
-    output = ColoringOutput(tuple(trace.outputs))
     require_valid(graph, inst, output, "output failed validation at nodes")
-    return output, trace
+    return output, concat_traces(rounds, output.colors)
 
 
 def _single_defect_instance(
@@ -407,7 +374,8 @@ def multi_defect_oldc(
             _pow2_floor(inst.defects[v][x] + 1) ** 2 for x in inst.lists[v]
         )
         star = min(energy, key=lambda c: (-energy[c], c))
-        assert energy[star] * len(buckets) >= total, "best bucket must carry >= 1/h of the energy"
+        if energy[star] * len(buckets) < total:
+            raise NodeFailure("best bucket must carry >= 1/h of the energy", node=v)
         xs = buckets[star]
         reduced_lists[v] = tuple(xs)  # in list order, so sorted
         reduced_defect[v] = _pow2_floor(inst.defects[v][xs[0]] + 1) - 1

@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from .conflict import (
     ConflictParams, NodeType, build_type_table, color_mask, least_conflicting,
-    proximity_count, tau_of,
+    least_frequent, proximity_count, tau_of,
 )
 from .errors import (
     InvalidInstance,
@@ -153,10 +153,15 @@ def two_phase_oldc(
     # neighbor, so what v received from an out-neighbor u is what u sent:
     # between rounds v reads only its out-neighbors' entries of these.
     # Decided colors go out first so every budget sees them.
+    traces: list[RoundTrace] = []
+
+    def send(sent):  # a BudgetViolation names the round of the composed run
+        traces.append(broadcast(graph, sent, 1 + sum(t.rounds_elapsed for t in traces)))
+
     decided_msgs = {
         v: {"decided": ColorListField((c,), space_size)} for v, c in predecided.items()
     }
-    traces = [broadcast(graph, decided_msgs)]
+    send(decided_msgs)
     sent_colors = {u: msg["decided"].colors[0] for u, msg in decided_msgs.items()}
     sent_csets: dict[int, int] = {}  # u -> color_mask(C_u)
 
@@ -186,7 +191,7 @@ def two_phase_oldc(
                 "defect": Pow2DefectField(d, beta_max),
                 "class": RawField(i, max(1, h.bit_length())),
             }
-        traces.append(broadcast(graph, type_msgs))
+        send(type_msgs)
         class_types = {
             u: NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
             for u, msg in type_msgs.items()
@@ -215,7 +220,7 @@ def two_phase_oldc(
                 raise NodeFailure(f"phase-I selection exceeds d/4: {best_d}", node=v)
             csets[v] = fam[best_idx]
             cset_msgs[v] = {"cset": IndexField(best_idx, len(fam))}
-        traces.append(broadcast(graph, cset_msgs))
+        send(cset_msgs)
         sent_csets.update(
             (u, masks_of[class_types[u]][msg["cset"].index]) for u, msg in cset_msgs.items()
         )
@@ -238,11 +243,9 @@ def two_phase_oldc(
             multiset = len(decided_hits) + sum(overlap[u] for u in star)
             if 2 * multiset >= (1 << i) * (d + 1) * tau:
                 raise NodeFailure(f"phase-II multiset bound fails: {multiset}", node=v)
-            best_x, best_f = None, None
-            for x in csets[v]:
-                f_x = decided_hits.count(x) + sum(sent_csets[u] >> x & 1 for u in star)
-                if best_f is None or f_x < best_f:
-                    best_x, best_f = x, f_x
+            best_x, best_f = least_frequent(
+                csets[v], [sent_csets[u] for u in star], decided_hits, 0
+            )
             if 2 * best_f > d:
                 raise NodeFailure(f"phase-II frequency bound fails: {best_f} > d/2", node=v)
             lower_hits = sum(
@@ -252,7 +255,7 @@ def two_phase_oldc(
                 raise NodeFailure(f"lower-class budget exceeded: {lower_hits}", node=v)
             audit[v] = (lower_hits, ignored, best_f)
             color_msgs[v] = {"color": ColorListField((best_x,), space_size)}
-        traces.append(broadcast(graph, color_msgs))
+        send(color_msgs)
         sent_colors.update((u, msg["color"].colors[0]) for u, msg in color_msgs.items())
 
     output = ColoringOutput(tuple(sent_colors[v] for v in range(n)))

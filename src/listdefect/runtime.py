@@ -305,19 +305,24 @@ def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> 
     return trace
 
 
-def broadcast(graph: ColoredGraph, sent: Mapping[int, Message]) -> RoundTrace:
+def broadcast(
+    graph: ColoredGraph, sent: Mapping[int, Message], round_no: int = 1
+) -> RoundTrace:
     """Price one round in which each node v sends ``sent[v]`` to every
     neighbor; no step is called and no inbox is built.
 
     The rules are the engine's: senders are taken in id order, whatever
     the mapping's order, and a message is sized only if it is truthy and
     its node has neighbors.  Under a budget an over-size message raises a
-    BudgetViolation naming the edge to its node's first neighbor, round 1
-    and the size; with ``record_messages`` the trace lists one row per
-    delivered message, in adjacency order.  The trace has one round, or
-    none when no node with neighbors sends (a 0-bit message is a send).
-    ``run`` cannot price a round this way: it sizes each send before the
-    next node steps, so no node after an over-budget sender steps.
+    BudgetViolation naming the edge to its node's first neighbor, the
+    size and ``round_no``: the number of this round in the run the
+    caller composes, since an exception cannot be renumbered later.  With
+    ``record_messages`` the trace lists one row per delivered message,
+    in adjacency order, numbered as a one-round run for
+    ``concat_traces`` to renumber.  The trace has one round, or none when
+    no node with neighbors sends (a 0-bit message is a send).  ``run``
+    cannot price a round this way: it sizes each send before the next
+    node steps, so no node after an over-budget sender steps.
     """
     setting = current_network()
     bits_per_message = setting.bits_per_message
@@ -330,7 +335,7 @@ def broadcast(graph: ColoredGraph, sent: Mapping[int, Message]) -> RoundTrace:
         if msg and neighbors:
             size = message_bits(msg)
             if bits_per_message is not None and size > bits_per_message:
-                raise BudgetViolation((v, neighbors[0]), 1, size, bits_per_message)
+                raise BudgetViolation((v, neighbors[0]), round_no, size, bits_per_message)
             if size > round_max:
                 round_max = size
             if messages is not None:

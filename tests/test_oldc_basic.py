@@ -21,6 +21,7 @@ from listdefect import (
     validate_ldc,
 )
 from listdefect import oldc_basic
+from listdefect.conflict import NodeType
 from listdefect.errors import InvalidInstance, NodeFailure
 
 from conftest import random_dag, uniform_instance
@@ -130,6 +131,30 @@ def test_multi_defect_bucket_selection():
     out, _ = multi_defect_oldc(g, inst, config=OldcConfig(alpha=1.0, scale_override=(1, 2)))
     assert out.colors[0] in set(range(9))  # the 90% bucket
     assert validate_ldc(g, inst, out).valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.lists(st.integers(0, 11), min_size=1, max_size=24))
+def test_the_heaviest_bucket_carries_the_mean_energy(beta, raw_defects):
+    # with beta_hat and each d+1 rounded to powers of two, dhat1 <= beta_hat
+    # names one class each, so a bucket holds one dhat1 and its energy is
+    # the sum over its colors: the heaviest is at least the mean
+    beta_hat = 1 << (beta - 1).bit_length()
+    powers = [1 << j for j in range(beta_hat.bit_length())]
+    assert len({gamma_class_of(beta_hat, p - 1) for p in powers}) == len(powers)
+    # node 0 points at beta leaves and every defect of its list is below
+    # beta, so it is bucketed; a leaf takes its one color
+    edges = [(0, u) for u in range(1, beta + 1)]
+    star = ColoredGraph.build(beta + 1, edges, orientation=edges)
+    lists = [list(range(len(raw_defects)))] + [[0]] * beta
+    defects = [{x: d % beta for x, d in enumerate(raw_defects)}] + [{0: 0}] * beta
+    inst = LdcInstance.build(range(len(raw_defects)), lists, defects, flavor="oriented")
+    try:
+        multi_defect_oldc(star, inst, config=SCALED)
+    except NodeFailure as exc:
+        assert "best bucket" not in str(exc)
+    except FailFast:
+        pass
 
 
 def test_tiny_lists_rejected_before_communication():
@@ -261,74 +286,69 @@ def test_determinism():
     assert runs[0] == runs[1]
 
 
-class _PairwiseCheckedProgram(oldc_basic._SingleDefectProgram):
-    """The library program, with its P1 selection (round 2) and P1 check
-    (round 3) and its color choice (decision round) recomputed with the
-    pairwise references over the color tuples.  A received C_u is read as
-    statics[u].family[index]."""
+def _recheck_from_sent(graph, defects, sent, table, failure, checked):
+    """Recompute a single-defect run's P1 selections (round 2), P1 checks
+    (round 3) and color choices (round 3 + h - i for class i) with the
+    pairwise references over color tuples, from what the nodes sent: a
+    type read through the run's table gives K_u, a sent index C_u."""
+    tau, g, h = table.params.tau, table.params.g, table.params.h
+    family, klass, color = {}, {}, {}
+    for u, msg in sent[0].items():
+        if "decided" in msg:
+            color[u] = msg["decided"].colors[0]
+        else:
+            t = NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
+            family[u], klass[u] = table.family_of(t), t.gamma_class
+    csets = {u: family[u][msg["cset"].index] for u, msg in (sent[1:2] or [{}])[0].items()}
 
-    checked: list = []  # one row per recomputed selection or check
+    def same_or_lower(v):
+        return [u for u in graph.out_neighbors[v] if u in klass and klass[u] <= klass[v]]
 
-    def step(self, state, inbox, round_no):
-        view = state["view"]
-        st = self.statics[view.node]
-        ref = state.setdefault("ref_csets", {})  # out-neighbor -> C_u
-        for u, msg in inbox.items():
-            if "cset" in msg:
-                ref[u] = self.statics[u].family[msg["cset"].index]
-        try:
-            state, msg, out = super().step(state, inbox, round_no)
-        except NodeFailure as exc:
-            if "P1 violated" in str(exc):
-                assert 2 * self._pairwise_conflicts(state, st) > st.defect
-            raise
-        if round_no == 2 and st.skip_color is None:
-            peers = [
-                u
-                for u in view.out_neighbors
-                if u in state["classes"] and state["classes"][u] <= st.gamma
-            ]
-            counts = [
-                sum(
-                    1
-                    for u in peers
-                    if any(tau_g_ref(cand, c2, self.tau, self.g) for c2 in self.statics[u].family)
-                )
-                for cand in st.family
-            ]
-            assert state["cset"] == st.family[counts.index(min(counts))]
-            self.checked.append(("P1 selection", min(counts), max(counts)))
-        if round_no == 3 and st.skip_color is None:
-            assert 2 * self._pairwise_conflicts(state, st) <= st.defect
-            self.checked.append(("P1 check",))
-        if out is not None and st.skip_color is None:
-            undecided = [
-                c_u for u, c_u in ref.items()
-                if u in view.out_neighbors and state["classes"][u] <= st.gamma
-            ]
-            decided = [c for u, c in state["decided"].items() if u in view.out_neighbors]
+    for v, c_v in csets.items():
+        counts = [
+            sum(1 for u in same_or_lower(v)
+                if any(tau_g_ref(cand, c2, tau, g) for c2 in family[u]))
+            for cand in family[v]
+        ]
+        assert c_v == family[v][counts.index(min(counts))]
+        checked.append(("P1 selection", min(counts), max(counts)))
+    if len(sent) > 2:  # round 3 ran: every node checked P1, up to a failing one
+        for v in csets:
+            if failure is not None and failure.round_no == 3 and v >= failure.node:
+                break
+            conflicts = sum(1 for u in same_or_lower(v) if tau_g_ref(csets[u], csets[v], tau, g))
+            assert 2 * conflicts <= defects[v]
+            checked.append(("P1 check",))
+    for k, colors in enumerate(sent[2:]):
+        i = h - k
+        for v, msg in colors.items():
+            assert klass[v] == i
+            decided = [color[u] for u in graph.out_neighbors[v] if u in color]
             freq = [
-                sum(mu_g_ref(x, c_u, self.g) for c_u in undecided) + mu_g_ref(x, decided, self.g)
-                for x in state["cset"]
+                sum(mu_g_ref(x, csets[u], g) for u in same_or_lower(v)) + mu_g_ref(x, decided, g)
+                for x in csets[v]
             ]
-            assert out == state["cset"][freq.index(min(freq))]
-            self.checked.append(("frequency",))
-        return state, msg, out
-
-    def _pairwise_conflicts(self, state, st):
-        return sum(
-            1
-            for u, c_u in state["ref_csets"].items()
-            if u in state["view"].out_neighbors
-            and state["classes"][u] <= st.gamma
-            and tau_g_ref(c_u, state["cset"], self.tau, self.g)
-        )
+            assert msg["color"].colors[0] == csets[v][freq.index(min(freq))]
+            checked.append(("frequency",))
+        color.update((u, msg["color"].colors[0]) for u, msg in colors.items())
 
 
 def test_p1_bitset_kernel_matches_pairwise_conflicts(monkeypatch):
     """Lists mixing residue classes make g matter across restricted lists."""
-    monkeypatch.setattr(oldc_basic, "_SingleDefectProgram", _PairwiseCheckedProgram)
-    monkeypatch.setattr(_PairwiseCheckedProgram, "checked", [])
+    sent, tables = [], []
+    broadcast, build = oldc_basic.broadcast, oldc_basic.build_type_table
+
+    def recording_broadcast(graph, record, *args):
+        sent.append(record)
+        return broadcast(graph, record, *args)
+
+    def recording_build(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(oldc_basic, "broadcast", recording_broadcast)
+    monkeypatch.setattr(oldc_basic, "build_type_table", recording_build)
+    checked = []  # one row per recomputed selection, check or color choice
     rng = random.Random(5)
     ok = 0
     for trial in range(60):
@@ -337,14 +357,19 @@ def test_p1_bitset_kernel_matches_pairwise_conflicts(monkeypatch):
         space = list(range(120))
         lists = [sorted(rng.sample(space, 40)) for _ in range(graph.n)]
         config = OldcConfig(alpha=0.1, scale_override=(rng.choice([1, 2]), 2))
+        sent.clear()
+        tables.clear()
+        failure = None
         try:
             single_defect_oldc(graph, space, lists, [4] * graph.n, g, config)
             ok += 1
-        except FailFast:
-            continue
-    selections = [c for c in _PairwiseCheckedProgram.checked if c[0] == "P1 selection"]
+        except FailFast as exc:
+            failure = exc
+        if tables and sent:
+            _recheck_from_sent(graph, [4] * graph.n, sent, tables[0], failure, checked)
+    selections = [c for c in checked if c[0] == "P1 selection"]
     assert ok > 0
     # some selections had a real choice: candidate sets with different conflict counts
     assert any(low < high for _, low, high in selections)
-    assert any(c[0] == "P1 check" for c in _PairwiseCheckedProgram.checked)
-    assert any(c[0] == "frequency" for c in _PairwiseCheckedProgram.checked)
+    assert any(c[0] == "P1 check" for c in checked)
+    assert any(c[0] == "frequency" for c in checked)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from listdefect import (
+    BudgetViolation,
     ClassBudget,
     ColoredGraph,
     FailFast,
@@ -13,6 +14,7 @@ from listdefect import (
     RawField,
     lambda_profile,
     main_oldc,
+    network,
     two_phase_oldc,
     validate_ldc,
 )
@@ -99,6 +101,26 @@ def test_broadcast_segment_costs_one_round():
     msg = {"p": RawField(0, 5)}
     trace = broadcast(path, {1: msg})
     assert trace.max_message_bits == [5] and trace.rounds_elapsed == 1
+
+
+def test_two_phase_budget_violation_names_the_round_of_the_run():
+    # node 0 is predecided and sends its color in round 1 (5 bits); the
+    # others send their types in round 2 (29 bits): round 2 is named, not
+    # the first round of the type step
+    graph = random_dag(6, 2, 0.6, 3)
+    rng = random.Random(1)
+    lists = [sorted(rng.sample(range(24), 12)) for _ in range(6)]
+    budget = ClassBudget(
+        classes={v: 1 for v in range(1, 6)}, defects={v: 3 for v in range(1, 6)}, h=1, q=1
+    )
+    config = OldcConfig(alpha=0.125, scale_override=(2, 2))
+    predecided = {0: lists[0][0]}
+    _, trace = two_phase_oldc(graph, range(24), lists, budget, config, predecided=predecided)
+    assert trace.max_message_bits == [5, 29, 2, 5]
+    with network(bits_per_message=10), pytest.raises(BudgetViolation) as exc:
+        two_phase_oldc(graph, range(24), lists, budget, config, predecided=predecided)
+    assert str(exc.value) == "message on edge (1, 0) in round 2 needs 29 bits, budget 10"
+    assert exc.value.round_no == 2
 
 
 def test_two_phase_single_class():

@@ -403,3 +403,10 @@ def test_broadcast_takes_senders_in_id_order_whatever_the_insertion_order():
     with network(bits_per_message=32), pytest.raises(BudgetViolation) as exc:
         runtime.broadcast(STAR, sent)
     assert (exc.value.edge, exc.value.round_no, exc.value.size) == ((3, 0), 1, 40)
+    # a composed run's round is named by its number there; the trace
+    # itself stays a one-round run for concat_traces to renumber
+    with network(bits_per_message=32), pytest.raises(BudgetViolation) as exc:
+        runtime.broadcast(STAR, sent, 4)
+    assert (exc.value.edge, exc.value.round_no) == ((3, 0), 4)
+    with network(record_messages=True):
+        assert runtime.broadcast(STAR, sent, 4).messages == tr.messages

@@ -130,6 +130,7 @@ PUBLIC_ONLY = {
     "arbdefective_subroutine": (
         "public decomposition API and its tests; the framework reads its intra-class core"
     ),
+    "run": "demo 03 and the engine tests",
 }
 
 
