@@ -331,6 +331,12 @@ def _out_lists(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput):
     return _orientation_out_lists(graph.adjacency, out.orientation_out, MissingOrientation)
 
 
+def _check_list_count(graph: ColoredGraph, inst: LdcInstance) -> None:
+    """The size check of the centralized entries: one list per node."""
+    if len(inst.lists) != graph.n:
+        raise InvalidInstance(f"{len(inst.lists)} lists for {graph.n} nodes")
+
+
 def validate_ldc(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput) -> ValidityReport:
     """Check a coloring output against the instance.
 
@@ -340,6 +346,7 @@ def validate_ldc(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput) ->
     orientation (oriented), or out-neighbors of the output orientation
     (arbdefective).
     """
+    _check_list_count(graph, inst)
     if len(out.colors) != graph.n:
         raise InvalidInstance("output length mismatch")
     for v, c in enumerate(out.colors):

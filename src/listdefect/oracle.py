@@ -9,6 +9,19 @@ count fits its defect.  The potential
 (M = number of monochromatic edges) strictly drops by at least 1 per
 recoloring and starts at most 3|E|, which bounds the recoloring count.
 
+With every defect 0 the walk is one id-order first-fit pass: v keeps its
+first list color unless a neighbor holds it now, and otherwise takes the
+first list color no neighbor holds now (lower ids hold their final colors,
+higher ids still their first).  The output, recoloring count and potential
+history are the walk's.  At defect 0 the walk moves a node only to a color
+none of its neighbors holds, so it never re-queues a neighbor and pops each
+initially unhappy node once, in id order.  At v's turn no lower neighbor u
+holds v's first color: v held it at u's turn, so u could neither keep it
+nor move onto it.  So the step at v lowers Phi by the number of higher
+neighbors sharing v's first color; these drops give the potential history
+step by step, Phi starts at their sum plus 2|E|, and the recoloring count
+is the number of drops.
+
 ``sequential_arbdefective`` solves the doubled-defect instance, then
 orients each color class along an Euler tour (after evening out odd
 degrees with virtual matching edges), giving per-color outdegree at most
@@ -29,15 +42,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import countOf, sub
 from typing import Mapping, Optional, Sequence
 
-from .errors import CapExceeded, ConditionViolated, InvalidInstance
+from .errors import CapExceeded, ConditionViolated, InvalidInstance, NodeFailure
 from .graphs import (
     FLAVOR_ARBDEFECTIVE,
     FLAVOR_ORIENTED,
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
+    _check_list_count,
 )
 
 
@@ -56,10 +72,21 @@ def sequential_ldc(
     Requires the per-node condition sum(d_v(x)+1) > deg(v) (refuses to run
     otherwise) and g = 0.  Initial color: first list color.  Unhappy node:
     lowest id.  New color: lowest color with a fitting conflict count.
+
+    With every defect 0 one id-order first-fit pass gives the walk's
+    output and stats: v keeps its first color unless a neighbor holds it
+    now, and otherwise takes the first list color no neighbor holds now.
+    The walk then moves a node only onto a color no neighbor holds, so it
+    re-queues nobody and pops each initially unhappy node once, in id
+    order; no lower neighbor holds v's first color at v's turn (v held it
+    at theirs), so the step at v lowers Phi by the number of higher
+    neighbors sharing that color, and Phi starts at the sum of these drops
+    plus 2|E|.
     """
+    _check_list_count(graph, inst)
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
-    for v, dv in enumerate(inst.defects[: graph.n]):
+    for v, dv in enumerate(inst.defects):
         if sum(dv.values()) + len(dv) <= graph.degree(v):
             raise ConditionViolated(f"existence condition fails at node {v}")
     return _recolor(graph, inst.lists, inst.defects)
@@ -76,9 +103,30 @@ def _recolor(
     a node from ``old`` to ``new`` reads its neighbors and re-queues only
     those on ``new``: no other node can become unhappy, and every node
     already unhappy is still in the heap, so the first non-stale pop is the
-    lowest-id unhappy node, as with a re-check of every neighbor."""
+    lowest-id unhappy node, as with a re-check of every neighbor.  With
+    every defect 0 the walk is the id-order first-fit pass of the module
+    docstring."""
     n, adjacency = graph.n, graph.adjacency
     colors = [lists[v][0] for v in range(n)]
+    if not any(any(dv.values()) for dv in {id(dv): dv for dv in defects}.values()):
+        color = colors.__getitem__
+        drops = []
+        for v, nbrs in enumerate(adjacency):
+            drop = countOf(map(color, nbrs), colors[v])  # only higher neighbors can hold it now
+            if drop:
+                held = set(map(color, nbrs))
+                for y in lists[v]:
+                    if y not in held:
+                        break
+                else:
+                    raise NodeFailure("existence condition guarantees a fitting color", node=v)
+                colors[v] = y
+                drops.append(drop)
+        phi_history = tuple(accumulate(drops, sub, initial=sum(drops) + 2 * graph.edge_count()))
+        return (
+            ColoringOutput(tuple(colors)),
+            RecoloringStats(len(drops), phi_history[0], phi_history),
+        )
     # per-node counter of neighbor colors
     nbr_count: list[dict[int, int]] = [dict() for _ in range(n)]
     for v in range(n):
@@ -111,15 +159,18 @@ def _recolor(
             if c_new <= d_v[y]:
                 new = y
                 break
-        assert new is not None, "existence condition guarantees a fitting color"
+        if new is None:
+            raise NodeFailure("existence condition guarantees a fitting color", node=v)
         colors[v] = new
         # only M and v's own defect term change
         phi_new = phi + (c_new - c_old) + (d_v[old] - d_v[new])
-        assert phi_new <= phi - 1, "potential must strictly decrease"
+        if phi_new > phi - 1:
+            raise NodeFailure("potential must strictly decrease", node=v)
         phi = phi_new
         phi_history.append(phi)
         steps += 1
-        assert steps <= cap, "recoloring count exceeded 3|E|"
+        if steps > cap:
+            raise NodeFailure("recoloring count exceeded 3|E|")
         # v's own counter does not change, so v itself stays happy
         for u in adjacency[v]:
             cnt = nbr_count[u]
@@ -146,6 +197,8 @@ def _euler_orient(n: int, multi_edges: list[tuple[int, int]]) -> list[tuple[int,
     exactly half its multigraph degree.  Returns one directed pair per
     edge, in edge-id order.
     """
+    if not multi_edges:  # a proper coloring has no monochromatic edge
+        return []
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge id, other end)
     for eid, (u, v) in enumerate(multi_edges):
         adj[u].append((eid, v))
@@ -170,7 +223,8 @@ def _euler_orient(n: int, multi_edges: list[tuple[int, int]]) -> list[tuple[int,
                 stack.append(w)
             else:
                 stack.pop()
-    assert all(d is not None for d in directed), "Euler orientation missed an edge"
+    if None in directed:
+        raise NodeFailure("Euler orientation missed an edge")
     return [d for d in directed if d is not None]
 
 
@@ -190,6 +244,7 @@ def sequential_arbdefective(
     orientation costs O(n + m).  Edges between different color classes
     are oriented from the lower to the higher id.
     """
+    _check_list_count(graph, inst)
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
     colors, stats, directed = _arbdefective_core(graph, inst.lists, inst.defects)
@@ -245,9 +300,8 @@ def _arbdefective_core(
     for a, _ in directed:
         outdeg[a] += 1
     for v, deg in class_deg.items():
-        assert outdeg[v] <= (deg + 1) // 2 <= defects[v][colors[v]], (
-            f"Euler orientation violated the defect bound at node {v}"
-        )
+        if not outdeg[v] <= (deg + 1) // 2 <= defects[v][colors[v]]:
+            raise NodeFailure(f"Euler orientation violated the defect bound at node {v}", node=v)
     return colors, stats, sorted(directed)
 
 
@@ -306,6 +360,7 @@ def exhaustive_solve(
     Returns a valid output or None when no valid coloring exists.  Refuses
     instances whose assignment space exceeds ``cap``.
     """
+    _check_list_count(graph, inst)
     space = 1
     for lst in inst.lists:
         space *= max(1, len(lst))

@@ -37,6 +37,7 @@ from .graphs import (
     ColoredGraph,
     ColoringOutput,
     LdcInstance,
+    _check_list_count,
     require_valid,
 )
 from .linial import linial_coloring
@@ -342,6 +343,7 @@ def degree_halving_framework(
     ``sequential_arbdefective`` on the uncolored subgraph (the input itself
     at stage 1); out-lists and batch graphs come only from pairs (none at arbdefect 0).
     """
+    _check_list_count(graph, inst)
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
     if inst.g != 0:
@@ -484,6 +486,7 @@ def congest_pipeline(
     output is checked against the instance itself and a violation fails
     fast.
     """
+    _check_list_count(graph, inst)
     config = config or MainConfig()
     delta = graph.max_degree()
     space = len(inst.color_space)

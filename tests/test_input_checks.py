@@ -8,6 +8,7 @@ import pytest
 from listdefect import (
     ClassBudget,
     ColoredGraph,
+    ColoringOutput,
     ConflictParams,
     GreedyExhausted,
     InfeasibleParams,
@@ -21,13 +22,18 @@ from listdefect import (
     build_type_table,
     check_existence_condition,
     defective_linial,
+    congest_pipeline,
     degree_halving_framework,
+    exhaustive_solve,
     instance_to_json,
     make_graph,
     residue_restrict,
+    sequential_arbdefective,
+    sequential_ldc,
     single_defect_oldc,
     space_reduced_oldc,
     two_phase_oldc,
+    validate_ldc,
 )
 from listdefect.cli import main as cli_main
 
@@ -48,6 +54,12 @@ def _unoriented():
 
 def _instance(flavor, g=0):
     return LdcInstance.build(SPACE, LISTS, [{x: 1 for x in l} for l in LISTS], flavor=flavor, g=g)
+
+
+def _sized(flavor, k):
+    """An instance with k lists, for the 3-node path."""
+    lists = [[0, 1, 2, 3]] * k
+    return LdcInstance.build(SPACE, lists, [{x: 1 for x in l} for l in lists], flavor=flavor)
 
 
 def _budget():
@@ -111,6 +123,30 @@ REJECTIONS = {
     "framework-g1": (
         lambda: degree_halving_framework(_unoriented(), _instance("arbdefective", g=1)),
         InvalidInstance, "framework requires g = 0",
+    ),
+    "sequential_ldc-too-few-lists": (
+        lambda: sequential_ldc(_unoriented(), _sized("defective", 2)),
+        InvalidInstance, "2 lists for 3 nodes",
+    ),
+    "sequential_arbdefective-too-many-lists": (
+        lambda: sequential_arbdefective(_unoriented(), _sized("arbdefective", 4)),
+        InvalidInstance, "4 lists for 3 nodes",
+    ),
+    "exhaustive_solve-too-few-lists": (
+        lambda: exhaustive_solve(_unoriented(), _sized("defective", 2)),
+        InvalidInstance, "2 lists for 3 nodes",
+    ),
+    "framework-too-many-lists": (
+        lambda: degree_halving_framework(_unoriented(), _sized("arbdefective", 4)),
+        InvalidInstance, "4 lists for 3 nodes",
+    ),
+    "congest_pipeline-too-few-lists": (
+        lambda: congest_pipeline(_unoriented(), _sized("arbdefective", 2)),
+        InvalidInstance, "2 lists for 3 nodes",
+    ),
+    "validate_ldc-too-many-lists": (
+        lambda: validate_ldc(_unoriented(), _sized("defective", 4), ColoringOutput((0, 1, 0))),
+        InvalidInstance, "4 lists for 3 nodes",
     ),
     "type-table-k-prime-0": (
         lambda: build_type_table(

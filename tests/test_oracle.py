@@ -15,6 +15,7 @@ from listdefect import (
     ConditionViolated,
     InvalidInstance,
     LdcInstance,
+    NodeFailure,
     check_existence_condition,
     exhaustive_solve,
     sequential_arbdefective,
@@ -273,6 +274,16 @@ def _arbdefective_instances(draw):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     graph = ColoredGraph.build(n, edges)
     space = list(range(draw(st.integers(1, 8))))
+    if draw(st.sampled_from([False] * 3 + [True])):
+        # every defect 0 and lists of deg + 1 colors or more, sorted or in drawn order
+        space = list(range(max(len(space), graph.max_degree() + 1)))
+        lists = []
+        for v in range(n):
+            lst = rng.sample(space, rng.randrange(graph.degree(v) + 1, len(space) + 1))
+            lists.append(tuple(sorted(lst) if draw(st.booleans()) else lst))
+        defects = tuple(dict.fromkeys(lst, 0) for lst in lists)
+        g = draw(st.sampled_from([0] * 7 + [1]))
+        return graph, LdcInstance(tuple(space), tuple(lists), defects, "arbdefective", g)
     meet_condition = draw(st.booleans())
     lists, defects = [], []
     for v in range(n):
@@ -294,14 +305,28 @@ def _outcome(solver, graph, inst):
     return out, stats
 
 
-@settings(max_examples=300, deadline=None)
-@given(_arbdefective_instances())
-def test_single_euler_pass_matches_per_class_passes(case):
-    graph, inst = case
-    got = _outcome(sequential_arbdefective, graph, inst)
-    assert got == _outcome(_per_class_arbdefective, graph, inst)
-    if not isinstance(got, type):
-        assert validate_ldc(graph, inst, got[0]).valid
+def _first_fit_recolored(inst: LdcInstance, got) -> bool:
+    """Did a run on an instance with every defect 0 recolor a node?"""
+    zero = not any(d for dv in inst.defects for d in dv.values())
+    return zero and not isinstance(got, type) and got[1].recolorings > 0
+
+
+def test_single_euler_pass_matches_per_class_passes():
+    first_fit = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(_arbdefective_instances())
+    def check(case):
+        graph, inst = case
+        got = _outcome(sequential_arbdefective, graph, inst)
+        assert got == _outcome(_per_class_arbdefective, graph, inst)
+        if not isinstance(got, type):
+            assert validate_ldc(graph, inst, got[0]).valid
+        first_fit.append(_first_fit_recolored(inst, got))
+
+    check()
+    # some zero-defect draws take the first-fit pass and move a node
+    assert any(first_fit)
 
 
 def test_one_euler_pass_per_call(monkeypatch):
@@ -410,12 +435,17 @@ def _ldc_instances(draw):
     space = list(range(draw(st.integers(1, 10))))
     meet_condition = draw(st.sampled_from([True] * 4 + [False]))
     flavor = draw(st.sampled_from(["defective", "oriented", "arbdefective"]))
+    # every defect 0 and lists of deg + 1 colors or more
+    zero_defect = draw(st.sampled_from([False] * 3 + [True]))
+    if zero_defect:
+        space = list(range(max(len(space), graph.max_degree() + 1)))
     lists, defects = [], []
     for v in range(n):
-        lst = rng.sample(space, rng.randrange(1, len(space) + 1))
+        least = graph.degree(v) + 1 if zero_defect else 1
+        lst = rng.sample(space, rng.randrange(least, len(space) + 1))
         if draw(st.booleans()):
             lst.sort()
-        dv = {x: rng.randrange(0, 3) for x in lst}
+        dv = {x: 0 if zero_defect else rng.randrange(0, 3) for x in lst}
         while meet_condition and sum(d + 1 for d in dv.values()) <= graph.degree(v):
             dv[rng.choice(lst)] += 1
         lists.append(tuple(lst))
@@ -425,15 +455,36 @@ def _ldc_instances(draw):
     return graph, LdcInstance(tuple(space), tuple(lists), tuple(defects), flavor, g)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_ldc_instances())
-def test_sequential_ldc_matches_the_closure_loop(case):
-    graph, inst = case
-    got = _outcome(sequential_ldc, graph, inst)
-    assert got == _outcome(_closure_sequential_ldc, graph, inst)
-    if not isinstance(got, type):
-        undirected = LdcInstance(inst.color_space, inst.lists, inst.defects, "defective", 0)
-        assert validate_ldc(graph, undirected, got[0]).valid
+def test_sequential_ldc_matches_the_closure_loop():
+    first_fit = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ldc_instances())
+    def check(case):
+        graph, inst = case
+        got = _outcome(sequential_ldc, graph, inst)
+        assert got == _outcome(_closure_sequential_ldc, graph, inst)
+        if not isinstance(got, type):
+            undirected = LdcInstance(inst.color_space, inst.lists, inst.defects, "defective", 0)
+            assert validate_ldc(graph, undirected, got[0]).valid
+        first_fit.append(_first_fit_recolored(inst, got))
+
+    check()
+    # some zero-defect draws take the first-fit pass and move a node
+    assert any(first_fit)
+
+
+@pytest.mark.parametrize("defects", [
+    ({0: 0},) * 3,  # every defect 0: the first-fit pass
+    ({0: 0}, {0: 0}, {0: 1}),  # a positive defect: the walk
+], ids=["first-fit", "walk"])
+def test_recolor_without_a_fitting_color_names_the_node(defects):
+    # on a triangle of one-color lists node 0 breaks the existence
+    # condition, which the callers of _recolor check first
+    with pytest.raises(NodeFailure) as info:
+        oracle._recolor(complete_graph(3), ((0,),) * 3, defects)
+    assert info.value.node == 0
+    assert str(info.value) == "existence condition guarantees a fitting color [node 0]"
 
 
 def _recursive_exhaustive_solve(graph, inst, cap):
