@@ -24,10 +24,14 @@ between them.  A node reads only what its out-neighbors sent: a family
 K_u from u's sent type through the shared table, C_u from its sent index.
 
 The gamma class of a node is the smallest i with 2**i >= 2*beta_v/(d_v+1)
-and candidate sizes are k_i = 2**i * tau, k' = 2**h * tau'.  Every
-pigeonhole step of the analysis is asserted numerically at run time and
-aborts the run (NodeFailure) when the configured, possibly down-scaled,
-parameters cannot support it; a run never emits an unvalidated coloring.
+and candidate sizes are k_i = 2**i * tau, k' = 2**h * tau'.  The bounds
+that depend on the configured, possibly down-scaled, parameters are
+checked at run time and abort the run (ListTooSmall, NodeFailure): the
+list sizes, round 2's pigeonhole best |K| <= beta (tau' - 1) and family
+size 2 beta (tau' - 1) < (d + 1) |K|, and the frequency bound.  P1 is not
+checked again: a u whose C_u conflicts with C_v was counted in best, as
+C_u is in K_u, so 2 conflicts <= 2 best < d + 1.  No coloring leaves a run
+unvalidated.
 
 The multi-defect reduction rounds beta_v up and each d_v(x)+1 down to
 powers of two, buckets colors by the resulting ratio and hands the
@@ -40,15 +44,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .conflict import (
-    ConflictParams,
-    NodeType,
-    build_type_table,
-    color_mask,
-    least_conflicting,
-    least_frequent,
-    masks_conflict,
+    ConflictParams, NodeType, build_type_table, color_mask, least_conflicting, least_frequent,
     residue_restrict,
-    shifted_masks,
 )
 from .errors import InvalidInstance, ListTooSmall, MissingOrientation, NodeFailure
 from .graphs import (
@@ -121,12 +118,12 @@ def _run_single_defect(
 
     Each round is a sent record priced by ``broadcast``: round 1 carries
     the types and the skippers' colors, round 2 the candidate-set
-    indices, and round 3 + h - i the colors of gamma class i; round 3
-    also checks P1 at every machinery node.  Between rounds a node reads
-    only what its out-neighbors sent, their families through the shared
-    type table.  The run keeps the engine's rules: a round in which no
-    node sends is a 0-bit round unless no later round sends, and a node
-    that fails does so after the senders before it in its round.
+    indices, and round 3 + h - i the colors of gamma class i.  Between
+    rounds a node reads only what its out-neighbors sent, their families
+    through the shared type table.  The run keeps the engine's rules: a
+    round in which no node sends is a 0-bit round unless no later round
+    sends, and a node that fails does so after the senders before it in
+    its round.
     """
     n = graph.n
     predecided = predecided or {}
@@ -170,25 +167,9 @@ def _run_single_defect(
                 f"node {v}: residue-restricted list of {len(restricted)} "
                 f"cannot host candidate sets of size {k_i}"
             )
-        sent[v] = {
-            "init": IndexField(graph.init_colors[v], graph.m),
-            "list": ColorListField(restricted, space_size),
-            "defect": Pow2DefectField(defects[v], beta_max),
-            "class": RawField(i, max(1, h.bit_length())),
-        }
-    # a type as its receivers read it from round 1; the table of all
-    # types is built before round 1, since P2 takes no communication
-    types = {
-        u: NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
-        for u, msg in sent.items() if u in gamma
-    }
-    table = build_type_table(
-        params, list(types.values()), {i: (1 << i) * tau for i in range(1, h + 1)},
-        (1 << h) * tau_prime,
-    )
-    masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
-    fam_masks = {u: masks_of[t] for u, t in types.items()}  # u -> color_mask of each K_u
-    class_of = {u: t.gamma_class for u, t in types.items()}
+        sent[v] = _type_message(graph, params, beta_max, v, restricted, defects[v], i)
+    # P2 takes no communication: the table of all types precedes round 1
+    class_of, families, fam_masks = _read_types({u: sent[u] for u in gamma}, params, h)
 
     rounds: list[RoundTrace] = []
     silent = RoundTrace([0])  # a round in which no node sends
@@ -217,7 +198,7 @@ def _run_single_defect(
     csets: dict[int, tuple[int, ...]] = {}
 
     def select(v):  # P1: the member of K_v conflicting with fewest same-or-lower families
-        fam = table.family_of(types[v])
+        fam = families[v]
         peers = [fam_masks[u] for u in outs[v] if class_of.get(u, h + 1) <= class_of[v]]
         best_idx, best_d = least_conflicting(fam_masks[v], peers, tau, g)
         # pigeonhole over the family: best <= beta (tau'-1)/|K| < (d+1)/2
@@ -237,17 +218,8 @@ def _run_single_defect(
         u: fam_masks[u][msg["cset"].index] for u, msg in run_round(gamma, select).items()
     }
 
-    def decide(v, i):  # v's step in the color round of class i
+    def decide(v):  # v's step in the color round of its class
         same_or_lower = [sent_csets[u] for u in outs[v] if class_of.get(u, h + 1) <= class_of[v]]
-        if i == h:  # the first color round checks P1 everywhere
-            shifted = shifted_masks(sent_csets[v], g)
-            conflicts = sum(1 for m_u in same_or_lower if masks_conflict(shifted, m_u, tau))
-            if 2 * conflicts > defects[v]:
-                raise NodeFailure(
-                    f"P1 violated: {conflicts} conflicting same-or-lower out-neighbors"
-                )
-        if class_of[v] != i:
-            return None
         near = [decided[u] for u in outs[v] if u in decided]
         best_x, best_f = least_frequent(csets[v], same_or_lower, near, g)
         if best_f is None or best_f > defects[v]:
@@ -257,8 +229,7 @@ def _run_single_defect(
         return {"color": ColorListField((best_x,), space_size)}
 
     for i in range(h, min(class_of.values(), default=h + 1) - 1, -1):
-        members = class_of if i == h else [v for v, c in class_of.items() if c == i]
-        colors = run_round(members, lambda v: decide(v, i))
+        colors = run_round([v for v, c in class_of.items() if c == i], decide)
         decided.update((u, msg["color"].colors[0]) for u, msg in colors.items())
     while rounds and rounds[-1] is silent:  # the run ends at its last send
         rounds.pop()
@@ -267,6 +238,33 @@ def _run_single_defect(
     inst = _single_defect_instance(outdeg, color_space, lists, defects, predecided, g)
     require_valid(graph, inst, output, "output failed validation at nodes")
     return output, concat_traces(rounds, output.colors)
+
+
+def _type_message(graph: ColoredGraph, params: ConflictParams, beta_max: int, v: int,
+                  colors: Sequence[int], defect: int, gamma_class: int) -> dict:
+    """The type message of node v, as ``_read_types`` reads it."""
+    return {
+        "init": IndexField(graph.init_colors[v], graph.m),
+        "list": ColorListField(colors, params.color_space_size),
+        "defect": Pow2DefectField(defect, beta_max),
+        "class": RawField(gamma_class, max(1, params.h.bit_length())),
+    }
+
+
+def _read_types(msgs: dict[int, dict], params: ConflictParams, top_class: int):
+    """Each sender's class read from ``msgs``, and its family K_u from the
+    table of the types sent, as candidate sets and as color masks: class i
+    sets have 2**i * tau colors, families 2**top_class * tau' members."""
+    types = {u: NodeType(m["init"].index, m["list"].colors, m["class"].value)
+             for u, m in msgs.items()}
+    k_by_class = {t.gamma_class: (1 << t.gamma_class) * params.tau for t in types.values()}
+    table = build_type_table(
+        params, list(types.values()), k_by_class, (1 << top_class) * params.tau_prime
+    )
+    masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
+    return ({u: t.gamma_class for u, t in types.items()},
+            {u: table.family_of(t) for u, t in types.items()},
+            {u: masks_of[t] for u, t in types.items()})
 
 
 def _single_defect_instance(

@@ -8,8 +8,26 @@ picks a candidate set C_v conflicting with at most d/4 same-class
 out-neighbors.  Phase II walks the classes in descending order and picks
 the color of C_v least claimed by decided out-neighbors and compatible
 same-class candidate sets, adding at most d/2.  The budget decomposition
-(d/4 lower + d/4 ignored same-class + d/2 higher/star) is asserted per
-node and recorded in the trace audit.
+(d/4 lower + d/4 ignored same-class + d/2 higher/star) is recorded per
+node in the trace audit.
+
+The bounds that depend on the configured parameters are checked at run
+time: the class-budget invariant and list need, the phase-I pigeonhole
+best * |K| <= beta_same (tau' - 1) with the average bound
+4 beta_same (tau' - 1) < (d + 1) |K|, and the phase-II multiset bound
+2 * multiset < 2**i (d + 1) tau.  (That last one follows from the class
+budget when q <= tau, as in ``main_oldc``, but ``two_phase_oldc`` takes
+any q.)  What follows from them by arithmetic is not checked again:
+  - the bad colors: each lies in floor(d/4) + 1 or more lower-class sets,
+    and 4 (floor(d/4) + 1) >= d + 1, so |B| (d + 1) <= 4 sum |C_u|
+    (Markov);
+  - the phase-I selection: 4 best |K| <= 4 beta_same (tau' - 1) <
+    (d + 1) |K|, so 4 best <= d;
+  - the phase-II frequency: f summed over C_v is at most the multiset and
+    |C_v| = 2**i tau, so 2 min f < d + 1;
+  - the lower-class hits: the chosen color lies in C_v, so in v's pruned
+    list, where no color lies in over d/4 lower-class sets; these are the
+    sets counted, since the lower classes send before class i.
 
 The full algorithm first rounds everything to powers of four, splits
 every list into same-defect buckets mu with energies D_{v,mu}, converts
@@ -33,8 +51,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .conflict import (
-    ConflictParams, NodeType, build_type_table, color_mask, least_conflicting,
-    least_frequent, proximity_count, tau_of,
+    ConflictParams, color_mask, least_conflicting, least_frequent, proximity_count, tau_of,
 )
 from .errors import (
     InvalidInstance,
@@ -50,18 +67,10 @@ from .graphs import (
     require_valid,
 )
 from .oldc_basic import (
-    OldcConfig, _checked_lists, _first_cover, _pow2_ceil, _pow2_floor, _single_defect_instance,
-    multi_defect_oldc,
+    OldcConfig, _checked_lists, _first_cover, _pow2_ceil, _pow2_floor, _read_types,
+    _single_defect_instance, _type_message, multi_defect_oldc,
 )
-from .runtime import (
-    ColorListField,
-    IndexField,
-    Pow2DefectField,
-    RawField,
-    RoundTrace,
-    broadcast,
-    concat_traces,
-)
+from .runtime import ColorListField, IndexField, RoundTrace, broadcast, concat_traces
 
 
 # -- two-phase algorithm ---------------------------------------------------------
@@ -173,41 +182,23 @@ def two_phase_oldc(
             d = defects[v]
             # so far only the lower classes have sent their sets
             lower = [sent_csets[u] for u in graph.out_neighbors[v] if u in sent_csets]
-            d_total = sum(m_u.bit_count() for m_u in lower)
             # a color is bad when over d/4 lower-class candidate sets claim it
             keep = tuple(x for x in lists[v] if 4 * sum(m_u >> x & 1 for m_u in lower) <= d)
-            n_bad = len(lists[v]) - len(keep)
-            if n_bad * (d + 1) > 4 * d_total:
-                raise NodeFailure(f"bad-color bound violated: |B|={n_bad} D={d_total}", node=v)
             k_i = (1 << i) * tau
             if len(keep) < k_i:
                 raise ListTooSmall(
                     f"node {v}: pruned list of {len(keep)} cannot host sets of size {k_i}"
                 )
             # in-class P2: broadcast types, then assign via a fresh table
-            type_msgs[v] = {
-                "init": IndexField(graph.init_colors[v], graph.m),
-                "list": ColorListField(keep, space_size),
-                "defect": Pow2DefectField(d, beta_max),
-                "class": RawField(i, max(1, h.bit_length())),
-            }
+            type_msgs[v] = _type_message(graph, params, beta_max, v, keep, d, i)
         send(type_msgs)
-        class_types = {
-            u: NodeType(msg["init"].index, msg["list"].colors, msg["class"].value)
-            for u, msg in type_msgs.items()
-        }
-        table = build_type_table(
-            params, list(class_types.values()), {i: (1 << i) * tau}, (1 << i) * tau_prime
-        )
-        masks_of = {t: tuple(map(color_mask, f)) for t, f in zip(table.types, table.families)}
+        _, families, fam_masks = _read_types(type_msgs, params, i)
         cset_msgs = {}
         for v in members:
             d, b_same = defects[v], same_class[v]
-            fam = table.family_of(class_types[v])
-            peer_masks = [
-                masks_of[class_types[u]] for u in graph.out_neighbors[v] if u in class_types
-            ]
-            best_idx, best_d = least_conflicting(masks_of[class_types[v]], peer_masks, tau, 0)
+            fam = families[v]
+            peer_masks = [fam_masks[u] for u in graph.out_neighbors[v] if u in fam_masks]
+            best_idx, best_d = least_conflicting(fam_masks[v], peer_masks, tau, 0)
             if best_d * len(fam) > b_same * (tau_prime - 1):
                 raise NodeFailure(
                     f"phase-I pigeonhole failed: {best_d} over family of {len(fam)}", node=v
@@ -216,14 +207,10 @@ def two_phase_oldc(
                 raise NodeFailure(
                     f"phase-I average bound fails: beta_same={b_same} |K|={len(fam)}", node=v
                 )
-            if 4 * best_d > d:
-                raise NodeFailure(f"phase-I selection exceeds d/4: {best_d}", node=v)
             csets[v] = fam[best_idx]
             cset_msgs[v] = {"cset": IndexField(best_idx, len(fam))}
         send(cset_msgs)
-        sent_csets.update(
-            (u, masks_of[class_types[u]][msg["cset"].index]) for u, msg in cset_msgs.items()
-        )
+        sent_csets.update((u, fam_masks[u][msg["cset"].index]) for u, msg in cset_msgs.items())
 
     # Phase II, descending classes
     audit: dict[int, tuple[int, int, int]] = {}  # v -> (lower hits, ignored, star frequency)
@@ -246,13 +233,9 @@ def two_phase_oldc(
             best_x, best_f = least_frequent(
                 csets[v], [sent_csets[u] for u in star], decided_hits, 0
             )
-            if 2 * best_f > d:
-                raise NodeFailure(f"phase-II frequency bound fails: {best_f} > d/2", node=v)
             lower_hits = sum(
                 sent_csets[u] >> best_x & 1 for u in outs if classes.get(u, h + 1) < i
             )
-            if 4 * lower_hits > d:
-                raise NodeFailure(f"lower-class budget exceeded: {lower_hits}", node=v)
             audit[v] = (lower_hits, ignored, best_f)
             color_msgs[v] = {"color": ColorListField((best_x,), space_size)}
         send(color_msgs)
@@ -322,7 +305,8 @@ def lambda_profile(
     beta_hat = _pow2_ceil(max(1, beta_v))
     r_big = alpha * beta_hat**2 * taubar * hprime**2
     s = r_big.bit_length() - 1  # r_big = 2**s, s even
-    assert r_big == 1 << s and s % 2 == 0, "R_v must be a power of four"
+    if r_big != 1 << s or s % 2:
+        raise InvalidInstance("R_v must be a power of four")
 
     buckets: dict[int, list[int]] = {}
     for x, d in sorted(defects_by_color.items()):

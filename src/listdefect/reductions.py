@@ -240,7 +240,8 @@ def _reduce_level(
         for idx, v in enumerate(keep):
             colors_out[v] = sub_out.colors[idx]
             # the final color's chunk path must match the choice
-            assert chunk_of[sub_out.colors[idx]] == i, "color escaped its chunk"
+            if chunk_of.get(sub_out.colors[idx]) != i:
+                raise NodeFailure("color escaped its chunk", node=v)
 
     output = ColoringOutput(tuple(colors_out))
     require_valid(graph, inst, output, "space reduction output invalid at")

@@ -83,6 +83,12 @@ def test_lambda_case1_gives_the_middle_buckets_their_classes():
     assert p.kept_lambda_sum() == Fraction(3, 16)
 
 
+def test_lambda_profile_rejects_an_odd_power_of_two():
+    # alpha = 2 gives R_v = 2 * beta_hat**2 = 8, a power of two but not of four
+    with pytest.raises(InvalidInstance, match="R_v must be a power of four"):
+        lambda_profile({0: 1, 1: 0}, 2, 1, alpha=2, taubar=1, hprime=1)
+
+
 def test_lambda_empty_list_rejected():
     with pytest.raises(InvalidInstance):
         lambda_profile({}, 1, 1, 1, 1, 1)

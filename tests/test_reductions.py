@@ -714,3 +714,28 @@ def test_a_pipeline_stage_at_arbdefect_zero_hands_over_no_pair(monkeypatch):
     assert calls[0][:2] == (1500, 0)
     assert all(delta == 0 and pairs == [] for _, delta, pairs in calls)
     assert slices == [graph.n] * len(calls) == [graph.n] * len({r.stage for r in rows})
+
+
+class _ChunkEscapingInner:
+    """Solves the chunk choice with the oracle, but colors every node of a
+    leaf instance from the chunk after its own."""
+
+    nu = 0
+    kappa = 1
+
+    def solve(self, graph, inst):
+        if min(inst.color_space) < 10:  # the choice, over chunk indices 0..p-1
+            return OracleInner().solve(graph, inst)
+        escaped = 10 + (inst.color_space[0] - 10 + 2) % 4
+        return ColoringOutput((escaped,) * graph.n), RoundTrace()
+
+
+def test_a_color_that_escapes_its_chunk_fails_fast():
+    # colors 10..13 in chunks {10, 11} and {12, 13}; the chunk choice
+    # passes, the leaf returns a color of the other chunk
+    g = ColoredGraph.build(2, [(0, 1)], orientation=[(0, 1)])
+    space = list(range(10, 14))
+    inst = LdcInstance.build(space, [space] * 2, [dict.fromkeys(space, 0)] * 2, flavor="oriented")
+    with pytest.raises(NodeFailure, match="color escaped its chunk") as info:
+        space_reduced_oldc(g, inst, 2, _ChunkEscapingInner())
+    assert info.value.node == 0

@@ -291,6 +291,43 @@ def test_config_builder_check_finds_leftovers():
     assert config_builders(source, "Config") == ["<module>", "Holder", "build", "build"]
 
 
+def test_type_messages_are_built_in_one_place():
+    # both OLDC routines send types in one format, built by one codec; a
+    # second builder could price or read a type differently
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    sites = [
+        f"{module}: {owner}"
+        for module, source in sources.items()
+        for owner in config_builders(source, "Pow2DefectField")
+    ]
+    assert sites == ["oldc_basic.py: _type_message"]
+
+
+def assert_statements(sources: dict[str, str]) -> list[str]:
+    """One "module: line" entry per ``assert`` statement."""
+    return sorted(
+        f"{module}: {n.lineno}"
+        for module, source in sources.items()
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Assert)
+    )
+
+
+def test_invariants_raise_typed_errors_not_asserts():
+    # an assert ends a run in a raw AssertionError, and does not run at
+    # all under python -O
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert assert_statements(sources) == []
+
+
+def test_assert_check_finds_leftovers():
+    sources = {
+        "a.py": "x = 1\nassert x == 1, 'one'\n",
+        "b.py": "def f(y):\n    if y:\n        assert y > 0\n    return 'assert'\n",
+    }
+    assert assert_statements(sources) == ["a.py: 2", "b.py: 3"]
+
+
 # The makers of the only instances built without the constructor's checks,
 # each with the reason its data needs none
 TRUSTED_BUILDERS = [

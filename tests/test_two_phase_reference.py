@@ -76,6 +76,11 @@ def test_two_phase_runs_as_on_the_reference():
         if len(got) == 2:
             seen(f"abort: {got[0].__name__}")
             return
+        # the budget decomposition holds at every node: at most d/4 lower
+        # hits and d/2 star frequency, bounds the run no longer checks
+        for v, lower, _, star in got[3]:
+            d = budget.defects.get(v, 0)
+            assert 4 * lower <= d and 2 * star <= d, (v, lower, star, d)
         if len(set(classes.values())) >= 2 and predecided:
             seen("ok: two or more classes, some predecided")
         if any(classes.get(u, i) < i for v, i in classes.items() for u in graph.out_neighbors[v]):
