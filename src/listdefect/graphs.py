@@ -13,9 +13,9 @@ import json
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import countOf, eq
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, countOf, eq, gt, le, methodcaller, mul
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ColorNotInList,
@@ -30,6 +30,9 @@ FLAVOR_DEFECTIVE = "defective"
 FLAVOR_ORIENTED = "oriented"
 FLAVOR_ARBDEFECTIVE = "arbdefective"
 FLAVORS = (FLAVOR_DEFECTIVE, FLAVOR_ORIENTED, FLAVOR_ARBDEFECTIVE)
+
+# a defect map's values; unlike dict.values it takes any Mapping
+_values = methodcaller("values")
 
 
 @dataclass(frozen=True)
@@ -378,6 +381,23 @@ def require_valid(graph: ColoredGraph, inst: LdcInstance, out: ColoringOutput, w
         raise NodeFailure(f"{what} {report.violating_nodes()}")
 
 
+def _list_budgets(defects: Sequence[Mapping[int, int]], w: int) -> Iterator[int]:
+    """Per node, the list budget sum over its list of (w d_v(x) + 1); at
+    w = 0, for a caller that knows every defect is 0, the list sizes."""
+    sizes = map(len, defects)
+    return map(add, map(mul, map(sum, map(_values, defects)), repeat(w)), sizes) if w else sizes
+
+
+def _first_condition_failure(
+    graph: ColoredGraph, defects: Sequence[Mapping[int, int]], w: int
+) -> Optional[int]:
+    """The lowest node whose list budget (``_list_budgets`` at weight w: 1
+    for defective, 2 for arbdefective) is at most its degree, or None.
+    The comparison runs in bulk; the first failing node is read off it."""
+    too_small = map(le, _list_budgets(defects, w), map(len, graph.adjacency))
+    return next(compress(count(), too_small), None)
+
+
 def check_existence_condition(graph: ColoredGraph, inst: LdcInstance) -> list[bool]:
     """Per-node existence condition for the sequential solvers.
 
@@ -388,11 +408,9 @@ def check_existence_condition(graph: ColoredGraph, inst: LdcInstance) -> list[bo
     """
     if inst.flavor not in (FLAVOR_DEFECTIVE, FLAVOR_ARBDEFECTIVE):
         raise InvalidInstance("existence condition only defined for defective/arbdefective")
+    _check_list_count(graph, inst)
     w = 2 if inst.flavor == FLAVOR_ARBDEFECTIVE else 1
-    return [
-        sum(w * d + 1 for d in inst.defects[v].values()) > graph.degree(v)
-        for v in range(graph.n)
-    ]
+    return list(map(gt, _list_budgets(inst.defects, w), map(len, graph.adjacency)))
 
 
 # -- JSON instance schema --------------------------------------------------

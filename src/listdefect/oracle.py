@@ -20,7 +20,9 @@ holds v's first color: v held it at u's turn, so u could neither keep it
 nor move onto it.  So the step at v lowers Phi by the number of higher
 neighbors sharing v's first color; these drops give the potential history
 step by step, Phi starts at their sum plus 2|E|, and the recoloring count
-is the number of drops.
+is the number of drops.  The pass's coloring is proper: at w's turn every
+lower neighbor holds its final color, and w ends on a color no neighbor
+holds then, so no edge's higher end shares its lower end's color.
 
 ``sequential_arbdefective`` solves the doubled-defect instance, then
 orients each color class along an Euler tour (after evening out odd
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import countOf, sub
 from typing import Mapping, Optional, Sequence
 
@@ -54,6 +56,8 @@ from .graphs import (
     ColoringOutput,
     LdcInstance,
     _check_list_count,
+    _first_condition_failure,
+    _values,
 )
 
 
@@ -72,24 +76,21 @@ def sequential_ldc(
     Requires the per-node condition sum(d_v(x)+1) > deg(v) (refuses to run
     otherwise) and g = 0.  Initial color: first list color.  Unhappy node:
     lowest id.  New color: lowest color with a fitting conflict count.
-
-    With every defect 0 one id-order first-fit pass gives the walk's
-    output and stats: v keeps its first color unless a neighbor holds it
-    now, and otherwise takes the first list color no neighbor holds now.
-    The walk then moves a node only onto a color no neighbor holds, so it
-    re-queues nobody and pops each initially unhappy node once, in id
-    order; no lower neighbor holds v's first color at v's turn (v held it
-    at theirs), so the step at v lowers Phi by the number of higher
-    neighbors sharing that color, and Phi starts at the sum of these drops
-    plus 2|E|.
+    With every defect 0 the walk is the first-fit pass of the module
+    docstring.
     """
     _check_list_count(graph, inst)
     if inst.g != 0:
         raise InvalidInstance("sequential solver requires g = 0")
-    for v, dv in enumerate(inst.defects):
-        if sum(dv.values()) + len(dv) <= graph.degree(v):
-            raise ConditionViolated(f"existence condition fails at node {v}")
+    bad = _first_condition_failure(graph, inst.defects, 1)
+    if bad is not None:
+        raise ConditionViolated(f"existence condition fails at node {bad}")
     return _recolor(graph, inst.lists, inst.defects)
+
+
+def _all_zero(defects: Sequence[Mapping[int, int]]) -> bool:
+    """Is every defect 0?  Nodes that share a defect map read it once."""
+    return not any(map(any, map(_values, {id(dv): dv for dv in defects}.values())))
 
 
 def _recolor(
@@ -104,29 +105,11 @@ def _recolor(
     those on ``new``: no other node can become unhappy, and every node
     already unhappy is still in the heap, so the first non-stale pop is the
     lowest-id unhappy node, as with a re-check of every neighbor.  With
-    every defect 0 the walk is the id-order first-fit pass of the module
-    docstring."""
+    every defect 0 the walk is ``_first_fit``."""
+    if _all_zero(defects):
+        return _first_fit(graph, lists)
     n, adjacency = graph.n, graph.adjacency
     colors = [lists[v][0] for v in range(n)]
-    if not any(any(dv.values()) for dv in {id(dv): dv for dv in defects}.values()):
-        color = colors.__getitem__
-        drops = []
-        for v, nbrs in enumerate(adjacency):
-            drop = countOf(map(color, nbrs), colors[v])  # only higher neighbors can hold it now
-            if drop:
-                held = set(map(color, nbrs))
-                for y in lists[v]:
-                    if y not in held:
-                        break
-                else:
-                    raise NodeFailure("existence condition guarantees a fitting color", node=v)
-                colors[v] = y
-                drops.append(drop)
-        phi_history = tuple(accumulate(drops, sub, initial=sum(drops) + 2 * graph.edge_count()))
-        return (
-            ColoringOutput(tuple(colors)),
-            RecoloringStats(len(drops), phi_history[0], phi_history),
-        )
     # per-node counter of neighbor colors
     nbr_count: list[dict[int, int]] = [dict() for _ in range(n)]
     for v in range(n):
@@ -183,6 +166,30 @@ def _recolor(
         ColoringOutput(tuple(colors)),
         RecoloringStats(steps, phi_history[0], tuple(phi_history)),
     )
+
+
+def _first_fit(
+    graph: ColoredGraph, lists: Sequence[Sequence[int]]
+) -> tuple[ColoringOutput, RecoloringStats]:
+    """The recoloring walk with every defect 0: the id-order first-fit pass
+    of the module docstring, with the walk's output and stats."""
+    adjacency = graph.adjacency
+    colors = [lists[v][0] for v in range(graph.n)]
+    color = colors.__getitem__
+    drops = []
+    for v, nbrs in enumerate(adjacency):
+        drop = countOf(map(color, nbrs), colors[v])  # only higher neighbors can hold it now
+        if drop:
+            held = set(map(color, nbrs))
+            for y in lists[v]:
+                if y not in held:
+                    break
+            else:
+                raise NodeFailure("existence condition guarantees a fitting color", node=v)
+            colors[v] = y
+            drops.append(drop)
+    phi_history = tuple(accumulate(drops, sub, initial=sum(drops) + 2 * graph.edge_count()))
+    return ColoringOutput(tuple(colors)), RecoloringStats(len(drops), phi_history[0], phi_history)
 
 
 # -- Euler orientation --------------------------------------------------------
@@ -258,20 +265,30 @@ def _arbdefective_core(
 ) -> tuple[tuple[int, ...], RecoloringStats, list[tuple[int, int]]]:
     """``sequential_arbdefective`` on bare lists and defect maps and without
     cross-class edges: the colors, the walk's stats and the sorted intra-class
-    pairs, the only ones that bound an arbdefect.  The caller checks g = 0."""
+    pairs, the only ones that bound an arbdefect.  The caller checks g = 0.
+
+    With every defect 0 the condition reads |L_v| > deg(v), doubling
+    changes no map, and the walk is the first-fit pass, whose coloring the
+    module docstring shows proper: no class has an edge to orient.  A bulk
+    check over the adjacency rows still confirms it; only if it fails does
+    the scan below run, and its outdegree check names the lowest node with
+    a neighbor on its color.
+    """
     n, adjacency = graph.n, graph.adjacency
-    # nodes that share a defect map share its doubled map and its sum
-    shared: dict[int, tuple[dict[int, int], int]] = {}
-    doubled = []
-    for v, dv in enumerate(defects[:n]):
-        if id(dv) not in shared:
-            shared[id(dv)] = ({x: 2 * d for x, d in dv.items()}, 2 * sum(dv.values()) + len(dv))
-        twice, budget = shared[id(dv)]
-        if budget <= len(adjacency[v]):
-            raise ConditionViolated(f"existence condition fails at node {v}")
-        doubled.append(twice)
-    out, stats = _recolor(graph, lists, doubled)
+    zero = _all_zero(defects)
+    bad = _first_condition_failure(graph, defects, 0 if zero else 2)
+    if bad is not None:
+        raise ConditionViolated(f"existence condition fails at node {bad}")
+    if zero:
+        out, stats = _first_fit(graph, lists)
+    else:  # nodes that share a defect map share its doubled map
+        distinct = {id(dv): dv for dv in defects}
+        twice = {key: {x: 2 * d for x, d in dv.items()} for key, dv in distinct.items()}
+        out, stats = _recolor(graph, lists, [twice[id(dv)] for dv in defects])
     colors = out.colors
+    color = colors.__getitem__
+    if zero and not any(map(countOf, map(map, repeat(color), adjacency), colors)):
+        return colors, stats, _euler_orient(n, [])
 
     # monochromatic edges in edges() order, then the virtual pairs of each
     # class: within a class this is the edge-id order of a per-class pass.
@@ -279,7 +296,6 @@ def _arbdefective_core(
     mono: list[tuple[int, int]] = []
     class_deg: dict[int, int] = {}
     odd: dict[int, list[int]] = {}
-    color = colors.__getitem__
     for u, nbrs in enumerate(adjacency):
         x = colors[u]
         if x in map(color, nbrs):

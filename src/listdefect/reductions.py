@@ -38,6 +38,8 @@ from .graphs import (
     ColoringOutput,
     LdcInstance,
     _check_list_count,
+    _first_condition_failure,
+    _values,
     require_valid,
 )
 from .linial import linial_coloring
@@ -336,29 +338,33 @@ def degree_halving_framework(
     out-neighbors).
 
     ``udeg[v]`` counts v's uncolored neighbors and ``taken[v]`` the colors
-    of its colored ones, both updated as a neighbor is colored.  A node
-    under half the stage degree is active when a residual defect covers its
-    uncolored degree; as d - taken(x) <= d, its defect map is read only if
-    that degree is at most its largest defect.  The output is checked once.
-    A stage reads only the colors and intra-class pairs of the core of
-    ``sequential_arbdefective`` on the uncolored subgraph (the input itself
-    at stage 1); out-lists and batch graphs come only from pairs (none at arbdefect 0).
+    of its colored ones; both are read only while v is uncolored.  A class
+    is one loop: a node under half the stage degree is active when a
+    residual defect covers its uncolored degree (as d - taken(x) <= d, its
+    defect map is read only if that degree is at most its largest defect),
+    and an active node's residual prefix is walked at once.  Only a class
+    with intra-class pairs keeps residual maps; an edgeless class keeps each
+    node's smallest residual color.  A colored batch's neighbors are walked
+    once, and the output is checked once.  A stage reads only the colors
+    and intra-class pairs of the core of ``sequential_arbdefective`` on the
+    uncolored subgraph (the input itself at stage 1); out-lists and batch
+    graphs come only from pairs (none at arbdefect 0).
     """
     _check_list_count(graph, inst)
     if inst.flavor != FLAVOR_ARBDEFECTIVE:
         raise InvalidInstance("framework expects an arbdefective instance")
     if inst.g != 0:
         raise InvalidInstance("framework requires g = 0")
-    n = graph.n
+    n, adjacency = graph.n, graph.adjacency
     lists, defects = inst.lists, inst.defects
-    for v in range(n):
-        if sum(defects[v].values()) + len(defects[v]) <= graph.degree(v):
-            raise ConditionViolated(f"node {v}: sum(d+1) <= deg")
-    top = [max(dv.values()) for dv in defects]  # each node's largest defect
+    bad = _first_condition_failure(graph, defects, 1)
+    if bad is not None:
+        raise ConditionViolated(f"node {bad}: sum(d+1) <= deg")
+    top = list(map(max, map(_values, defects)))  # each node's largest defect
 
     colors: list[Optional[int]] = [None] * n
     taken: list[dict[int, int]] = [{} for _ in range(n)]
-    udeg = [len(a) for a in graph.adjacency]
+    udeg = list(map(len, adjacency))
     oriented: list[tuple[int, int]] = []
     uncolored = set(range(n))
     traces: list[RoundTrace] = []
@@ -367,25 +373,6 @@ def degree_halving_framework(
     max_stages = max(1, graph.max_degree()).bit_length() + 2
     nu = inner.nu
     factor = max(1.0, inst.max_list_size ** (nu / (1 + nu)) * inner.kappa ** (1 / (1 + nu)))
-
-    def residual(v: int) -> dict[int, int]:
-        """v's residual defects, cut to the shortest list prefix whose
-        budget sum(d+1) exceeds v's uncolored degree."""
-        t = taken[v]
-        d_v = defects[v]
-        deg_u = udeg[v]
-        dd: dict[int, int] = {}
-        budget = 0
-        for x in lists[v]:
-            left = d_v[x] - t.get(x, 0)
-            if left >= 0:
-                dd[x] = left
-                budget += left + 1
-                if budget > deg_u:
-                    return dd
-        if not dd:
-            raise NodeFailure("empty residual list", node=v)
-        raise NodeFailure(f"residual budget {budget} at uncolored degree {deg_u}", node=v)
 
     while uncolored:
         stage += 1
@@ -409,21 +396,44 @@ def degree_halving_framework(
         for i, c in enumerate(dec_colors):
             by_class.setdefault(c, []).append(i)
 
-        def is_active(v: int) -> bool:
-            # half the stage degree uncolored, or a defect (at most top[v]) absorbs it all
-            deg_u, t = udeg[v], taken[v]
-            return 2 * deg_u >= delta_s or deg_u <= top[v] and any(
-                d - t.get(x, 0) >= deg_u for x, d in defects[v].items()
-            )
-
         for cls in range(q):
-            active = [i for i in by_class.get(cls, ()) if is_active(keep[i])]
+            edged = cls in edged_classes
+            # per active node: its stage index, id and residual map (edged
+            # class) or the smallest color of its residual prefix
+            active, batch_nodes, residuals = [], [], []
+            for i in by_class.get(cls, ()):
+                v = keep[i]
+                deg_u, t, d_v = udeg[v], taken[v], defects[v]
+                # active: half the stage degree uncolored, or a residual
+                # defect (at most top[v]) absorbs it all
+                if 2 * deg_u < delta_s and (
+                    deg_u > top[v] or not any(d - t.get(x, 0) >= deg_u for x, d in d_v.items())
+                ):
+                    continue
+                # the shortest list prefix whose residual budget sum(d+1)
+                # exceeds the uncolored degree
+                dd: dict[int, int] = {}
+                low = budget = 0
+                for x in lists[v]:
+                    left = d_v[x] - t.get(x, 0)
+                    if left >= 0:
+                        if edged:
+                            dd[x] = left
+                        elif not budget or x < low:
+                            low = x
+                        budget += left + 1
+                        if budget > deg_u:
+                            break
+                else:
+                    at = f"residual budget {budget} at uncolored degree {deg_u}"
+                    raise NodeFailure(at if budget else "empty residual list", node=v)
+                active.append(i)
+                batch_nodes.append(v)
+                residuals.append(dd if edged else low)
             if not active:
                 rows.append(StageRow(stage, cls, 0, delta_s, 0, 0))
                 continue
-            batch_nodes = [keep[i] for i in active]
-            residuals = [residual(v) for v in batch_nodes]
-            batch_graph = stage_graph.subgraph(active)[0] if cls in edged_classes else None
+            batch_graph = stage_graph.subgraph(active)[0] if edged else None
             if batch_graph is not None and batch_graph.edge_count() > 0:
                 inst_b = LdcInstance.build(
                     {x for dd in residuals for x in dd}, residuals, residuals, flavor=FLAVOR_ORIENTED
@@ -432,27 +442,32 @@ def degree_halving_framework(
                     out_b, tr_b = inner.solve(batch_graph, inst_b)
                 except FailFast:
                     out_b, tr_b = OracleInner().solve(batch_graph, inst_b)
+                traces.append(tr_b)
                 # batch-internal edges follow the decomposition
                 for a, b in batch_graph.oriented_edges():
                     oriented.append((batch_nodes[a], batch_nodes[b]))
+                batch_colors = out_b.colors
+                rounds, bits = tr_b.rounds_elapsed, tr_b.max_bits()
             else:
                 # no two nodes are adjacent: each takes the smallest color
                 # of its residual list, as the oracle would, in 0 rounds
-                out_b, tr_b = ColoringOutput(tuple(map(min, residuals))), RoundTrace()
-            traces.append(tr_b)
-            # edges to earlier-colored nodes point at them
-            for v in batch_nodes:
-                oriented.extend((v, u) for u in graph.adjacency[v] if colors[u] is not None)
-            for v, x in zip(batch_nodes, out_b.colors):
+                batch_colors = list(map(min, residuals)) if edged else residuals
+                rounds = bits = 0
+            # one walk over the batch's neighbors: an edge to an earlier-
+            # colored node points at it, and an uncolored neighbor (a
+            # batch-mate too, whose counts are never read again) counts x
+            for v, x in zip(batch_nodes, batch_colors):
+                for u in adjacency[v]:
+                    if colors[u] is None:
+                        t = taken[u]
+                        t[x] = t.get(x, 0) + 1
+                        udeg[u] -= 1
+                    else:
+                        oriented.append((v, u))
+            for v, x in zip(batch_nodes, batch_colors):
                 colors[v] = x
-                for u in graph.adjacency[v]:
-                    t = taken[u]
-                    t[x] = t.get(x, 0) + 1
-                    udeg[u] -= 1
             uncolored.difference_update(batch_nodes)
-            rows.append(
-                StageRow(stage, cls, len(batch_nodes), delta_s, tr_b.rounds_elapsed, tr_b.max_bits())
-            )
+            rows.append(StageRow(stage, cls, len(batch_nodes), delta_s, rounds, bits))
 
     output = ColoringOutput(tuple(colors), tuple(sorted(oriented)))
     require_valid(graph, inst, output, "framework output invalid at")

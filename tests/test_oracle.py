@@ -25,6 +25,7 @@ from listdefect import (
 from listdefect import oracle
 from listdefect.generate import make_graph, make_instance
 
+import reference_framework
 import reference_orientation
 from conftest import complete_graph, count_validations
 
@@ -356,6 +357,47 @@ def test_sequential_arbdefective_builds_no_doubled_instance(monkeypatch):
     assert validated == []
     assert stats.recolorings > 0
     assert validate_ldc(made, inst, out).valid
+
+
+# a path 0-1-2-3-4 whose nodes 2 and 3 hold no more colors than neighbors
+_PATH5 = ColoredGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+_PATH5_LISTS = ([0, 1], [0, 1, 2], [0, 1], [0], [0, 1])
+
+
+@pytest.mark.parametrize("flavor", ["defective", "arbdefective"])
+def test_zero_defect_condition_names_the_first_failing_node(flavor):
+    inst = LdcInstance.build(
+        [0, 1, 2], _PATH5_LISTS, [dict.fromkeys(lst, 0) for lst in _PATH5_LISTS], flavor=flavor
+    )
+    assert check_existence_condition(_PATH5, inst) == [True, True, False, False, True]
+    solve = sequential_ldc if flavor == "defective" else sequential_arbdefective
+    with pytest.raises(ConditionViolated, match=r"^existence condition fails at node 2$"):
+        solve(_PATH5, inst)
+    with pytest.raises(ConditionViolated, match=r"^existence condition fails at node 2$"):
+        oracle._arbdefective_core(_PATH5, inst.lists, inst.defects)
+
+
+def test_zero_defect_properness_check_names_the_lowest_monochromatic_node(monkeypatch):
+    # a first-fit pass that left the edge (2, 3) monochromatic: the bulk
+    # check hands it to the general scan, whose outdegree check names node 2
+    lists = ((0, 1, 2),) * 5
+    defects = (dict.fromkeys(lists[0], 0),) * 5
+    real = oracle._first_fit
+
+    def improper(graph, lists):
+        out, stats = real(graph, lists)
+        assert out.colors == (1, 2, 1, 2, 0)
+        return ColoringOutput((1, 2, 1, 1, 0)), stats
+
+    monkeypatch.setattr(oracle, "_first_fit", improper)
+    with pytest.raises(NodeFailure) as bulk:
+        oracle._arbdefective_core(_PATH5, lists, defects)
+    assert str(bulk.value) == "Euler orientation violated the defect bound at node 2 [node 2]"
+    assert bulk.value.node == 2
+    # the frozen general path, whose walk reaches the same improper pass
+    with pytest.raises(NodeFailure) as general:
+        reference_framework._arbdefective_core(_PATH5, lists, defects)
+    assert (str(general.value), general.value.node) == (str(bulk.value), 2)
 
 
 # -- the lean recoloring loop against the closure-based one -----------------------

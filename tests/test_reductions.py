@@ -260,6 +260,23 @@ def test_framework_condition_gate():
         degree_halving_framework(p3, inst)
 
 
+@pytest.mark.parametrize(
+    "lists, defects",
+    [
+        # every defect 0: nodes 2 and 3 hold no more colors than neighbors
+        ([[0, 1], [0, 1, 2], [0, 1], [0], [0, 1]], None),
+        # positive defects: node 2's one color at defect 1, node 3's at 0
+        ([[0], [0, 1], [0], [0], [0]], [{0: 1}, {0: 1, 1: 1}, {0: 1}, {0: 0}, {0: 1}]),
+    ],
+)
+def test_framework_condition_gate_names_the_first_failing_node(lists, defects):
+    path = ColoredGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    defects = defects or [dict.fromkeys(lst, 0) for lst in lists]
+    inst = LdcInstance.build([0, 1, 2], lists, defects, flavor="arbdefective")
+    with pytest.raises(ConditionViolated, match=r"^node 2: sum\(d\+1\) <= deg$"):
+        degree_halving_framework(path, inst)
+
+
 def test_framework_degree_halving_and_validity():
     rng = random.Random(2)
     for trial in range(6):
