@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import MissingOrientation, NodeFailure
 from .graphs import ColoredGraph, ColoringOutput
-from .runtime import RawField, RoundTrace, broadcast, concat_traces
+from .runtime import RawField, Rounds, RoundTrace
 
 
 def _is_prime(x: int) -> bool:
@@ -129,13 +129,13 @@ def _reduce(
         colors, schedule = list(range(n)), linial_schedule(n, base, defect)[0]
     nodes = range(n)
     palette = n
-    traces = []
-    for round_no, (q, e, d) in enumerate(schedule, 1):
-        # widths never grow, so only round 1 can exceed a budget, and
-        # broadcast names round 1; one shared message per color
+    rounds = Rounds(graph)
+    for q, e, d in schedule:
+        # widths never grow, so only round 1 can exceed a budget; one
+        # shared message per color
         width = max(1, (palette - 1).bit_length())
         message_of = {c: {"color": RawField(c, width)} for c in set(colors)}
-        traces.append(broadcast(graph, dict(zip(nodes, map(message_of.__getitem__, colors)))))
+        rounds.send(dict(zip(nodes, map(message_of.__getitem__, colors))))
         # at a = 0 a color's polynomial takes its constant coefficient,
         # p_c(0) = c mod q, so the first point needs no evaluation; only a
         # node with over d relevant neighbors on it looks further.  hits
@@ -148,11 +148,11 @@ def _reduce(
             if point is None:
                 # numbered as runtime.run numbers a step: after the round it read
                 raise NodeFailure(
-                    "prime choice guarantees a good point", node=v, round_no=round_no + 1
+                    "prime choice guarantees a good point", node=v, round_no=rounds.count + 1
                 )
             chosen[v] = point
         colors, palette = chosen, q * q
-    return ColoringOutput(tuple(colors)), concat_traces(traces, colors)
+    return ColoringOutput(tuple(colors)), rounds.trace(colors)
 
 
 def linial_coloring(graph: ColoredGraph) -> tuple[ColoringOutput, RoundTrace]:

@@ -19,8 +19,8 @@ Single-defect pipeline (each node carries one defect value d_v):
       colors.
 
 The schedule is fixed and public, so the run is a sequence of rounds
-over sent records, each priced by ``runtime.broadcast``, with local work
-between them.  A node reads only what its out-neighbors sent: a family
+over sent records, driven by ``runtime.Rounds``, with local work between
+them.  A node reads only what its out-neighbors sent: a family
 K_u from u's sent type through the shared table, C_u from its sent index.
 
 The gamma class of a node is the smallest i with 2**i >= 2*beta_v/(d_v+1)
@@ -55,15 +55,7 @@ from .graphs import (
     LdcInstance,
     require_valid,
 )
-from .runtime import (
-    ColorListField,
-    IndexField,
-    Pow2DefectField,
-    RawField,
-    RoundTrace,
-    broadcast,
-    concat_traces,
-)
+from .runtime import ColorListField, IndexField, Pow2DefectField, RawField, Rounds, RoundTrace
 
 
 @dataclass
@@ -116,14 +108,11 @@ def _run_single_defect(
 ) -> tuple[ColoringOutput, RoundTrace]:
     """The single-defect pipeline on canonical lists and nonnegative defects.
 
-    Each round is a sent record priced by ``broadcast``: round 1 carries
-    the types and the skippers' colors, round 2 the candidate-set
-    indices, and round 3 + h - i the colors of gamma class i.  Between
-    rounds a node reads only what its out-neighbors sent, their families
-    through the shared type table.  The run keeps the engine's rules: a
-    round in which no node sends is a 0-bit round unless no later round
-    sends, and a node that fails does so after the senders before it in
-    its round.
+    Round 1 sends the types and the skippers' colors; the scheduled
+    rounds after it send the candidate-set indices (round 2) and the
+    colors of gamma class i (round 3 + h - i).  Between rounds a node
+    reads only what its out-neighbors sent, their families through the
+    shared type table.
     """
     n = graph.n
     predecided = predecided or {}
@@ -171,30 +160,8 @@ def _run_single_defect(
     # P2 takes no communication: the table of all types precedes round 1
     class_of, families, fam_masks = _read_types({u: sent[u] for u in gamma}, params, h)
 
-    rounds: list[RoundTrace] = []
-    silent = RoundTrace([0])  # a round in which no node sends
-
-    def send(sent):
-        trace = broadcast(graph, sent, len(rounds) + 1)
-        rounds.append(trace if trace.max_message_bits else silent)
-
-    def run_round(nodes, step):
-        """One round: each node's step, in id order, may return its
-        message; a failing node is named after the senders before it."""
-        sent = {}
-        try:
-            for v in nodes:
-                msg = step(v)
-                if msg:
-                    sent[v] = msg
-        except NodeFailure as exc:
-            send(sent)
-            exc.node, exc.round_no = v, len(rounds)
-            raise
-        send(sent)
-        return sent
-
-    send(sent)
+    rounds = Rounds(graph)
+    rounds.send(sent)
     csets: dict[int, tuple[int, ...]] = {}
 
     def select(v):  # P1: the member of K_v conflicting with fewest same-or-lower families
@@ -215,7 +182,7 @@ def _run_single_defect(
         return {"cset": IndexField(best_idx, len(fam))}
 
     sent_csets = {
-        u: fam_masks[u][msg["cset"].index] for u, msg in run_round(gamma, select).items()
+        u: fam_masks[u][msg["cset"].index] for u, msg in rounds.round(gamma, select).items()
     }
 
     def decide(v):  # v's step in the color round of its class
@@ -229,15 +196,13 @@ def _run_single_defect(
         return {"color": ColorListField((best_x,), space_size)}
 
     for i in range(h, min(class_of.values(), default=h + 1) - 1, -1):
-        colors = run_round([v for v, c in class_of.items() if c == i], decide)
+        colors = rounds.round([v for v, c in class_of.items() if c == i], decide)
         decided.update((u, msg["color"].colors[0]) for u, msg in colors.items())
-    while rounds and rounds[-1] is silent:  # the run ends at its last send
-        rounds.pop()
 
     output = ColoringOutput(tuple(decided[v] for v in range(n)))
     inst = _single_defect_instance(outdeg, color_space, lists, defects, predecided, g)
     require_valid(graph, inst, output, "output failed validation at nodes")
-    return output, concat_traces(rounds, output.colors)
+    return output, rounds.trace(output.colors)
 
 
 def _type_message(graph: ColoredGraph, params: ConflictParams, beta_max: int, v: int,

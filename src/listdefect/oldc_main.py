@@ -37,8 +37,8 @@ algorithm with proximity g = floor(log2 h), and then runs the two-phase
 algorithm on the buckets the assignment selected.
 
 Both routines are phased: each communication step is one round over a
-sent record, priced by ``runtime.broadcast``, so every message is sized
-and held to the bit budget.  Between rounds a node reads only what its
+sent record, priced by a ``runtime.Rounds`` driver, so every message is
+sized and held to the bit budget.  Between rounds a node reads only what its
 out-neighbors sent; per-class type tables are built from the types the
 class sent.
 """
@@ -70,7 +70,7 @@ from .oldc_basic import (
     OldcConfig, _checked_lists, _first_cover, _pow2_ceil, _pow2_floor, _read_types,
     _single_defect_instance, _type_message, multi_defect_oldc,
 )
-from .runtime import ColorListField, IndexField, RoundTrace, broadcast, concat_traces
+from .runtime import ColorListField, IndexField, Rounds, RoundTrace, concat_traces
 
 
 # -- two-phase algorithm ---------------------------------------------------------
@@ -162,15 +162,11 @@ def two_phase_oldc(
     # neighbor, so what v received from an out-neighbor u is what u sent:
     # between rounds v reads only its out-neighbors' entries of these.
     # Decided colors go out first so every budget sees them.
-    traces: list[RoundTrace] = []
-
-    def send(sent):  # a BudgetViolation names the round of the composed run
-        traces.append(broadcast(graph, sent, 1 + sum(t.rounds_elapsed for t in traces)))
-
+    rounds = Rounds(graph)
     decided_msgs = {
         v: {"decided": ColorListField((c,), space_size)} for v, c in predecided.items()
     }
-    send(decided_msgs)
+    rounds.send(decided_msgs)
     sent_colors = {u: msg["decided"].colors[0] for u, msg in decided_msgs.items()}
     sent_csets: dict[int, int] = {}  # u -> color_mask(C_u)
 
@@ -191,7 +187,7 @@ def two_phase_oldc(
                 )
             # in-class P2: broadcast types, then assign via a fresh table
             type_msgs[v] = _type_message(graph, params, beta_max, v, keep, d, i)
-        send(type_msgs)
+        rounds.send(type_msgs)
         _, families, fam_masks = _read_types(type_msgs, params, i)
         cset_msgs = {}
         for v in members:
@@ -209,7 +205,7 @@ def two_phase_oldc(
                 )
             csets[v] = fam[best_idx]
             cset_msgs[v] = {"cset": IndexField(best_idx, len(fam))}
-        send(cset_msgs)
+        rounds.send(cset_msgs)
         sent_csets.update((u, fam_masks[u][msg["cset"].index]) for u, msg in cset_msgs.items())
 
     # Phase II, descending classes
@@ -238,11 +234,11 @@ def two_phase_oldc(
             )
             audit[v] = (lower_hits, ignored, best_f)
             color_msgs[v] = {"color": ColorListField((best_x,), space_size)}
-        send(color_msgs)
+        rounds.send(color_msgs)
         sent_colors.update((u, msg["color"].colors[0]) for u, msg in color_msgs.items())
 
     output = ColoringOutput(tuple(sent_colors[v] for v in range(n)))
-    trace = concat_traces(traces, output.colors)
+    trace = rounds.trace(output.colors)
     trace.audit = [(v, *audit.get(v, (0, 0, 0))) for v in range(n)]
     inst = _single_defect_instance(outdeg, color_space, lists, defects, predecided, 0)
     require_valid(graph, inst, output, "two-phase output invalid at")

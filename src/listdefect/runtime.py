@@ -10,27 +10,30 @@ execution order:
     table index     ceil(log2 size)   a K-family member, an initial color in [m]
     raw field       explicit bit width
 
-A round runs either as node programs or over a sent record.  Node
-programs (``run``) are pure state machines.  ``init`` may already produce
-an output (a zero-round program); ``step`` consumes the inbox of the
-previous round and returns the new state, one message and optionally the
-final output.  A sent record (``broadcast``) is the message of every
-sending node for one round, which the caller builds and reads back
-itself, with no step and no inbox.  Communication is broadcast: the
-message goes to every neighbor, and a falsy message (None or an empty
-dict) means the node is silent.  Once a node has produced its output it
-no longer steps; the message of its final step is still delivered.  A
-round is send, receive, compute, so the work after the last receive is
-not a round of its own: a run ends at the last round in which some node
-sent a message (a 0-bit message counts), and the silent rounds after it
-are not recorded (Linial on a 300-ring records ``[9, 6]``).
+``broadcast`` prices one round of a sent record: the message of every
+sending node, with no step and no inbox.  A ``Rounds`` driver numbers
+the rounds of one run, for Linial, both OLDC routines and ``run``:
+``send`` prices a record the caller built and takes no round when no
+node with neighbors sends; ``round`` steps the given nodes in id order
+and counts even when silent.  Node programs (``run``) are pure state
+machines.  ``init`` may already produce an output (a zero-round
+program); ``step`` consumes the inbox of the previous round and returns
+the new state, one message and optionally the final output.
+Communication is broadcast: the message goes to every neighbor, and a
+falsy message (None or an empty dict) means the node is silent.  Once a
+node has produced its output it no longer steps; the message of its
+final step is still delivered.  A round is send, receive, compute, so
+the work after the last receive is not a round of its own: a run ends at
+the last round in which some node sent a message (a 0-bit message
+counts), and the silent rounds after it are not recorded (Linial on a
+300-ring records ``[9, 6]``).
 
-Every run obeys the ``Network`` setting of its context, set by a
-``with network(...)`` block: the bit budget and the message record.
-The engine sizes each sending node's message once per round and checks
-it against the budget once, naming the edge to the node's first
-neighbor; the message record still has one row per delivered message,
-in adjacency order.  A node with no neighbors sends nothing.
+Every round obeys the ``Network`` setting in force when it is priced,
+set by a ``with network(...)`` block: the bit budget and the message
+record.  Each sending node's message is sized once per round and checked
+against the budget once, naming the edge to the node's first neighbor;
+the message record still has one row per delivered message, in
+adjacency order.  A node with no neighbors sends nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from itertools import repeat, zip_longest
 from operator import itemgetter, length_hint
-from typing import Any, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import BudgetViolation, NodeFailure, RoundLimitExceeded
 from .graphs import ColoredGraph
@@ -229,80 +232,7 @@ def network(**changes: Any) -> Iterator[None]:
         _NETWORK.reset(token)
 
 
-# -- the engine ---------------------------------------------------------------
-
-
-def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> RoundTrace:
-    """Execute a node program on every node until all outputs are in; the
-    trace ends at the last round in which a node sent a message.
-
-    Nodes step in id order inside a round; messages sent in round r are
-    readable only in round r+1 (communication is bidirectional even on
-    oriented graphs).  The run obeys ``current_network()``, read once at
-    the start: under a budget any over-size message aborts the run with
-    a BudgetViolation naming edge, round and size, and with
-    ``record_messages`` the trace lists every delivered message.
-    """
-    setting = current_network()
-    bits_per_message = setting.bits_per_message
-    n = graph.n
-    adjacency = graph.adjacency
-    outs = repeat(None) if graph.out_neighbors is None else graph.out_neighbors
-    # views are built and init called without a Python frame per node; a
-    # failing init belongs to the last id drawn
-    ids = iter(range(n))
-    views = map(tuple.__new__, repeat(NodeView), zip(
-        ids, adjacency, outs, graph.init_colors, repeat(graph.m), repeat(n)
-    ))
-    rnd = last_sent = 0
-    try:
-        started = list(map(program.init, views))
-        states: list[Any] = list(map(itemgetter(0), started))
-        outputs: list[Any] = list(map(itemgetter(1), started))
-        pending = [v for v in range(n) if outputs[v] is None]
-        trace = RoundTrace(outputs=outputs)
-        messages = trace.messages if setting.record_messages else None
-        inboxes: Any = [{} for _ in range(n)]  # by node id; after a silent round, a dict
-        step = program.step
-        while pending:
-            rnd += 1
-            if rnd > max_rounds:
-                raise RoundLimitExceeded(
-                    f"{n - len(pending)}/{n} nodes decided after {max_rounds} rounds"
-                )
-            still_pending: list[int] = []
-            round_max = 0
-            for v in pending:
-                states[v], msg, out = step(states[v], inboxes[v], rnd)
-                neighbors = adjacency[v]
-                if msg and neighbors:
-                    size = message_bits(msg)
-                    if bits_per_message is not None and size > bits_per_message:
-                        raise BudgetViolation((v, neighbors[0]), rnd, size, bits_per_message)
-                    if size > round_max:
-                        round_max = size
-                    if last_sent != rnd:  # the round's first send makes the next inboxes
-                        last_sent, next_inboxes = rnd, [{} for _ in range(n)]
-                    for u in neighbors:
-                        next_inboxes[u][v] = msg
-                    if messages is not None:
-                        messages.extend([(rnd, v, u, size) for u in neighbors])
-                if out is not None:
-                    outputs[v] = out
-                else:
-                    still_pending.append(v)
-            trace.max_message_bits.append(round_max)
-            pending = still_pending
-            # after a silent round each pending node reads a fresh empty inbox
-            inboxes = next_inboxes if last_sent == rnd else {v: {} for v in pending}
-    except NodeFailure as exc:  # raised by init or step
-        if exc.node is None:
-            exc.node = v if rnd else n - 1 - length_hint(ids)
-        exc.round_no = rnd
-        raise
-
-    del trace.max_message_bits[last_sent:]
-    return trace
+# -- rounds -------------------------------------------------------------------
 
 
 def broadcast(
@@ -311,18 +241,16 @@ def broadcast(
     """Price one round in which each node v sends ``sent[v]`` to every
     neighbor; no step is called and no inbox is built.
 
-    The rules are the engine's: senders are taken in id order, whatever
-    the mapping's order, and a message is sized only if it is truthy and
-    its node has neighbors.  Under a budget an over-size message raises a
-    BudgetViolation naming the edge to its node's first neighbor, the
-    size and ``round_no``: the number of this round in the run the
-    caller composes, since an exception cannot be renumbered later.  With
-    ``record_messages`` the trace lists one row per delivered message,
-    in adjacency order, numbered as a one-round run for
-    ``concat_traces`` to renumber.  The trace has one round, or none when
-    no node with neighbors sends (a 0-bit message is a send).  ``run``
-    cannot price a round this way: it sizes each send before the next
-    node steps, so no node after an over-budget sender steps.
+    Senders are taken in id order, whatever the mapping's order, and a
+    message is sized only if it is truthy and its node has neighbors.
+    Under a budget an over-size message raises a BudgetViolation naming
+    the edge to its node's first neighbor, the size and ``round_no``: the
+    number of this round in the run the caller composes, since an
+    exception cannot be renumbered later.  With ``record_messages`` the
+    trace lists one row per delivered message, in adjacency order,
+    numbered as a one-round run for ``concat_traces`` to renumber.  The
+    trace has one round, or none when no node with neighbors sends (a
+    0-bit message is a send).
     """
     setting = current_network()
     bits_per_message = setting.bits_per_message
@@ -343,3 +271,112 @@ def broadcast(
     if round_max >= 0:
         trace.max_message_bits.append(round_max)
     return trace
+
+
+class Rounds:
+    """The rounds of one run on ``graph``, each priced by ``broadcast``
+    under its number in the run; ``trace`` ends the run at its last send."""
+
+    def __init__(self, graph: ColoredGraph):
+        self.graph = graph
+        self._traces: list[RoundTrace] = []
+        self._sends = 0  # rounds up to the last one in which a node sent
+
+    @property
+    def count(self) -> int:
+        """The number of rounds so far."""
+        return len(self._traces)
+
+    def _price(self, sent: Mapping[int, Message], scheduled: bool) -> None:
+        trace = broadcast(self.graph, sent, self.count + 1)
+        if trace.max_message_bits:
+            self._traces.append(trace)
+            self._sends = self.count
+        elif scheduled:
+            self._traces.append(RoundTrace([0]))
+
+    def send(self, sent: Mapping[int, Message]) -> None:
+        """One round in which each node v sends ``sent[v]``; it takes no
+        round when no node with neighbors sends."""
+        self._price(sent, False)
+
+    def round(self, nodes: Iterable[int], step) -> dict[int, Message]:
+        """One scheduled round, which counts even when silent: each node
+        of ``nodes``, in id order, calls ``step(v)``, which may return its
+        message; returns the truthy messages by node.  If a step raises,
+        the senders before it are priced first; a NodeFailure then gets
+        the node, unless it names one, and this round's number."""
+        sent = {}
+        try:
+            for v in nodes:
+                msg = step(v)
+                if msg:
+                    sent[v] = msg
+        except NodeFailure as exc:
+            exc.node = v if exc.node is None else exc.node
+            exc.round_no = self.count + 1
+            raise
+        finally:
+            self._price(sent, True)
+        return sent
+
+    def trace(self, outputs: Sequence[Any]) -> RoundTrace:
+        """The run's trace, ending at its last send, with ``outputs``."""
+        return concat_traces(self._traces[:self._sends], outputs)
+
+
+def run(graph: ColoredGraph, program: NodeProgram, max_rounds: int = 10_000) -> RoundTrace:
+    """Execute a node program on every node until all outputs are in; the
+    trace ends at the last round in which a node sent a message.
+
+    Each round is a ``Rounds`` round of the pending nodes; messages sent
+    in round r are readable only in round r+1 (communication is
+    bidirectional even on oriented graphs).  A round is priced after its
+    last step, under the ``current_network()`` of that moment: under a
+    budget an over-size message aborts the run with a BudgetViolation
+    naming edge, round and size, even if a later node of its round
+    raised, and with ``record_messages`` the trace lists every delivered
+    message.
+    """
+    n = graph.n
+    adjacency = graph.adjacency
+    outs = repeat(None) if graph.out_neighbors is None else graph.out_neighbors
+    # views are built and init called without a Python frame per node; a
+    # failing init belongs to the last id drawn
+    ids = iter(range(n))
+    views = map(tuple.__new__, repeat(NodeView), zip(
+        ids, adjacency, outs, graph.init_colors, repeat(graph.m), repeat(n)
+    ))
+    try:
+        started = list(map(program.init, views))
+    except NodeFailure as exc:
+        exc.node = n - 1 - length_hint(ids) if exc.node is None else exc.node
+        exc.round_no = 0
+        raise
+    states: list[Any] = list(map(itemgetter(0), started))
+    outputs: list[Any] = list(map(itemgetter(1), started))
+    pending = [v for v in range(n) if outputs[v] is None]
+    rounds = Rounds(graph)
+    inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
+
+    def step(v: int) -> Optional[Message]:
+        states[v], msg, out = program.step(states[v], inboxes[v], rounds.count + 1)
+        if out is None:
+            still_pending.append(v)
+        else:
+            outputs[v] = out
+        return msg
+
+    while pending:
+        if rounds.count >= max_rounds:
+            raise RoundLimitExceeded(
+                f"{n - len(pending)}/{n} nodes decided after {max_rounds} rounds"
+            )
+        still_pending: list[int] = []
+        sent = rounds.round(pending, step)
+        pending = still_pending
+        inboxes = [{} for _ in range(n)]
+        for v, msg in sent.items():
+            for u in adjacency[v]:
+                inboxes[u][v] = msg
+    return rounds.trace(outputs)

@@ -63,6 +63,11 @@ def test_validate_errors():
     ori = LdcInstance.build([1, 2], [[1], [2]], [{1: 0}, {2: 0}], flavor="oriented")
     with pytest.raises(MissingOrientation):
         validate_ldc(g, ori, ColoringOutput((1, 2)))
+    # the graph's own orientation reads on an unoriented graph with nodes
+    for read in (lambda: g.outdegree(0), g.oriented_edges):
+        with pytest.raises(MissingOrientation, match="^graph has no orientation$") as exc:
+            read()
+        assert type(exc.value) is MissingOrientation
 
 
 def test_graph_construction_rejects_junk():

@@ -20,7 +20,7 @@ from listdefect import (
     single_defect_oldc,
     validate_ldc,
 )
-from listdefect import oldc_basic
+from listdefect import oldc_basic, runtime
 from listdefect.conflict import NodeType
 from listdefect.errors import InvalidInstance, NodeFailure
 
@@ -335,7 +335,7 @@ def _recheck_from_sent(graph, defects, sent, table, checked):
 def test_p1_bitset_kernel_matches_pairwise_conflicts(monkeypatch):
     """Lists mixing residue classes make g matter across restricted lists."""
     sent, tables = [], []
-    broadcast, build = oldc_basic.broadcast, oldc_basic.build_type_table
+    broadcast, build = runtime.broadcast, oldc_basic.build_type_table
 
     def recording_broadcast(graph, record, *args):
         sent.append(record)
@@ -345,7 +345,7 @@ def test_p1_bitset_kernel_matches_pairwise_conflicts(monkeypatch):
         tables.append(build(*args))
         return tables[-1]
 
-    monkeypatch.setattr(oldc_basic, "broadcast", recording_broadcast)
+    monkeypatch.setattr(runtime, "broadcast", recording_broadcast)
     monkeypatch.setattr(oldc_basic, "build_type_table", recording_build)
     checked = []  # one row per recomputed selection, check or color choice
     rng = random.Random(5)

@@ -410,3 +410,77 @@ def test_broadcast_takes_senders_in_id_order_whatever_the_insertion_order():
     assert (exc.value.edge, exc.value.round_no) == ((3, 0), 4)
     with network(record_messages=True):
         assert runtime.broadcast(STAR, sent, 4).messages == tr.messages
+
+
+class _OverBudgetThenCrash:
+    """Node 0 sends 64 bits in round 1; node 1's step then raises."""
+
+    def init(self, view):
+        return view.node, None
+
+    def step(self, v, inbox, rnd):
+        if v == 1:
+            raise ValueError("crash")
+        return v, {"p": RawField(v, 64)}, None
+
+
+def test_a_plain_exception_after_an_over_budget_sender_surfaces_the_budget_violation():
+    with network(bits_per_message=32), pytest.raises(BudgetViolation) as exc:
+        run(PATH3, _OverBudgetThenCrash())
+    assert (exc.value.edge, exc.value.round_no, exc.value.size) == ((0, 1), 1, 64)
+
+
+# -- Rounds: the round driver -------------------------------------------------------
+
+
+def test_a_send_whose_senders_all_lack_neighbors_takes_no_round():
+    lonely = ColoredGraph.build(4, [(0, 1)])
+    rounds = runtime.Rounds(lonely)
+    with network(bits_per_message=8, record_messages=True):
+        rounds.send({2: Unpriceable(p=RawField(2, 99)), 3: Unpriceable(p=RawField(3, 99))})
+        assert rounds.count == 0
+        rounds.send({1: {"p": RawField(1, 4)}, 3: Unpriceable(p=RawField(3, 99))})
+        with pytest.raises(BudgetViolation) as exc:
+            rounds.send({0: {"p": RawField(0, 9)}})
+    assert (exc.value.edge, exc.value.round_no) == ((0, 1), 2)
+    trace = rounds.trace([5, 6, 7, 8])
+    assert trace.max_message_bits == [4] and trace.messages == [(1, 1, 0, 4)]
+    assert trace.outputs == [5, 6, 7, 8]
+
+
+def test_a_silent_scheduled_round_costs_0_bits_and_a_trailing_one_is_trimmed():
+    rounds = runtime.Rounds(PATH3)
+    with network(record_messages=True):
+        rounds.send({1: {"a": RawField(0, 3)}})
+        assert rounds.round([0, 1, 2], lambda v: None) == {}
+        sent = rounds.round([0, 2], lambda v: {"b": RawField(v, 5)} if v == 2 else {})
+        assert rounds.round([1], lambda v: None) == {}
+    assert sent == {2: {"b": RawField(2, 5)}}
+    assert rounds.count == 4
+    trace = rounds.trace([])
+    assert trace.max_message_bits == [3, 0, 5]
+    assert trace.messages == [(1, 1, 0, 3), (1, 1, 2, 3), (3, 2, 1, 5)]
+
+
+def test_a_failing_step_is_stamped_after_the_senders_before_it_are_priced():
+    def step(v):
+        if v == 2:
+            raise NodeFailure("no color")
+        return {"p": RawField(v, 8 * v)}
+
+    rounds = runtime.Rounds(PATH3)
+    rounds.send({0: {"p": RawField(0, 1)}})
+    with pytest.raises(NodeFailure) as exc:
+        rounds.round([1, 2], step)
+    assert (exc.value.node, exc.value.round_no) == (2, 2)
+
+    def names_another_node(v):
+        raise NodeFailure("named", node=0)
+
+    with pytest.raises(NodeFailure) as exc:
+        rounds.round([1], names_another_node)
+    assert (exc.value.node, exc.value.round_no) == (0, 3)
+    # an over-budget sender before the failing node is reported instead
+    with network(bits_per_message=4), pytest.raises(BudgetViolation) as exc:
+        runtime.Rounds(PATH3).round([1, 2], step)
+    assert (exc.value.edge, exc.value.round_no, exc.value.size) == ((1, 0), 1, 8)

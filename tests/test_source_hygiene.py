@@ -444,6 +444,42 @@ def test_network_setting_check_finds_leftovers():
     ]
 
 
+def broadcast_users(sources: dict[str, str]) -> list[str]:
+    """One "module: line" entry per call of ``broadcast``, plain or as an
+    attribute, and per import of the name, which could call it renamed."""
+    found = []
+    for module, source in sources.items():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call) and _name_of(n.func) == "broadcast" or (
+                isinstance(n, ast.ImportFrom) and any(a.name == "broadcast" for a in n.names)
+            ):
+                found.append(f"{module}: {n.lineno}")
+    return sorted(found)
+
+
+def test_only_the_round_driver_calls_broadcast():
+    # every algorithm prices its rounds through runtime.Rounds, which
+    # numbers them in the composed run; a direct call would number and
+    # trim rounds by rules of its own
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "runtime.py"}
+    assert broadcast_users(sources) == []
+
+
+def test_broadcast_user_check_finds_leftovers():
+    sources = {
+        "a.py": (
+            "from . import runtime\n"
+            "def go(g, sent):\n"
+            "    runtime.broadcast(g, sent)\n"
+            "    rounds.send(sent)\n"
+            "    return 'broadcast'\n"
+        ),
+        "b.py": "from .runtime import Rounds, broadcast as price\nprice(g, {})\n",
+        "c.py": "def broadcast(g, sent):\n    pass\nbroadcast(g, {})\nx = broadcast\n",
+    }
+    assert broadcast_users(sources) == ["a.py: 3", "b.py: 1", "c.py: 3"]
+
+
 def unset_fields(sources: dict[str, str], cls: str) -> list[str]:
     """The fields of class ``cls`` that nothing sets outside the class: by
     a keyword of a ``cls(...)`` call, an assignment to an attribute of the
