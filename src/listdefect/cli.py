@@ -9,6 +9,7 @@ not support the run; nothing invalid was emitted), 1 = genuine error
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
@@ -236,8 +237,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write(
         json.dumps(
             {
-                "colors": list(out.colors) if out is not None else None,
-                "orientation": [list(e) for e in out.orientation_out]
+                "colors": out.colors if out is not None else None,
+                "orientation": out.orientation_out
                 if out is not None and out.orientation_out
                 else None,
             },
@@ -357,7 +358,9 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--verbose", action="store_true")
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+# one parser per process, shared by every in-process caller of `main`
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listdefect",
         description="list defective coloring simulator and algorithm library",
@@ -389,8 +392,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     # a command builds acyclic data, which reference counting frees
     collecting = gc.isenabled()
     gc.disable()

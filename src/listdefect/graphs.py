@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, countOf, eq, gt, le, methodcaller, mul
+from operator import add, countOf, eq, gt, le, lt, methodcaller, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -71,20 +71,30 @@ class ColoredGraph:
         exactly once as a directed pair.  ``init_colors`` defaults to the
         identity (unique ids treated as an n-coloring).  The checks run in
         bulk over the edge columns; only a failed one walks the data to
-        name the first fault.
+        name the first fault.  Edges in canonical order, the order
+        ``instance_to_json`` writes (u < v in every pair, pairs strictly
+        increasing), fill each adjacency row already sorted and free of
+        repeats, so the per-row sort and repeat check are skipped.
         """
         if n < 0:
             raise InvalidGraph("negative node count")
         edges = list(edges)
         us, vs = zip(*edges) if edges else ((), ())
         ends = us + vs
-        ends_ok = not ends or (0 <= min(ends) and max(ends) < n and not any(map(eq, us, vs)))
+        in_range = not ends or (0 <= min(ends) and max(ends) < n)
+        # compared as int pairs: a list edge and a tuple edge do not compare
+        canonical = in_range and all(map(lt, us, vs)) and all(
+            map(lt, zip(us, vs), zip(us[1:], vs[1:]))
+        )
+        ends_ok = canonical or in_range and not any(map(eq, us, vs))
         adj: list[list[int]] = [[] for _ in range(n)]
         if ends_ok:
-            # one append per edge end; a zero-length deque drains the map
-            deque(map(list.append, map(adj.__getitem__, ends), vs + us), maxlen=0)
-        adjacency = tuple(map(tuple, map(sorted, adj)))
-        if not ends_ok or sum(map(len, map(set, adjacency))) != len(ends):
+            # one append per edge end, u to row v for every edge before v to
+            # row u, so canonical rows come out sorted; a zero-length deque
+            # drains the map
+            deque(map(list.append, map(adj.__getitem__, vs + us), ends), maxlen=0)
+        adjacency = tuple(map(tuple, adj if canonical else map(sorted, adj)))
+        if not canonical and (not ends_ok or sum(map(len, map(set, adjacency))) != len(ends)):
             # name the first faulty edge, out of range before self-loop before repeat
             seen: set[tuple[int, int]] = set()
             for u, v in edges:

@@ -257,7 +257,8 @@ def sequential_arbdefective(
     colors, stats, directed = _arbdefective_core(graph, inst.lists, inst.defects)
     adj = graph.adjacency
     cross = [(u, v) for u in range(graph.n) for v in adj[u] if u < v and colors[u] != colors[v]]
-    return ColoringOutput(colors, tuple(sorted(directed + cross))), stats
+    # cross is listed in sorted order; only intra-class pairs need merging in
+    return ColoringOutput(colors, tuple(sorted(directed + cross) if directed else cross)), stats
 
 
 def _arbdefective_core(

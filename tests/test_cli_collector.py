@@ -10,6 +10,7 @@ algorithm.
 from __future__ import annotations
 
 import gc
+import json
 
 import pytest
 
@@ -98,6 +99,28 @@ def test_cli_restores_the_collector_when_an_exception_escapes(
     with pytest.raises(RuntimeError):
         cli.main(argv)
     assert gc.isenabled() is enabled
+
+
+def test_a_cli_call_after_the_first_leaves_no_cyclic_garbage_of_its_own(
+    dag_instance, tmp_path, capsys
+):
+    # the first call builds the parser that every later call shares.  A
+    # later call leaves only the cycles of json's indenting encoder, whose
+    # pure-Python closures refer to each other: as many as dumping the
+    # call's report.json again leaves
+    argv = ["run", "--algorithm", "linial", "--instance", str(dag_instance),
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        json.dumps(report, sort_keys=True, indent=1)
+        encoder_cycles = gc.collect()
+        assert cli.main(argv) == 0
+        assert gc.collect() == encoder_cycles
+    finally:
+        gc.enable()
 
 
 def _run_options(**values) -> dict:

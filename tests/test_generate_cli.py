@@ -15,6 +15,7 @@ from listdefect import (
     check_existence_condition,
     instance_to_json,
 )
+from listdefect import cli
 from listdefect.cli import ALGORITHMS
 from listdefect.cli import main as cli_main
 from listdefect.errors import InfeasibleParams, InvalidInstance, NodeFailure
@@ -170,6 +171,33 @@ def test_cli_generate_run_roundtrip(tmp_path):
     coloring = json.loads((out_dir / "coloring.json").read_text())
     assert len(coloring["colors"]) == 5
     assert (out_dir / "trace.csv").read_text().startswith("round,max_bits")
+
+
+def test_cli_builds_its_parser_once_for_many_calls(tmp_path, capsys):
+    cli._parser.cache_clear()
+    inst_path = tmp_path / "ring.json"
+    _ring_instance(inst_path)
+    for algorithm in ("seq-arb", "linial"):
+        assert cli_main(["run", "--algorithm", algorithm, "--instance", str(inst_path),
+                         "--out-dir", str(tmp_path / algorithm)]) == 0
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_cli_calls_share_the_parser_but_no_state(tmp_path, capsys):
+    inst_path = tmp_path / "ring.json"
+    _ring_instance(inst_path)
+    run = ["run", "--algorithm", "linial", "--instance", str(inst_path)]
+    assert cli_main([*run, "--verbose", "--out-dir", str(tmp_path / "verbose")]) == 0
+    assert cli_main([*run, "--out-dir", str(tmp_path / "plain")]) == 0
+    assert (tmp_path / "verbose" / "trace.json").exists()
+    assert not (tmp_path / "plain" / "trace.json").exists()
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "--algorithm", "no-such-algorithm", "--instance", str(inst_path)])
+    assert info.value.code == 2
+    assert cli_main([*run, "--out-dir", str(tmp_path / "after")]) == 0
+    assert (tmp_path / "after" / "coloring.json").read_bytes() == (
+        tmp_path / "plain" / "coloring.json").read_bytes()
+    assert not (tmp_path / "after" / "trace.json").exists()
 
 
 @pytest.mark.parametrize("command", [["run", "--algorithm", "seq"], ["oracle"]])

@@ -471,14 +471,17 @@ def test_validate_ldc_matches_the_per_neighbor_loop(case):
 
 @st.composite
 def faulty_graphs(draw):
-    """A random simple edge list, each edge in either direction, with up to
-    four faults inserted anywhere: an end out of range, a self-loop, an edge
-    repeated as it is or reversed.  The initial coloring is proper or
-    random, with colors that may leave [0, m)."""
+    """A random simple edge list, each edge in either direction or all in
+    canonical order, with up to four faults inserted anywhere: an end out
+    of range, a self-loop, an edge repeated as it is or reversed.  Some
+    edges are lists, as JSON decodes them.  The initial coloring is proper
+    or random, with colors that may leave [0, m)."""
     n = draw(st.integers(0, 7))
     edges = [(v, u) if draw(st.booleans()) else (u, v)
              for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
     edges = draw(st.permutations(edges))
+    if draw(st.booleans()):  # the order instance_to_json writes
+        edges = sorted((min(e), max(e)) for e in edges)
     if draw(st.booleans()):
         init = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
     else:
@@ -499,6 +502,7 @@ def faulty_graphs(draw):
         elif edges:
             u, v = edges[draw(st.integers(0, len(edges) - 1))]
             edges.insert(at, (u, v) if kind == "repeat" else (v, u))
+    edges = [list(e) if draw(st.booleans()) else e for e in edges]
     m = draw(st.none() | st.integers(0, 5))
     return n, edges, init, m
 
@@ -509,6 +513,17 @@ def faulty_graphs(draw):
 @example((3, [(3, 3), (1, 1)], [0, 1, 0], None))
 @example((3, [(0, 1), (1, 2)], [0, 0, 5], 3))
 @example((3, [(0, 1), (1, 2)], [0, 5, 5], 3))
+# canonical order with one fault: a repeat, a reversed pair (a repeat or
+# not), a self-loop, an end out of range; then list and tuple edges mixed
+@example((4, [(0, 1), (1, 2), (1, 2), (2, 3)], [0, 1, 0, 1], None))
+@example((4, [(0, 1), (1, 2), (2, 1), (2, 3)], [0, 1, 0, 1], None))
+@example((4, [(0, 1), (2, 1), (2, 3)], [0, 1, 0, 1], None))
+@example((4, [(0, 1), (1, 1), (1, 2), (2, 3)], [0, 1, 0, 1], None))
+@example((4, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 1, 0, 1], None))
+@example((4, [(-1, 0), (0, 1), (1, 2)], [0, 1, 0, 1], None))
+@example((3, [[0, 1], (0, 2), [1, 2]], [0, 1, 2], None))
+@example((3, [[0, 1], (0, 1), [1, 2]], [0, 1, 0], None))
+@example((3, [(0, 1), [0, 2], (1, 2)], [0, 1, 1], None))
 @given(faulty_graphs())
 def test_build_names_the_first_fault_like_the_edge_set_loop(case):
     # the first faulty edge in input order is named, out of range before

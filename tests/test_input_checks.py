@@ -25,6 +25,8 @@ from listdefect import (
     congest_pipeline,
     degree_halving_framework,
     exhaustive_solve,
+    gamma_class_of,
+    instance_from_json,
     instance_to_json,
     make_graph,
     residue_restrict,
@@ -148,6 +150,13 @@ REJECTIONS = {
         lambda: validate_ldc(_unoriented(), _sized("defective", 4), ColoringOutput((0, 1, 0))),
         InvalidInstance, "4 lists for 3 nodes",
     ),
+    "gamma_class_of-negative-defect": (
+        lambda: gamma_class_of(3, -1), InvalidInstance, "negative defect -1",
+    ),
+    "instance_from_json-deeply-nested": (
+        lambda: instance_from_json("[" * 200_000 + "]" * 200_000),
+        InvalidInstance, "instance JSON nests too deeply",
+    ),
     "type-table-k-prime-0": (
         lambda: build_type_table(
             ConflictParams(h=1, color_space_size=4, m=4, scale_override=(2, 2)),
@@ -187,9 +196,16 @@ def _run_with_bad_override(tmp_path):
     ]
 
 
+def _sweep_deeply_nested(tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text('{"ns": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    return ["sweep", "--config", str(config)]
+
+
 @pytest.mark.parametrize("argv, message", [
     (_run_with_bad_override, "override must be 'tau,tau_prime'"),
     (_sweep_array, "a sweep matrix is a JSON object"),
+    (_sweep_deeply_nested, "sweep config JSON nests too deeply"),
 ])
 def test_cli_rejects_a_malformed_option_with_a_typed_error(tmp_path, capsys, argv, message):
     assert cli_main(argv(tmp_path)) == 1

@@ -480,6 +480,53 @@ def test_broadcast_user_check_finds_leftovers():
     assert broadcast_users(sources) == ["a.py: 3", "b.py: 1", "c.py: 3"]
 
 
+def argument_parsers(sources: dict[str, str]) -> list[str]:
+    """One "module: maker" entry per call of ``ArgumentParser``, plain or
+    as an attribute, with or without arguments, the maker named as by
+    ``config_builders``."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            found.extend(
+                f"{module}: {owner}" for n in ast.walk(stmt)
+                if isinstance(n, ast.Call) and _name_of(n.func) == "ArgumentParser"
+            )
+    return sorted(found)
+
+
+def test_the_cli_parser_is_built_in_one_cached_place():
+    # `cli._parser` is built once per process; a parser built in `main`
+    # would cost every in-process call its construction again
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert argument_parsers(sources) == ["cli.py: _parser"]
+
+
+def test_argument_parser_check_finds_leftovers():
+    sources = {
+        "a.py": (
+            "import argparse\n"
+            "def _parser():\n"
+            "    return argparse.ArgumentParser(prog='x')\n"
+            "def main(argv):\n"
+            "    parser = argparse.ArgumentParser()\n"
+            "    return parser.parse_args(argv)\n"
+            "def _add(sp: argparse.ArgumentParser):\n"
+            "    sp.add_argument('--n')\n"
+        ),
+        "b.py": (
+            "from argparse import ArgumentParser\n"
+            "PARSER = ArgumentParser(prog='b')\n"
+            "class Cli:\n"
+            "    def parser(self):\n"
+            "        return ArgumentParser()\n"
+        ),
+    }
+    assert argument_parsers(sources) == [
+        "a.py: _parser", "a.py: main", "b.py: <module>", "b.py: Cli",
+    ]
+
+
 def unset_fields(sources: dict[str, str], cls: str) -> list[str]:
     """The fields of class ``cls`` that nothing sets outside the class: by
     a keyword of a ``cls(...)`` call, an assignment to an attribute of the
